@@ -9,7 +9,6 @@ derivatives than an expression mentions.
 """
 
 import random
-from fractions import Fraction
 
 from .ratfn import RatFn, T, X, U, ZERO, ONE
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
@@ -243,7 +242,7 @@ def sample_point(vars_, rng):
         c = 0
         while c == 0:
             c = rng.randint(-99, 99)
-        pt[v] = Fraction(c)
+        pt[v] = c
     return pt
 
 

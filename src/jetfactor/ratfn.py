@@ -10,15 +10,22 @@ Tuple comparison gives the variable order used everywhere:
 t < x_1 < x_2 < ... < u_1 < u_2 < ... < u_1' < u_2' < ...  (derivative level
 major, control index minor).
 
-A polynomial is a dict {monomial: Fraction}; a monomial is a tuple of
+A polynomial is a dict {monomial: coefficient}; a monomial is a tuple of
 (var, exponent) pairs sorted by var, with the empty tuple for 1.  Monomials
-are ordered graded-lex over the variable order.  RatFn holds a canonical
-num/den pair: gcd 1, denominator integer-primitive with positive leading
+are ordered graded-lex over the variable order.  A stored coefficient is a
+plain int when it is integral and otherwise a Fraction with denominator > 1;
+it is never a float and never a Fraction with denominator 1.  Every step
+that can make a rational (a sum of Fractions, a division, a scale) restores
+this, so integer arithmetic carries almost all of the work.  The polynomial
+helpers also accept integral Fractions on input; p_mul, p_scale and the gcd
+return coefficients in the stored form.  RatFn holds a canonical num/den
+pair: gcd 1, denominator integer-primitive with positive leading
 coefficient.  Instances are immutable; all ops return new values.
+const_value() and eval_at() return Fractions.
 """
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 
 from .errors import DivisionByZero, SubstitutionPole, DenominatorZero
 
@@ -78,19 +85,52 @@ def mono_div(m1, m2):
 
 
 # ---------------------------------------------------------------------------
-# polynomials as {mono: Fraction} dicts (zero coeffs never stored)
+# coefficients: int when integral, else a Fraction with denominator > 1
+
+def _coef(c):
+    """c (an int or a rational) as a stored coefficient."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _cdiv(a, b):
+    """The exact quotient a / b of two coefficients, as a coefficient."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _demote(r):
+    """Turn the integral Fractions among r's coefficients into ints, in place."""
+    for m, c in r.items():
+        if type(c) is Fraction and c.denominator == 1:
+            r[m] = c.numerator
+    return r
+
+
+# ---------------------------------------------------------------------------
+# polynomials as {mono: coefficient} dicts (zero coeffs never stored)
 
 def p_zero():
     return {}
 
 
 def p_const(c):
-    c = Fraction(c)
+    c = _coef(c)
     return {(): c} if c else {}
 
 
 def p_var(v):
-    return {((v, 1),): Fraction(1)}
+    return {((v, 1),): 1}
+
+
+def _is_one(a):
+    return len(a) == 1 and a.get(()) == 1
 
 
 def p_add(a, b):
@@ -98,6 +138,8 @@ def p_add(a, b):
     for m, c in b.items():
         s = r.get(m, 0) + c
         if s:
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             r[m] = s
         elif m in r:
             del r[m]
@@ -113,10 +155,10 @@ def p_sub(a, b):
 
 
 def p_scale(a, c):
-    c = Fraction(c)
+    c = _coef(c)
     if not c:
         return {}
-    return {m: k * c for m, k in a.items()}
+    return _demote({m: k * c for m, k in a.items()})
 
 
 def p_mul(a, b):
@@ -131,7 +173,7 @@ def p_mul(a, b):
                 r[m] = s
             elif m in r:
                 del r[m]
-    return r
+    return _demote(r)
 
 
 def p_pow(a, n):
@@ -170,6 +212,8 @@ def p_diff(a, v):
                 nm = m[:i] + ((w, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
                 s = r.get(nm, 0) + c * e
                 if s:
+                    if type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
                     r[nm] = s
                 elif nm in r:
                     del r[nm]
@@ -189,7 +233,7 @@ def p_divexact(a, b):
         qm = mono_div(am, bm)
         if qm is None:
             raise ArithmeticError("inexact polynomial division")
-        qc = ac / bc
+        qc = _cdiv(ac, bc)
         q[qm] = q.get(qm, 0) + qc
         a = p_sub(a, p_mul({qm: qc}, b))
     return q
@@ -198,15 +242,32 @@ def p_divexact(a, b):
 # ---------------------------------------------------------------------------
 # gcd (primitive PRS)
 
-def _int_clear(a):
-    """Scale a Fraction-dict to a primitive integer dict (content removed)."""
-    l = 1
+def _scaled_to_int(a):
+    """(l, l*a) for l the lcm of a's coefficient denominators."""
+    l, exact = 1, True
     for c in a.values():
-        l = l * c.denominator // igcd(l, c.denominator)
+        if type(c) is not int:
+            l, exact = lcm(l, c.denominator), False
+    if exact:
+        return 1, a
+    return l, {m: c.numerator * (l // c.denominator) for m, c in a.items()}
+
+
+def _content(ints):
+    """gcd of the int coefficients of a nonzero polynomial."""
     g = 0
-    for c in a.values():
-        g = igcd(g, abs(c.numerator * (l // c.denominator)))
-    return {m: Fraction(c.numerator * (l // c.denominator), g) for m, c in a.items()}
+    for c in ints.values():
+        g = igcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _int_clear(a):
+    """Scale a nonzero polynomial to a primitive integer one (content removed)."""
+    _, a = _scaled_to_int(a)
+    g = _content(a)
+    return a if g == 1 else {m: c // g for m, c in a.items()}
 
 
 def _univar(a, v):
@@ -254,7 +315,7 @@ def _prem(a, b, v):
             return r
         lr = ur[dr]
         # r <- lb*r - lr*b*v^(dr-db)
-        shift = {((v, dr - db),): Fraction(1)} if dr > db else {(): Fraction(1)}
+        shift = {((v, dr - db),): 1} if dr > db else {(): 1}
         r = p_sub(p_mul(lb, r), p_mul(p_mul(lr, b), shift))
 
 
@@ -305,7 +366,7 @@ def _content_wrt(a, v):
     g = {}
     for _, d in _univar(a, v).items():
         g = poly_gcd(g, d)
-        if g == p_const(1):
+        if _is_one(g):
             return g
     return g
 
@@ -320,7 +381,7 @@ def _primitive_wrt(a, v):
 # ---------------------------------------------------------------------------
 # printing
 
-def _coeff_text(c, had_vars):
+def _coeff_text(c):
     if c.denominator == 1:
         s = str(abs(c.numerator))
     else:
@@ -345,11 +406,11 @@ def p_text(a):
         body = _mono_text(m)
         ac = abs(c)
         if not body:
-            piece = _coeff_text(ac, False)
+            piece = _coeff_text(ac)
         elif ac == 1:
             piece = body
         else:
-            piece = _coeff_text(ac, True) + "*" + body
+            piece = _coeff_text(ac) + "*" + body
         if i == 0:
             out.append(("-" if sign == "-" else "") + piece)
         else:
@@ -393,13 +454,13 @@ class RatFn:
         return not p_vars(self.num) and not p_vars(self.den)
 
     def is_poly(self):
-        return self.den == p_const(1)
+        return _is_one(self.den)
 
     def const_value(self):
         assert self.is_const()
         if not self.num:
             return Fraction(0)
-        return self.num[()] / self.den[()]
+        return Fraction(self.num[()], self.den[()])
 
     def vars(self):
         return p_vars(self.num) | p_vars(self.den)
@@ -495,7 +556,7 @@ class RatFn:
         dv = _p_eval(self.den, point)
         if dv == 0:
             raise DenominatorZero("denominator vanishes at the sample point")
-        return nv / dv
+        return Fraction(nv, dv)
 
     def eval_float(self, point):
         """Float evaluation for numeric work; raises DenominatorZero near poles."""
@@ -538,17 +599,12 @@ def _canon(num, den):
         num, den = _cancel_monomial(num, den)
     else:
         g = poly_gcd(num, den)
-        if g != p_const(1) and g:
+        if g and not _is_one(g):
             num = p_divexact(num, g)
             den = p_divexact(den, g)
     # normalize: den integer-primitive with positive leading coefficient
-    l = 1
-    for c in den.values():
-        l = l * c.denominator // igcd(l, c.denominator)
-    k = 0
-    for c in den.values():
-        k = igcd(k, abs(c.numerator * (l // c.denominator)))
-    scale = Fraction(l, k)
+    l, ints = _scaled_to_int(den)
+    scale = _cdiv(l, _content(ints))
     if p_lead(den)[1] < 0:
         scale = -scale
     if scale != 1:
@@ -594,7 +650,7 @@ def _p_subst(a, binding):
 
 
 def _p_eval(a, point):
-    out = Fraction(0)
+    out = 0
     for m, c in a.items():
         term = c
         for v, e in m:

@@ -36,7 +36,6 @@ re-parses.
 """
 
 import re
-from fractions import Fraction
 
 from .ratfn import RatFn, ZERO, ONE, T, X, U
 from .jets import ControlSystem
@@ -247,7 +246,7 @@ def _parse_atom(p, spans):
     t = p.peek()
     if t.kind == "int":
         p.next()
-        return RatFn.const(Fraction(int(t.text)))
+        return RatFn.const(int(t.text))
     if t.kind == "sym" and t.text == "-":
         p.next()
         return ZERO - _parse_factor(p, spans)

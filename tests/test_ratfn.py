@@ -4,10 +4,12 @@ from math import gcd, lcm
 
 import pytest
 
-from jetfactor import RatFn, T, U, X, ONE, ZERO, var_name
+from jetfactor import (RatFn, T, U, X, ONE, ZERO, builtin_fixtures,
+                       pullback_matrix, var_name)
+from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
 from jetfactor.ratfn import (mono_mul, p_add, p_const, p_divexact, p_lead,
                              p_mul, p_scale, poly_gcd)
-from jetfactor.errors import DenominatorZero, DivisionByZero
+from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 
 x1 = RatFn.var(X(1))
 x2 = RatFn.var(X(2))
@@ -212,3 +214,57 @@ def test_monomial_denominator_matches_general_gcd():
         cancelled += next(iter(got.den)) != den_mono
     # most cases must actually cancel a monomial
     assert cancelled > 200, cancelled
+
+
+# ---------------------------------------------------------------------------
+# coefficient invariant: a stored coefficient is an int when integral and
+# otherwise a Fraction with denominator > 1, never a float
+
+def _coefficient_faults(r):
+    faults = []
+    for part in (r.num, r.den):
+        for m, c in part.items():
+            if type(c) is int:
+                continue
+            if type(c) is not Fraction or c.denominator == 1:
+                faults.append((m, type(c).__name__, c))
+    return faults
+
+
+def _suite_forms(seed, count=150):
+    """Canonical forms from the property-suite generators and from the
+    operations the suites apply to them (sums, products, quotients,
+    derivatives, substitutions)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = _rand_ratfn(rng), _rand_ratfn(rng)
+        yield from (a, b, _rand_poly(rng), a + b, a - b, a * b)
+        if not b.is_zero():
+            yield a / b
+        v = rng.choice(_POOL)
+        yield a.diff(v)
+        try:
+            yield a.substitute({w: _rand_poly(rng) for w in a.vars()})
+        except (SubstitutionPole, DivisionByZero):
+            pass
+
+
+def test_coefficients_are_ints_or_proper_fractions():
+    forms = list(_suite_forms(seed=31))
+    for fwd, _ in builtin_fixtures()[:3]:   # phi, psi, theta
+        forms.extend(pullback_matrix(fwd, N=4).entries.values())
+    assert len(forms) > 1000
+    assert any(type(c) is Fraction for r in forms for c in r.num.values())
+    for r in forms:
+        assert _coefficient_faults(r) == [], r
+
+
+def test_const_value_and_eval_at_return_fractions():
+    v = RatFn.const(3).const_value()
+    assert type(v) is Fraction and v == 3
+    assert type(ZERO.const_value()) is Fraction
+    assert RatFn.const(3).num == {(): 3} and type(RatFn.const(3).num[()]) is int
+    w = ((x1 + x2) / u2).eval_at({X(1): 3, X(2): 5, U(2): 4})
+    assert type(w) is Fraction and w == 2
+    w = (x1 / 2).eval_at({X(1): 3})
+    assert type(w) is Fraction and w == Fraction(3, 2)

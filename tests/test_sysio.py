@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
 
-from jetfactor import (ControlSystem, RatFn, U, X, builtin_fixtures,
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from jetfactor import (ControlSystem, RatFn, T, U, X, builtin_fixtures,
                        factor_JK0, parse_document, parse_expression,
                        parse_map, parse_matrix, parse_system,
                        pullback_matrix, serialize, serialize_report,
@@ -243,3 +247,47 @@ def test_serialize_rejects_strays():
 def test_serialize_is_deterministic():
     a = pullback_matrix(PHI, N=3)
     assert serialize(a) == serialize(pullback_matrix(PHI, N=3))
+
+
+# -------------------------------------------------------------------
+# print/parse round trip over random rational functions
+
+_VARS = [T, X(1), X(2), X(3), U(1), U(2), U(1, 1), U(2, 2)]
+
+_coeffs = st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                    st.sampled_from([1, 1, 1, 2, 3, 7, 12]))
+_monos = st.dictionaries(st.sampled_from(_VARS), st.integers(1, 3),
+                         max_size=3)
+
+
+def _poly(terms):
+    out = RatFn.const(0)
+    for c, m in terms:
+        term = RatFn.const(c)
+        for v, e in m.items():
+            term = term * RatFn.var(v) ** e
+        out = out + term
+    return out
+
+
+_terms = st.lists(st.tuples(_coeffs, _monos), min_size=1, max_size=4)
+# constant, one-term and two-term (binomial) denominators
+_dens = st.lists(st.tuples(_coeffs, _monos), min_size=1, max_size=2)
+
+
+@st.composite
+def _ratfns(draw):
+    den = _poly(draw(_dens))
+    if den.is_zero():
+        den = RatFn.const(draw(_coeffs))
+    return _poly(draw(_terms)) / den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ratfns())
+def test_expression_text_round_trips(r):
+    text = r.to_text()
+    back = parse_expression(text)
+    assert back == r
+    assert back.to_text() == text
