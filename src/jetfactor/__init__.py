@@ -9,12 +9,11 @@ from .jets import (ControlSystem, VectorField, AffineForm, to_affine,
                    prolong_partial, generic_rank, sample_point)
 from .coframes import (contact_coframe, adapted_coframe_3x2, Coframe,
                        exterior_d, wedge, check_structure)
-from .equivalence import (EquivMap, detect_order, compose, prolong_map,
+from .equivalence import (EquivMap, compose, prolong_map,
                           VerificationReport, verify_forward, verify_inverse,
                           verify_pair, verify_scalar_theorem, BlockMatrix,
                           pullback_matrix, check_arepeats, block_rank,
-                          check_nonaut_static, check_nonaut_static_pair,
-                          StaticPairReport)
+                          check_nonaut_static_pair, StaticPairReport)
 from .factorize import (StackpoleMatrix, build_S, NonautStatic, Factorization,
                         GnicePattern, factor_JK0, validate_nonaut_static,
                         check_gnice)
@@ -33,11 +32,11 @@ __all__ = [
     "sample_point",
     "contact_coframe", "adapted_coframe_3x2", "Coframe", "exterior_d",
     "wedge", "check_structure",
-    "EquivMap", "detect_order", "compose", "prolong_map",
+    "EquivMap", "compose", "prolong_map",
     "VerificationReport", "verify_forward", "verify_inverse", "verify_pair",
     "verify_scalar_theorem", "BlockMatrix", "pullback_matrix",
-    "check_arepeats", "block_rank", "check_nonaut_static",
-    "check_nonaut_static_pair", "StaticPairReport",
+    "check_arepeats", "block_rank", "check_nonaut_static_pair",
+    "StaticPairReport",
     "StackpoleMatrix", "build_S", "NonautStatic", "Factorization",
     "GnicePattern", "factor_JK0", "validate_nonaut_static", "check_gnice",
     "StaticClass", "DynClass", "CLASS1", "CLASS2", "CLASS3",

@@ -24,9 +24,9 @@ forms, the decoupling variant, and a two-state/four-state prolongation pair.
 import random
 from fractions import Fraction
 
-from .ratfn import RatFn, ZERO, ONE, X, U
-from .jets import (ControlSystem, VectorField, to_affine, lie_bracket,
-                   sample_point, generic_rank, _frac_rank)
+from .ratfn import RatFn, ZERO, ONE, T, X, U, gauss_jordan
+from .jets import (ControlSystem, to_affine, lie_bracket, sample_point,
+                   generic_rank)
 from .errors import (UnclassifiedSignature, OutOfTable, DimensionMismatch,
                      DenominatorZero, DivisionByZero, SubstitutionPole)
 from .equivalence import EquivMap
@@ -99,7 +99,7 @@ class InvariantRecord:
 
 def _rank_at(rows, pt):
     m = [[e.eval_at(pt) for e in row] for row in rows]
-    return _frac_rank(m)
+    return len(gauss_jordan(m, len(m[0])))
 
 
 def static_invariants(a, seed=0):
@@ -330,46 +330,18 @@ def builtin_fixtures():
 # ---------------------------------------------------------------------------
 # random static transforms (test support for the invariance properties)
 
-def _det(m):
-    m = [row[:] for row in m]
-    k = len(m)
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, k):
-            f = m[r][c] / m[c][c]
-            for j in range(c, k):
-                m[r][j] -= f * m[c][j]
-    return det
-
-
-def _inv(m):
-    k = len(m)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(m)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if a[r][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [e / f for e in a[c]]
-        for r in range(k):
-            if r != c and a[r][c] != 0:
-                g = a[r][c]
-                a[r] = [e - g * p for e, p in zip(a[r], a[c])]
-    return [row[k:] for row in a]
-
-
 def _rand_invertible(rng, k):
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
-        if _det(m) != 0:
+        if len(gauss_jordan([row[:] for row in m], k)) == k:
             return m
+
+
+def _inverse(m):
+    k = len(m)
+    a = [row + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    gauss_jordan(a, k)
+    return [row[k:] for row in a]
 
 
 def _lincomb(coeffs, exprs, shift=None):
@@ -380,59 +352,23 @@ def _lincomb(coeffs, exprs, shift=None):
     return acc
 
 
-def random_static_transform(sys_, seed):
-    """A seeded linear state change with affine invertible feedback.
-
-    y = P x, v = Q u + R x with small integer P, Q, R and P, Q invertible.
-    Returns (forward, inverse, transformed_system); the transformed system
-    is the rhs rewritten in the new variables, which stays affine.
-    """
+def _random_transform(sys_, seed, timed):
+    """y = P x + b t, v = Q u + R x + d t with small integer P, Q, R, b, d
+    and P, Q invertible; b = d = 0 unless `timed`.  Returns (forward,
+    inverse, transformed_system); the transformed system is the rhs
+    rewritten in the new variables, which stays affine."""
     n, s = sys_.n, sys_.s
     rng = random.Random(seed)
     P = _rand_invertible(rng, n)
     Q = _rand_invertible(rng, s)
     R = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(s)]
-    Pi = _inv(P)
-    Qi = _inv(Q)
-
-    xs = [_x(i + 1) for i in range(n)]
-    us = [_u(j + 1) for j in range(s)]
-
-    y = [_lincomb(P[i], xs) for i in range(n)]
-    v = [_lincomb(Q[j], us, _lincomb(R[j], xs)) for j in range(s)]
-
-    # in the new chart: x = Pi x', u = Qi (u' - R Pi x')
-    xold = [_lincomb(Pi[i], xs) for i in range(n)]
-    uold = [_lincomb(Qi[j], us) - _lincomb(Qi[j],
-            [_lincomb(R[l], xold) for l in range(s)]) for j in range(s)]
-    sub = {X(i + 1): xold[i] for i in range(n)}
-    sub.update({U(j + 1): uold[j] for j in range(s)})
-    fnew = [_lincomb(P[i], [fi.substitute(sub) for fi in sys_.f])
-            for i in range(n)]
-    newsys = ControlSystem(n, s, fnew,
-                           name=(sys_.name + "~%d" % seed) if sys_.name else "")
-    fwd = EquivMap(sys_, newsys, y, v, name="static%d" % seed)
-    ixs = [_lincomb(Pi[i], xs) for i in range(n)]
-    ius = [_lincomb(Qi[j], us) - _lincomb(Qi[j],
-           [_lincomb(R[l], ixs) for l in range(s)]) for j in range(s)]
-    inv = EquivMap(newsys, sys_, ixs, ius, name="static%d_inv" % seed)
-    return fwd, inv, newsys
-
-
-def random_nonaut_static_pair(sys_, seed):
-    """Like random_static_transform but explicitly time-dependent:
-    y = P x + b t, v = Q u + R x + d t.  Returns (forward, inverse,
-    transformed_system)."""
-    from .ratfn import T
-    n, s = sys_.n, sys_.s
-    rng = random.Random(seed)
-    P = _rand_invertible(rng, n)
-    Q = _rand_invertible(rng, s)
-    R = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(s)]
-    b = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    dd = [Fraction(rng.randint(-3, 3)) for _ in range(s)]
-    Pi = _inv(P)
-    Qi = _inv(Q)
+    if timed:
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        dd = [Fraction(rng.randint(-3, 3)) for _ in range(s)]
+    else:
+        b, dd = [0] * n, [0] * s
+    Pi = _inverse(P)
+    Qi = _inverse(Q)
     t = RatFn.var(T)
 
     xs = [_x(i + 1) for i in range(n)]
@@ -442,6 +378,7 @@ def random_nonaut_static_pair(sys_, seed):
     v = [_lincomb(Q[j], us, _lincomb(R[j], xs, RatFn.const(dd[j]) * t))
          for j in range(s)]
 
+    # in the new chart: x = Pi (x' - b t), u = Qi (u' - R x - d t)
     shifted = [xs[i] - RatFn.const(b[i]) * t for i in range(n)]
     xold = [_lincomb(Pi[i], shifted) for i in range(n)]
     uold_shift = [_lincomb(R[l], xold, RatFn.const(dd[l]) * t) for l in range(s)]
@@ -451,8 +388,22 @@ def random_nonaut_static_pair(sys_, seed):
     # y' = P f + b
     fnew = [_lincomb(P[i], [fi.substitute(sub) for fi in sys_.f],
                      RatFn.const(b[i])) for i in range(n)]
-    newsys = ControlSystem(n, s, fnew,
-                           name=(sys_.name + "~t%d" % seed) if sys_.name else "")
-    fwd = EquivMap(sys_, newsys, y, v, name="nonaut%d" % seed)
-    inv = EquivMap(newsys, sys_, xold, uold, name="nonaut%d_inv" % seed)
+    kind, mark = ("nonaut", "~t") if timed else ("static", "~")
+    name = (sys_.name + "%s%d" % (mark, seed)) if sys_.name else ""
+    newsys = ControlSystem(n, s, fnew, name=name)
+    fwd = EquivMap(sys_, newsys, y, v, name="%s%d" % (kind, seed))
+    inv = EquivMap(newsys, sys_, xold, uold, name="%s%d_inv" % (kind, seed))
     return fwd, inv, newsys
+
+
+def random_static_transform(sys_, seed):
+    """A seeded linear state change with affine invertible feedback:
+    y = P x, v = Q u + R x.  Returns (forward, inverse, transformed_system)."""
+    return _random_transform(sys_, seed, timed=False)
+
+
+def random_nonaut_static_pair(sys_, seed):
+    """Like random_static_transform but explicitly time-dependent:
+    y = P x + b t, v = Q u + R x + d t.  Returns (forward, inverse,
+    transformed_system)."""
+    return _random_transform(sys_, seed, timed=True)

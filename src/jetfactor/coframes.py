@@ -30,6 +30,9 @@ def d_var(v):
     return {v: ONE}
 
 
+# The form helpers take any dict of RatFn values: one-forms over
+# differentials, frame vectors over labels, two-forms over label pairs.
+
 def form_add(a, b):
     r = dict(a)
     for k, c in b.items():
@@ -48,7 +51,14 @@ def form_scale(a, c):
 
 
 def form_sub(a, b):
-    return form_add(a, form_scale(b, RatFn.const(-1)))
+    r = dict(a)
+    for k, c in b.items():
+        s = r.get(k, ZERO) - c
+        if s.is_zero():
+            r.pop(k, None)
+        else:
+            r[k] = s
+    return r
 
 
 def _pair(a, b):
@@ -169,13 +179,13 @@ class Coframe:
             acc = {lab: ONE}
             for v, c in w.items():
                 if v in self._back:
-                    acc = _fv_add(acc, _fv_scale(self._back[v], -c))
+                    acc = form_add(acc, form_scale(self._back[v], -c))
                 elif new_v is None:
                     new_v, new_c = v, c
                 else:
                     raise StructureViolation("frame element %r is not triangular" % (lab,))
             assert new_v is not None and not new_c.is_zero()
-            self._back[new_v] = _fv_scale(acc, ONE / new_c)
+            self._back[new_v] = form_scale(acc, ONE / new_c)
 
     # -- basis conversion ------------------------------------------------
 
@@ -187,7 +197,7 @@ class Coframe:
             if fv is None:
                 raise TruncationExceeded("d(%s) is beyond frame level %d" %
                                          (_vn(v), self.N))
-            out = _fv_add(out, _fv_scale(fv, c))
+            out = form_add(out, form_scale(fv, c))
         return out
 
     def to_frame2(self, a):
@@ -245,14 +255,14 @@ class Coframe:
             else:
                 if i in (1, 2):
                     want[(wm1, (1, i))] = ONE
-            diff = _fv2_sub(got, want)
+            diff = form_sub(got, want)
             if diff:
                 failures.append(((0, i), _fv2_text(diff)))
         for k in range(1, self.N):
             for j in range(1, self.sys.s + 1):
                 got = self.to_frame2(exterior_d(self.elements[(k, j)]))
                 want = {(wm1, (k + 1, j)): ONE}
-                diff = _fv2_sub(got, want)
+                diff = form_sub(got, want)
                 if diff:
                     failures.append(((k, j), _fv2_text(diff)))
         return StructureReport(self, failures)
@@ -278,34 +288,6 @@ class StructureReport:
 
 # ---------------------------------------------------------------------------
 # frame-vector helpers
-
-def _fv_add(a, b):
-    r = dict(a)
-    for k, c in b.items():
-        s = r.get(k, ZERO) + c
-        if s.is_zero():
-            r.pop(k, None)
-        else:
-            r[k] = s
-    return r
-
-
-def _fv_scale(a, c):
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def _fv2_sub(a, b):
-    r = dict(a)
-    for k, c in b.items():
-        s = r.get(k, ZERO) - c
-        if s.is_zero():
-            r.pop(k, None)
-        else:
-            r[k] = s
-    return r
-
 
 def _drop_blocks(fv2, blocks):
     return {k: c for k, c in fv2.items()

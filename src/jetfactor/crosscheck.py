@@ -1,0 +1,157 @@
+"""Numeric crosscheck of an equivalence map along simulated trajectories.
+
+numeric_crosscheck integrates the source system under seeded polynomial
+controls with classical RK4, pushes the trajectory through the map, and
+measures how far the image is from solving the target system.  It is an
+independent floating-point check of the exact verification in
+equivalence.py, not a proof.
+"""
+
+import random
+
+from . import sysio
+from .ratfn import T, X, U
+from .equivalence import verify_forward
+from .errors import (SingularTrajectory, DenominatorZero, DivisionByZero,
+                     SubstitutionPole)
+
+
+class CrosscheckResult:
+    def __init__(self, max_residual, tol, T, seed, attempts):
+        self.max_residual = max_residual
+        self.tol = tol
+        self.T = T
+        self.seed = seed
+        self.attempts = attempts
+
+    @property
+    def passed(self):
+        return self.max_residual < self.tol
+
+
+def _poly_eval(coeffs, t):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _poly_diff(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+
+
+def _max_u_order(exprs):
+    return max((v[1] for e in exprs for v in e.vars() if v[0] == 2), default=0)
+
+
+def _time_point(t, chains=()):
+    """{t: t, u_j^(k): value at t} for control coefficient chains."""
+    pt = {T: t}
+    for j, chain in enumerate(chains):
+        for k, c in enumerate(chain):
+            pt[U(j + 1, k)] = _poly_eval(c, t)
+    return pt
+
+
+def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
+                       controls=None):
+    """Integrate the source under random polynomial controls, push the
+    trajectory through the map, and measure how far the image is from
+    solving the target.
+
+    Controls are cubics with seeded coefficients; a draw whose trajectory
+    runs through a recorded nonzero-assumption is thrown away and redrawn
+    (up to ten times, then SingularTrajectory).  Passing explicit
+    `controls` (one coefficient list per source control) skips redrawing:
+    a singular hit raises immediately, which is how the guard is tested.
+
+    The residual is max over interior grid points and target states of
+    |dy_i/dt - f_i(t, y, v)| with the derivative taken by five-point
+    central differences on the dense grid.  T is the time horizon.
+    """
+    src, tgt = m.src, m.tgt
+    rng = random.Random(seed)
+    assumptions = [sysio.parse_expression(s)
+                   for s in verify_forward(m).assumptions]
+    korder = _max_u_order(m.y + m.v)
+
+    attempts = 0
+    while True:
+        attempts += 1
+        if controls is not None:
+            ucoeffs = [list(map(float, c)) for c in controls]
+        else:
+            ucoeffs = [[rng.uniform(-1.0, 1.0) for _ in range(4)]
+                       for _ in range(src.s)]
+        x0 = [rng.uniform(-2.0, 2.0) for _ in range(src.n)]
+
+        # u_j and enough derivatives, as coefficient lists
+        chains = []
+        for c in ucoeffs:
+            chain = [c]
+            for _ in range(korder + 1):
+                chain.append(_poly_diff(chain[-1]))
+            chains.append(chain)
+
+        def fsrc(t, xs):
+            pt = _time_point(t, chains)
+            for i, xi in enumerate(xs):
+                pt[X(i + 1)] = xi
+            return [fi.eval_float(pt) for fi in src.f]
+
+        h = T / steps
+        try:
+            ts, xs = _rk4(fsrc, x0, 0.0, T, steps)
+            points = []
+            for t, xv in zip(ts, xs):
+                pt = _time_point(t, chains)
+                for i, xi in enumerate(xv):
+                    pt[X(i + 1)] = xi
+                points.append(pt)
+            if any(abs(g.eval_float(pt)) < 1e-4
+                   for pt in points for g in assumptions):
+                raise DenominatorZero("assumption vanishes on the trajectory")
+            ys = [[e.eval_float(pt) for e in m.y] for pt in points]
+            vs = [[e.eval_float(pt) for e in m.v] for pt in points]
+        except (DenominatorZero, DivisionByZero, SubstitutionPole,
+                OverflowError) as exc:
+            if controls is not None or attempts >= 10:
+                raise SingularTrajectory(
+                    "no nonsingular trajectory after %d draws (%s); the map "
+                    "is only defined off its recorded singular set"
+                    % (attempts, exc))
+            continue
+        break
+
+    worst = 0.0
+    for idx in range(2, steps - 1):
+        t = ts[idx]
+        dy = [(-ys[idx + 2][i] + 8 * ys[idx + 1][i]
+               - 8 * ys[idx - 1][i] + ys[idx - 2][i]) / (12 * h)
+              for i in range(tgt.n)]
+        pt = _time_point(t)
+        for i in range(tgt.n):
+            pt[X(i + 1)] = ys[idx][i]
+        for j in range(tgt.s):
+            pt[U(j + 1)] = vs[idx][j]
+        for i, fi in enumerate(tgt.f):
+            worst = max(worst, abs(dy[i] - fi.eval_float(pt)))
+    return CrosscheckResult(worst, tol, T, seed, attempts)
+
+
+def _rk4(f, x0, t0, t1, steps):
+    h = (t1 - t0) / steps
+    ts = [t0]
+    xs = [list(x0)]
+    x = list(x0)
+    for k in range(steps):
+        t = t0 + k * h
+        k1 = f(t, x)
+        k2 = f(t + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
+        k3 = f(t + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
+        k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        ts.append(t0 + (k + 1) * h)
+        xs.append(list(x))
+    return ts, xs

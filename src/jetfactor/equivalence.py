@@ -9,8 +9,8 @@ expressions extends through jets: v_j^(k) binds to D_t^k v_j along the
 source system.
 """
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE
-from .coframes import Coframe, CONTACT, ADAPTED, exterior_d, form_add, form_scale
+from .ratfn import RatFn, T, X, U, ZERO, ONE, gauss_jordan
+from .coframes import Coframe, CONTACT, ADAPTED, form_add, form_scale
 from .errors import (DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction, TruncationExceeded)
 from .jets import generic_rank
@@ -38,20 +38,10 @@ class EquivMap:
 
     def order(self):
         """J: highest control-derivative order in the y-components, -1 if none."""
-        best = -1
-        for e in self.y:
-            k = e.max_jet_order()
-            if k > best:
-                best = k
-        return best
+        return max((e.max_jet_order() for e in self.y), default=-1)
 
     def v_order(self):
-        best = -1
-        for e in self.v:
-            k = e.max_jet_order()
-            if k > best:
-                best = k
-        return best
+        return max((e.max_jet_order() for e in self.v), default=-1)
 
     def is_static(self):
         """States from (t, x) only and controls from (t, x, u) only."""
@@ -61,11 +51,6 @@ class EquivMap:
         return "EquivMap(%s: y=[%s], v=[%s])" % (
             self.name or "?", ", ".join(e.to_text() for e in self.y),
             ", ".join(e.to_text() for e in self.v))
-
-
-def detect_order(m):
-    """Order J >= -1 of the map (see EquivMap.order)."""
-    return m.order()
 
 
 def compose(m2, m1):
@@ -391,33 +376,18 @@ class BlockMatrix:
         labels = list(self.row_labels())
         n = len(labels)
         idx = {lab: i for i, lab in enumerate(labels)}
-        a = [[ZERO] * n for _ in range(n)]
+        a = [[ZERO] * (2 * n) for _ in range(n)]   # [self | I]
+        for i in range(n):
+            a[i][n + i] = ONE
         for (r, c), v in self.entries.items():
             a[idx[r]][idx[c]] = v
-        inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise StructureViolation("matrix is singular; cannot invert")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            pv = a[col][col]
-            a[col] = [e / pv for e in a[col]]
-            inv[col] = [e / pv for e in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-                    inv[r] = [e - f * g for e, g in zip(inv[r], inv[col])]
+        if len(gauss_jordan(a, n)) < n:
+            raise StructureViolation("matrix is singular; cannot invert")
         out = BlockMatrix(self.row_levels, self.col_levels,
                           self.row_sizes, self.col_sizes, self.meta)
         for i, r in enumerate(labels):
             for j, c in enumerate(labels):
-                out.set(r, c, inv[i][j])
+                out.set(r, c, a[i][n + j])
         return out
 
     # -- in-place elementary ops (used by the factorizer) ----------------
@@ -581,11 +551,6 @@ def block_rank(A, rl, cl, seed=0):
     return generic_rank(A.block(rl, cl), seed=seed)
 
 
-def check_nonaut_static(A):
-    """Block-triangularity of one pullback matrix.  Returns bool."""
-    return A.is_block_lower()
-
-
 class StaticPairReport:
     """Triangularity must be mutual: a map's pullback is block-triangular
     exactly when its inverse's is."""
@@ -611,4 +576,4 @@ class StaticPairReport:
 
 def check_nonaut_static_pair(A, Ainv):
     """Biconditional triangularity report for a map and its inverse."""
-    return StaticPairReport(check_nonaut_static(A), check_nonaut_static(Ainv))
+    return StaticPairReport(A.is_block_lower(), Ainv.is_block_lower())

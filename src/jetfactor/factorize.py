@@ -20,7 +20,7 @@ The product identity g * S * G == A is checked before returning; every
 division performed along the way is recorded as a nonvanishing assumption.
 """
 
-from .ratfn import RatFn, ZERO, ONE
+from .ratfn import RatFn, ZERO, ONE, gauss_jordan
 from .errors import (DimensionMismatch, RankMismatch, PivotVanishes,
                      DiagonalDrift, StructureViolation, PatternViolation,
                      TruncationExceeded)
@@ -438,9 +438,10 @@ def _canonicalize(A, S, assumptions, ops=()):
         g[x, (k,2)] = A[x,(k+1,2)]
 
     so block-lowerness and diagonal equality of g become an exact linear
-    system for the three functions.  Solve it; an inconsistent system means
-    the input has no representative in the narrow shape and the raw
-    factorization stands.
+    system for the three functions.  Solve it with ratfn.gauss_jordan,
+    free unknowns set to 0; the reduced echelon form is unique, and so is
+    that solution.  An inconsistent system means the input has no
+    representative in the narrow shape and the raw factorization stands.
     """
     rows = A.row_labels()
 
@@ -476,40 +477,14 @@ def _canonicalize(A, S, assumptions, ops=()):
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
 
-    # solve c1*p0 + c2*p1 + c3*q = -base exactly by elimination
-    sol = [None, None, None]
-    work = [list(e) for e in eqs]
-    for col in (1, 2, 3):
-        pivot = None
-        for e in work:
-            if not e[col].is_zero():
-                pivot = e
-                break
-        if pivot is None:
-            continue
-        work.remove(pivot)
-        reduced = []
-        for e in work:
-            if e[col].is_zero():
-                reduced.append(e)
-                continue
-            f = e[col] / pivot[col]
-            reduced.append([e[i] - f * pivot[i] for i in range(4)])
-        work = reduced
-        sol[col - 1] = pivot
-    for e in work:
-        if all(e[i].is_zero() for i in (1, 2, 3)) and not e[0].is_zero():
-            return None
-    vals = [ZERO, ZERO, ZERO]
-    for col in (3, 2, 1):
-        pivot = sol[col - 1]
-        if pivot is None:
-            continue
-        acc = ZERO - pivot[0]
-        for c2 in (1, 2, 3):
-            if c2 != col:
-                acc = acc - pivot[c2] * vals[c2 - 1]
-        vals[col - 1] = acc / pivot[col]
+    # c_p0*p0 + c_p1*p1 + c_q*q = -base, as rows [c_p0, c_p1, c_q, -base]
+    work = [[c0, c1, c2, -base] for base, c0, c1, c2 in eqs]
+    pivots = gauss_jordan(work, 3)
+    if any(not row[3].is_zero() for row in work[len(pivots):]):
+        return None
+    vals = [ZERO, ZERO, ZERO]   # free unknowns are 0
+    for row, col in zip(work, pivots):
+        vals[col] = row[3]
     p0, p1, q = vals
 
     Gmat = _gnice_matrix(A.col_levels, A.col_sizes, p0, p1, q)

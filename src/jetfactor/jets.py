@@ -10,7 +10,7 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE
+from .ratfn import RatFn, T, X, U, ZERO, gauss_jordan
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -269,34 +269,10 @@ def generic_rank(rows, seed=0, trials=5):
         except DenominatorZero:
             continue
         got += 1
-        best = max(best, _frac_rank(m))
+        best = max(best, len(gauss_jordan(m, len(m[0]))))
         if best == min(len(rows), len(rows[0])):
             break
     return best
-
-
-def _frac_rank(m):
-    m = [row[:] for row in m]
-    rank = 0
-    rows, cols = len(m), len(m[0]) if m else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        for r in range(rows):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def check_regular(sys_, seed=0):

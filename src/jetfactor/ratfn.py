@@ -291,18 +291,14 @@ def _univar(a, v):
     return {e: d for e, d in out.items() if d}
 
 
-def _from_univar(u, v):
-    out = {}
-    for e, d in u.items():
-        for m, c in d.items():
-            nm = mono_mul(m, ((v, e),)) if e else m
-            out[nm] = out.get(nm, 0) + c
-    return {m: c for m, c in out.items() if c}
+def _deg_in(a, v):
+    """Degree of the nonzero polynomial a in the variable v."""
+    return max(dict(m).get(v, 0) for m in a)
 
 
 def _prem(a, b, v):
     """Pseudo-remainder of a by b with respect to v."""
-    ua, ub = _univar(a, v), _univar(b, v)
+    ub = _univar(b, v)
     db = max(ub)
     lb = ub[db]
     r = a
@@ -346,14 +342,14 @@ def _gcd_prim(a, b):
     pa, pb = p_divexact(a, ca), p_divexact(b, cb)
     cg = poly_gcd(ca, cb)
     # primitive PRS
-    if max(_univar(pa, v)) < max(_univar(pb, v)):
+    if _deg_in(pa, v) < _deg_in(pb, v):
         pa, pb = pb, pa
     while pb:
         r = _prem(pa, pb, v)
         pa, pb = pb, (_primitive_wrt(r, v) if r else {})
     g = _primitive_wrt(pa, v)
     # the PRS can end at a nonzero constant-in-v remainder, meaning coprime pps
-    if not _univar(g, v) or max(_univar(g, v)) == 0:
+    if not g or _deg_in(g, v) == 0:
         g = p_const(1)
     out = _int_clear(p_mul(cg, g))
     # make deterministic sign: positive leading coeff
@@ -671,3 +667,43 @@ def _p_eval_f(a, point):
 
 ZERO = RatFn.const(0)
 ONE = RatFn.const(1)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+
+def _is_zero(x):
+    return x.is_zero() if isinstance(x, RatFn) else x == 0
+
+
+def gauss_jordan(rows, ncols):
+    """Reduce rows to reduced row echelon form over their first ncols
+    columns, in place, and return the pivot columns in order.
+
+    Entries are RatFn, int or Fraction.  Row operations run over whole
+    rows, so columns past ncols (an identity or a right-hand side) are
+    carried along.  A column's pivot is its first nonzero entry at or
+    below the current row; zero entries are skipped.  The rank is the
+    number of pivots; elimination stops once it equals the row count.
+    """
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        piv = next((r for r in range(top, len(rows))
+                    if not _is_zero(rows[r][c])), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        pv = rows[top][c]
+        if type(pv) is int:
+            pv = Fraction(pv)
+        prow = rows[top] = [e if _is_zero(e) else e / pv for e in rows[top]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if r != top and not _is_zero(f):
+                rows[r] = [e if _is_zero(g) else e - f * g
+                           for e, g in zip(row, prow)]
+        pivots.append(c)
+    return pivots

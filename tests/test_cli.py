@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from jetfactor import (RatFn, U, X, builtin_fixtures, elkin_forms_32,
@@ -6,6 +9,12 @@ from jetfactor.cli import main
 from jetfactor.errors import SingularTrajectory
 
 PHI, PHI_INV = builtin_fixtures()[0]
+GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+
+
+def _golden_battery(fmt):
+    """The recorded `fixtures --format <fmt>` run (see tests/test_golden.py)."""
+    return json.loads(GOLDEN.read_text())["fixtures"][fmt]
 
 
 @pytest.fixture
@@ -273,20 +282,24 @@ def test_crosscheck_singular_controls_raise():
 # fixtures battery
 
 def test_fixture_battery(files, capsys):
-    code, out, _ = run(capsys, "fixtures")
+    code, out, err = run(capsys, "fixtures")
     assert code == 0
     assert out.splitlines()[-1] == "17/17 checks passed"
     assert "FAIL" not in out
     assert "theta:raw(recorded)" in out
+    assert {"exit": code, "stdout": out, "stderr": err} == \
+        _golden_battery("text")
 
 
 def test_fixture_battery_machine(files, capsys):
-    code, out, _ = run(capsys, "fixtures", "--format", "machine")
+    code, out, err = run(capsys, "fixtures", "--format", "machine")
     assert code == 0
     doc = parse_document(out)
     assert doc.kind == "report"
     assert all(k == "check" for k, _ in doc.body)
     assert len(doc.body) == 17
+    assert {"exit": code, "stdout": out, "stderr": err} == \
+        _golden_battery("machine")
 
 
 def test_crosscheck_result_fields():

@@ -4,11 +4,10 @@ import pytest
 
 from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
                        ZERO, ONE, block_rank, builtin_fixtures, check_arepeats,
-                       check_nonaut_static, check_nonaut_static_pair, compose,
-                       detect_order, prolong_map, pullback_matrix,
-                       random_nonaut_static_pair, random_static_transform,
-                       verify_forward, verify_inverse, verify_pair,
-                       verify_scalar_theorem)
+                       check_nonaut_static_pair, compose, prolong_map,
+                       pullback_matrix, random_nonaut_static_pair,
+                       random_static_transform, verify_forward,
+                       verify_inverse, verify_pair, verify_scalar_theorem)
 from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
                               StructureViolation)
 
@@ -43,9 +42,9 @@ def test_map_shape_validation():
 
 
 def test_order_detection():
-    assert detect_order(PHI) == 0       # y touches u2 but no derivatives
+    assert PHI.order() == 0             # y touches u2 but no derivatives
     assert PHI.v_order() == 1           # v2 = u2'
-    assert detect_order(PRO_INV) == -1  # pure state relabeling
+    assert PRO_INV.order() == -1        # pure state relabeling
     assert PRO_INV.is_static()
     assert not PHI.is_static()
 
@@ -263,7 +262,7 @@ def test_nonaut_static_pairs_are_mutually_triangular(seed):
 def test_dynamic_pair_is_mutually_full():
     A = pullback_matrix(PHI, N=3)
     B = pullback_matrix(PHI_INV, N=3)
-    assert not check_nonaut_static(A)
+    assert not A.is_block_lower()
     rep = check_nonaut_static_pair(A, B)
     assert rep.consistent and not rep.static
     assert "full" in rep.summary()

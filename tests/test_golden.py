@@ -4,7 +4,10 @@
 (fixture, command, format) case, the exact stdout, stderr and exit code.
 The test reruns each case in-process and requires byte-identical output,
 so a change to the kernel or the printers that alters any CLI byte shows
-up here.  Re-record (only when an output change is intended) with
+up here.  The file also holds one `jetfactor fixtures` run per format;
+`tests/test_cli.py` compares the battery runs it already makes against
+those, so the battery is not run a second time here.  Re-record (only
+when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -50,10 +53,16 @@ def _cases():
             "classify-src": ["classify", "--sys", f + ".src.sys"],
             "classify-tgt": ["classify", "--sys", f + ".tgt.sys"],
             "crosscheck": ["crosscheck"] + pair,
+            "structure-check": ["structure-check", "--sys", f + ".src.sys",
+                                "--frame", "both"],
         }
         for cmd, argv in runs.items():
             for fmt in FORMATS:
                 cases["%s %s %s" % (f, cmd, fmt)] = argv + ["--format", fmt]
+        # prolong prints the same document in either format
+        cases["%s prolong" % f] = ["prolong", "--sys", f + ".src.sys"]
+        cases["%s prolong-1" % f] = ["prolong", "--sys", f + ".src.sys",
+                                     "--promote", "1"]
     return cases
 
 
@@ -93,6 +102,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden.py --record")
     with tempfile.TemporaryDirectory() as d:
         data = _capture(d)
+    data["fixtures"] = {fmt: _run(["fixtures", "--format", fmt])
+                        for fmt in FORMATS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print("recorded %d runs to %s" % (len(data["runs"]), GOLDEN))

@@ -4,11 +4,11 @@ from math import gcd, lcm
 
 import pytest
 
-from jetfactor import (RatFn, T, U, X, ONE, ZERO, builtin_fixtures,
-                       pullback_matrix, var_name)
+from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
+                       builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
-from jetfactor.ratfn import (mono_mul, p_add, p_const, p_divexact, p_lead,
-                             p_mul, p_scale, poly_gcd)
+from jetfactor.ratfn import (gauss_jordan, mono_mul, p_add, p_const,
+                             p_divexact, p_lead, p_mul, p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 
 x1 = RatFn.var(X(1))
@@ -268,3 +268,110 @@ def test_const_value_and_eval_at_return_fractions():
     assert type(w) is Fraction and w == 2
     w = (x1 / 2).eval_at({X(1): 3})
     assert type(w) is Fraction and w == Fraction(3, 2)
+
+
+# --- exact elimination ------------------------------------------------------
+
+
+def _rand_matrix(rng, rows, cols, rank=None):
+    """Seeded Fraction matrix; with `rank`, rows past it are combinations
+    of the first `rank` rows."""
+    m = [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+          for _ in range(cols)] for _ in range(rows)]
+    if rank is not None:
+        for i in range(rank, rows):
+            cs = [rng.randint(-2, 2) for _ in range(rank)]
+            m[i] = [sum(c * m[k][j] for k, c in enumerate(cs))
+                    for j in range(cols)]
+    return m
+
+
+def _sym(sympy, m):
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator)
+                          for e in row] for row in m])
+
+
+def _frac(e):
+    return Fraction(int(e.p), int(e.q))
+
+
+def _gauss_jordan_cases(rng):
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        yield _rand_matrix(rng, rows, cols)                        # any shape
+        yield _rand_matrix(rng, rows, rows)                        # square
+        k = rng.randint(0, min(rows, cols))
+        yield _rand_matrix(rng, rows, cols, rank=k)                # singular
+    yield [[0, 0], [0, 0]]
+    yield [[0, 2, 4], [0, 1, 3]]                                   # plain ints
+
+
+def test_gauss_jordan_is_sympys_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for m in _gauss_jordan_cases(rng):
+        want, want_piv = _sym(sympy, m).rref()
+        work = [row[:] for row in m]
+        pivots = gauss_jordan(work, len(m[0]))
+        assert pivots == list(want_piv), m
+        assert len(pivots) == _sym(sympy, m).rank()
+        got = [[Fraction(e) for e in row] for row in work]
+        assert got == [[_frac(e) for e in want.row(i)]
+                       for i in range(want.rows)], m
+        assert all(type(e) in (int, Fraction) for row in work for e in row)
+
+
+def test_gauss_jordan_inverts_square_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(42)
+    done = 0
+    while done < 40:
+        k = rng.randint(1, 5)
+        m = _rand_matrix(rng, k, k)
+        if _sym(sympy, m).rank() < k:
+            continue
+        work = [row + [int(i == j) for j in range(k)]
+                for i, row in enumerate(m)]
+        assert gauss_jordan(work, k) == list(range(k))
+        want = _sym(sympy, m).inv()
+        assert [row[k:] for row in work] == \
+            [[_frac(e) for e in want.row(i)] for i in range(k)]
+        done += 1
+
+
+def test_gauss_jordan_solves_augmented_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        a = _rand_matrix(rng, rows, cols, rank=rng.randint(0, min(rows, cols)))
+        if rng.random() < 0.5:     # consistent: b = a x0
+            x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+            b = [sum(e * x for e, x in zip(row, x0)) for row in a]
+        else:
+            b = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
+        aug = [row + [bi] for row, bi in zip(a, b)]
+        consistent = (_sym(sympy, aug).rank() == _sym(sympy, a).rank())
+        seen[consistent] += 1
+        work = [row[:] for row in aug]
+        pivots = gauss_jordan(work, cols)
+        assert pivots == list(_sym(sympy, aug).rref()[1][:len(pivots)])
+        assert any(row[cols] != 0 for row in work[len(pivots):]) \
+            == (not consistent)
+        if consistent:
+            x = [Fraction(0)] * cols            # free unknowns are 0
+            for row, c in zip(work, pivots):
+                x[c] = row[cols]
+            assert [sum(e * xi for e, xi in zip(row, x)) for row in a] == b
+    assert min(seen.values()) > 20
+
+
+def test_full_inverse_of_a_left_factor_multiplies_back_to_identity():
+    phi = builtin_fixtures()[0][0]
+    g = factor_JK0(pullback_matrix(phi, N=4)).g.mat
+    eye = BlockMatrix.identity(g.row_levels, g.row_sizes)
+    assert any(not v.is_const() for v in g.entries.values())
+    ginv = g.full_inverse()
+    assert g.matmul(ginv).entries == eye.entries
+    assert ginv.matmul(g).entries == eye.entries
