@@ -7,13 +7,14 @@ independent floating-point check of the exact verification in
 equivalence.py, not a proof.
 """
 
+import math
 import random
 
 from . import sysio
 from .ratfn import T, X, U
 from .equivalence import verify_forward
 from .errors import (SingularTrajectory, DenominatorZero, DivisionByZero,
-                     SubstitutionPole)
+                     SubstitutionPole, UsageError)
 
 
 class CrosscheckResult:
@@ -67,8 +68,13 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
 
     The residual is max over interior grid points and target states of
     |dy_i/dt - f_i(t, y, v)| with the derivative taken by five-point
-    central differences on the dense grid.  T is the time horizon.
+    central differences on the dense grid, so it needs steps >= 4.  T is
+    the time horizon, finite and positive.  A NaN residual fails.
     """
+    if steps < 4:
+        raise UsageError("steps must be >= 4, got %d" % steps)
+    if not (math.isfinite(T) and T > 0):
+        raise UsageError("T must be finite and positive, got %r" % T)
     src, tgt = m.src, m.tgt
     rng = random.Random(seed)
     assumptions = [sysio.parse_expression(s)
@@ -135,7 +141,9 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
         for j in range(tgt.s):
             pt[U(j + 1)] = vs[idx][j]
         for i, fi in enumerate(tgt.f):
-            worst = max(worst, abs(dy[i] - fi.eval_float(pt)))
+            r = abs(dy[i] - fi.eval_float(pt))
+            if math.isnan(r) or r > worst:  # max() would drop a NaN
+                worst = r
     return CrosscheckResult(worst, tol, T, seed, attempts)
 
 

@@ -301,11 +301,11 @@ class BlockMatrix:
             self.entries[(r, c)] = val
 
     def block(self, rl, cl):
+        if rl not in self.row_sizes or cl not in self.col_sizes:
+            raise DimensionMismatch("no block (%d, %d): row levels %s, col levels %s"
+                                    % (rl, cl, self.row_levels, self.col_levels))
         return [[self.get((rl, i), (cl, j)) for j in range(1, self.col_sizes[cl] + 1)]
                 for i in range(1, self.row_sizes[rl] + 1)]
-
-    def block_is_zero(self, rl, cl):
-        return all(c.is_zero() for row in self.block(rl, cl) for c in row)
 
     def copy(self):
         m = BlockMatrix(self.row_levels, self.col_levels, self.row_sizes,
@@ -369,6 +369,15 @@ class BlockMatrix:
         """No nonzero entry strictly above the block diagonal."""
         return all(c[0] <= r[0] for (r, c) in self.entries)
 
+    def is_identity(self):
+        labels = self.row_labels()
+        return (labels == self.col_labels()
+                and self.entries == {(lab, lab): ONE for lab in labels})
+
+    def dt_column_clean(self):
+        """No row other than dt itself holds a dt-column entry."""
+        return all(c != (-1, 1) or r == (-1, 1) for (r, c) in self.entries)
+
     def full_inverse(self):
         """Exact inverse via Gauss-Jordan; needs identical row/col layout."""
         if self.row_levels != self.col_levels or self.row_sizes != self.col_sizes:
@@ -416,12 +425,6 @@ class BlockMatrix:
             if not v.is_zero():
                 self.set(row, dst, self.get(row, dst) + c * v)
 
-    def col_scale(self, c_lab, c):
-        for row in list(self.row_labels()):
-            v = self.get(row, c_lab)
-            if not v.is_zero():
-                self.set(row, c_lab, c * v)
-
     def col_swap(self, c1, c2):
         for row in list(self.row_labels()):
             a, b = self.get(row, c1), self.get(row, c2)
@@ -436,12 +439,6 @@ class BlockMatrix:
                 del self.entries[(r, c)]
                 moved[((level, perm[r[1]]), c)] = v
         self.entries.update(moved)
-
-    # -- display -----------------------------------------------------------
-
-    def block_text(self, rl, cl):
-        rows = self.block(rl, cl)
-        return "[" + "; ".join(", ".join(e.to_text() for e in r) for r in rows) + "]"
 
 
 # ---------------------------------------------------------------------------

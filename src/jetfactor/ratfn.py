@@ -116,10 +116,6 @@ def _demote(r):
 # ---------------------------------------------------------------------------
 # polynomials as {mono: coefficient} dicts (zero coeffs never stored)
 
-def p_zero():
-    return {}
-
-
 def p_const(c):
     c = _coef(c)
     return {(): c} if c else {}
@@ -188,12 +184,6 @@ def p_lead(a):
     """(monomial, coeff) of the graded-lex leading term."""
     m = max(a, key=mono_key)
     return m, a[m]
-
-
-def p_deg(a):
-    if not a:
-        return -1
-    return max(sum(e for _, e in m) for m in a)
 
 
 def p_vars(a):

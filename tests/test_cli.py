@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from jetfactor import (RatFn, U, X, builtin_fixtures, elkin_forms_32,
-                       parse_document, pullback_matrix, serialize)
-from jetfactor.cli import main
-from jetfactor.errors import SingularTrajectory
+from jetfactor import (RatFn, U, X, battery, builtin_fixtures,
+                       elkin_forms_32, parse_document, pullback_matrix,
+                       serialize)
+from jetfactor.cli import main, numeric_crosscheck
+from jetfactor.errors import SingularTrajectory, UsageError
 
 PHI, PHI_INV = builtin_fixtures()[0]
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
@@ -110,6 +111,26 @@ def test_bad_arguments_exit_2(files, capsys):
                        "--promote", "1,zap")
     assert code == 2
     assert "comma-separated" in err
+
+
+PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback", "-N", "0"] + PAIR,
+    ["factor", "-N", "0"] + PAIR,
+    ["structure-check", "-N", "0", "--sys", "src"],
+    ["fixtures", "-N", "0"],
+    ["verify", "-N", "-1"] + PAIR,
+    ["verify", "-N", "0"] + PAIR,
+    ["crosscheck", "--steps", "0"] + PAIR,
+    ["crosscheck", "--steps", "-3"] + PAIR,
+    ["crosscheck", "--T", "0"] + PAIR,
+    ["crosscheck", "--T", "nan"] + PAIR,
+], ids=" ".join)
+def test_out_of_range_numbers_exit_2(files, capsys, argv):
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2, (out, err)
 
 
 def test_internal_errors_exit_3(files, capsys, monkeypatch):
@@ -270,8 +291,14 @@ def test_crosscheck_machine(files, capsys):
     assert got["passed"] == "true"
 
 
+@pytest.mark.parametrize("kw", [{"steps": 3}, {"T": float("nan")},
+                                {"T": float("inf")}, {"T": -1.0}])
+def test_crosscheck_rejects_unusable_grids(kw):
+    with pytest.raises(UsageError):
+        numeric_crosscheck(PHI, **kw)
+
+
 def test_crosscheck_singular_controls_raise():
-    from jetfactor.cli import numeric_crosscheck
     theta = builtin_fixtures()[2][0]
     with pytest.raises(SingularTrajectory, match="singular set"):
         numeric_crosscheck(theta, controls=[[0.3, 0.1, 0.0, 0.0],
@@ -281,8 +308,23 @@ def test_crosscheck_singular_controls_raise():
 # -------------------------------------------------------------------
 # fixtures battery
 
-def test_fixture_battery(files, capsys):
-    code, out, err = run(capsys, "fixtures")
+@pytest.fixture(scope="module")
+def battery_run():
+    """The default battery, run once and rendered by both format tests."""
+    return battery.run(4, 0, False)
+
+
+def run_fixtures(capsys, monkeypatch, battery_run, *argv):
+    calls = []
+    monkeypatch.setattr(battery, "run",
+                        lambda *args: calls.append(args) or battery_run)
+    got = run(capsys, "fixtures", *argv)
+    assert calls == [(4, 0, False)]
+    return got
+
+
+def test_fixture_battery(capsys, monkeypatch, battery_run):
+    code, out, err = run_fixtures(capsys, monkeypatch, battery_run)
     assert code == 0
     assert out.splitlines()[-1] == "17/17 checks passed"
     assert "FAIL" not in out
@@ -291,8 +333,9 @@ def test_fixture_battery(files, capsys):
         _golden_battery("text")
 
 
-def test_fixture_battery_machine(files, capsys):
-    code, out, err = run(capsys, "fixtures", "--format", "machine")
+def test_fixture_battery_machine(capsys, monkeypatch, battery_run):
+    code, out, err = run_fixtures(capsys, monkeypatch, battery_run,
+                                  "--format", "machine")
     assert code == 0
     doc = parse_document(out)
     assert doc.kind == "report"
@@ -303,16 +346,17 @@ def test_fixture_battery_machine(files, capsys):
 
 
 def test_crosscheck_result_fields():
-    from jetfactor.cli import numeric_crosscheck
     res = numeric_crosscheck(PHI, seed=3, steps=600)
     assert res.passed and res.max_residual < 1e-6
     assert res.attempts >= 1
     tight = numeric_crosscheck(PHI, seed=3, steps=600, tol=0.0)
     assert not tight.passed
+    nan = numeric_crosscheck(PHI, steps=10, controls=[[float("nan"), 0, 0, 0],
+                                                      [0.5, 0.2, 0.0, 0.1]])
+    assert not nan.passed  # a NaN residual must not vanish in the max
 
 
 def test_crosscheck_explicit_good_controls():
-    from jetfactor.cli import numeric_crosscheck
     res = numeric_crosscheck(PHI, controls=[[0.5, 0.2, 0.0, 0.1],
                                             [1.0, 0.3, 0.2, 0.0]])
     assert res.passed and res.attempts == 1

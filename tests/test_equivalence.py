@@ -288,6 +288,7 @@ def test_block_matrix_algebra():
     assert a.transpose().get((0, 2), (0, 1)) == x1
     assert a.copy() == a
     assert a != b
+    assert eye.is_identity() and not a.is_identity()
 
 
 def test_block_matrix_singular_inverse():
@@ -302,6 +303,9 @@ def test_block_matrix_shape_errors():
         tall.matmul(a)
     with pytest.raises(DimensionMismatch):
         tall.full_inverse()
+    assert not tall.is_identity()
+    with pytest.raises(DimensionMismatch):
+        tall.block(0, 1)  # no column level 1
 
 
 def test_equality_ignores_meta():
