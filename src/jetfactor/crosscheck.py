@@ -69,12 +69,15 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     The residual is max over interior grid points and target states of
     |dy_i/dt - f_i(t, y, v)| with the derivative taken by five-point
     central differences on the dense grid, so it needs steps >= 4.  T is
-    the time horizon, finite and positive.  A NaN residual fails.
+    the time horizon and tol the pass bound, both finite and positive.
+    A NaN residual fails.
     """
     if steps < 4:
         raise UsageError("steps must be >= 4, got %d" % steps)
     if not (math.isfinite(T) and T > 0):
         raise UsageError("T must be finite and positive, got %r" % T)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError("tol must be finite and positive, got %r" % tol)
     src, tgt = m.src, m.tgt
     rng = random.Random(seed)
     assumptions = [sysio.parse_expression(s)

@@ -25,7 +25,10 @@ printer so that parse(serialize(e)) is exactly e.
 
 Unknown keys, duplicate keys, out-of-range indices, and control derivatives
 inside a system right-hand side are semantic errors; token-level problems
-raise ParseError carrying the line and column of the offending token.
+raise ParseError carrying the line and column of the offending token.  A
+matrix may give rows, cols and each meta name once; its rows and cols name
+each level once, with a size >= 0.  A division by zero or a zero to a
+negative power written in the text is a SemanticError at the `/` or `^`.
 Every zero block of a matrix is emitted explicitly as `block (r, c) = zero`
 so a reader can see the elision; absent blocks are treated as zero on input.
 
@@ -33,11 +36,17 @@ Reports (verification outcomes, factorizations, ...) serialize as generic
 keyed blocks under their own head word; parse_document re-reads any of
 these without loss of the token stream, so everything this module emits
 re-parses.
+
+One reader, _read_block, reads every document: the head word, the braces,
+the end of input after them, and the key that starts each entry, whose
+first position it records for Document.spans.  Each kind supplies only the
+reader of one entry after its key.  parse_document tokenizes its input
+once and hands the tokens to the reader of its kind.
 """
 
 import re
 
-from .ratfn import RatFn, ZERO, ONE, T, X, U
+from .ratfn import RatFn, ZERO, T, X, U
 from .jets import ControlSystem
 from .equivalence import (EquivMap, BlockMatrix, VerificationReport,
                           StaticPairReport)
@@ -52,7 +61,10 @@ class Document:
     kind is one of system / map / matrix-report / report; body is the typed
     payload (ControlSystem, EquivMap, BlockMatrix, or a key/value list for
     generic reports); spans maps keys to the (line, column) of their first
-    occurrence, for error messages that point back into the source.
+    occurrence, for error messages that point back into the source.  For a
+    matrix the keys are rows, cols and each meta name (N, map, ...); the
+    words `meta` and `block` are not recorded.  For a report they are the
+    top-level keys only, not those of a matrix nested in a value.
     """
 
     def __init__(self, kind, body, spans=None):
@@ -233,15 +245,6 @@ def _parse_var(p, spans):
     return RatFn.var(v)
 
 
-def _ipow(e, k):
-    if k < 0:
-        return ONE / _ipow(e, -k)
-    out = ONE
-    for _ in range(k):
-        out = out * e
-    return out
-
-
 def _parse_atom(p, spans):
     t = p.peek()
     if t.kind == "int":
@@ -263,17 +266,25 @@ def _parse_atom(p, spans):
 def _parse_factor(p, spans):
     e = _parse_atom(p, spans)
     if p.at_sym("^"):
-        p.next()
-        e = _ipow(e, p.signed_int())
+        op = p.next()
+        k = p.signed_int()
+        if k < 0 and e.is_zero():
+            raise SemanticError("zero to a negative power", op.line, op.col)
+        e = e ** k
     return e
 
 
 def _parse_term(p, spans):
     e = _parse_factor(p, spans)
     while p.peek().kind == "sym" and p.peek().text in "*/":
-        op = p.next().text
+        op = p.next()
         r = _parse_factor(p, spans)
-        e = e * r if op == "*" else e / r
+        if op.text == "*":
+            e = e * r
+        elif r.is_zero():
+            raise SemanticError("division by zero", op.line, op.col)
+        else:
+            e = e / r
     return e
 
 
@@ -300,38 +311,70 @@ def parse_expression(text):
 # ---------------------------------------------------------------------------
 # keyed blocks
 
-def _parse_pairs(p):
-    """`{ key = expr ... }` with nothing after the closing brace."""
+def _read_block(p, head, entry):
+    """A whole document `head { entry ... }`; head None takes any word.
+
+    entry(p, key) reads the rest of one entry after its key token and
+    returns the token whose name goes into the spans, or None.  Returns
+    the spans: name -> (line, col) of its first occurrence.
+    """
+    p.expect_ident(head)
     p.expect_sym("{")
-    pairs = []
+    spans = {}
     while not p.at_sym("}"):
         t = p.peek()
         if t.kind == "eof":
             raise ParseError("unclosed block", t.line, t.col)
-        key = p.expect_ident()
-        if key.primes:
-            raise ParseError("keys take no derivative marks",
-                             key.line, key.col)
-        p.expect_sym("=")
-        spans = []
-        e = _parse_expr(p, spans)
-        pairs.append((key, e, spans))
-    p.expect_sym("}")
+        name = entry(p, p.expect_ident())
+        if name is not None:
+            spans.setdefault(name.text, (name.line, name.col))
+    p.next()
     t = p.peek()
     if t.kind != "eof":
         raise ParseError("trailing input after the closing brace",
                          t.line, t.col)
-    return pairs
+    return spans
 
 
-def _unique(pairs):
+def _comma_list(p, brackets, item):
+    """One or more items, comma-separated, inside the bracket pair."""
+    p.expect_sym(brackets[0])
+    out = [item(p)]
+    while p.at_sym(","):
+        p.next()
+        out.append(item(p))
+    p.expect_sym(brackets[1])
+    return out
+
+
+def _unique(entries):
+    """{key: entry} for entries that start with their key token."""
     seen = {}
-    for key, e, spans in pairs:
+    for entry in entries:
+        key = entry[0]
         if key.text in seen:
             raise SemanticError("duplicate key %r" % key.text,
                                 key.line, key.col)
-        seen[key.text] = (key, e, spans)
+        seen[key.text] = entry
     return seen
+
+
+def _pairs(p, head):
+    """`head { key = expr ... }` -> ({key: (key token, expr, variable
+    spans)}, spans)."""
+    pairs = []
+
+    def entry(p, key):
+        if key.primes:
+            raise ParseError("keys take no derivative marks",
+                             key.line, key.col)
+        p.expect_sym("=")
+        vs = []
+        pairs.append((key, _parse_expr(p, vs), vs))
+        return key
+
+    spans = _read_block(p, head, entry)
+    return _unique(pairs), spans
 
 
 def _const_count(seen, name):
@@ -353,11 +396,11 @@ def parse_system(text, name=""):
     Right-hand sides may mention t, x1..xn, u1..us at order zero only;
     anything else is a SemanticError pointing at the offending variable.
     """
-    p = _P(_tokenize(text))
-    head = p.expect_ident()
-    if head.text != "system":
-        raise ParseError("expected 'system'", head.line, head.col)
-    seen = _unique(_parse_pairs(p))
+    return _system(_P(_tokenize(text)), name)[0]
+
+
+def _system(p, name):
+    seen, spans = _pairs(p, "system")
     n = _const_count(seen, "states")
     s = _const_count(seen, "controls")
     fs = []
@@ -366,8 +409,8 @@ def parse_system(text, name=""):
         if k not in seen:
             raise SemanticError("missing %s (system declares %d states)"
                                 % (k, n))
-        key, e, spans = seen[k]
-        for v, ln, cl in spans:
+        key, e, vs = seen[k]
+        for v, ln, cl in vs:
             if v[0] == 2 and v[1] > 0:
                 raise SemanticError(
                     "control derivative in a right-hand side", ln, cl)
@@ -384,7 +427,7 @@ def parse_system(text, name=""):
         key = seen[extra[0]][0]
         raise SemanticError("unknown key %r" % key.text, key.line, key.col)
     # regularity is the caller's concern; the format only fixes shape
-    return ControlSystem(n, s, tuple(fs), name=name, check=False)
+    return ControlSystem(n, s, tuple(fs), name=name, check=False), spans
 
 
 def parse_map(text, src, tgt, name=""):
@@ -393,11 +436,11 @@ def parse_map(text, src, tgt, name=""):
     Needs exactly tgt.n state components and tgt.s control components
     (ArityMismatch otherwise); control derivatives of any order are fine.
     """
-    p = _P(_tokenize(text))
-    head = p.expect_ident()
-    if head.text != "map":
-        raise ParseError("expected 'map'", head.line, head.col)
-    seen = _unique(_parse_pairs(p))
+    return _map(_P(_tokenize(text)), src, tgt, name)[0]
+
+
+def _map(p, src, tgt, name):
+    seen, spans = _pairs(p, "map")
     ys, vs = [], []
     for i in range(1, tgt.n + 1):
         k = "y%d" % i
@@ -419,8 +462,8 @@ def parse_map(text, src, tgt, name=""):
             raise ArityMismatch("key %r out of range for a (%d, %d) target"
                                 % (extra[0], tgt.n, tgt.s))
         raise SemanticError("unknown key %r" % key.text, key.line, key.col)
-    for key, e, spans in seen.values():
-        for v, ln, cl in spans:
+    for _, _, used in seen.values():
+        for v, ln, cl in used:
             if v[0] == 1 and not 1 <= v[2] <= src.n:
                 raise SemanticError(
                     "x%d out of range; source has %d states"
@@ -429,13 +472,13 @@ def parse_map(text, src, tgt, name=""):
                 raise SemanticError(
                     "u%d out of range; source has %d controls"
                     % (v[2], src.s), ln, cl)
-    return EquivMap(src, tgt, ys, vs, name=name)
+    return EquivMap(src, tgt, ys, vs, name=name), spans
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
-def _parse_level_pair(p):
+def _level_pair(p):
     p.expect_sym("(")
     a = p.signed_int()
     p.expect_sym(",")
@@ -444,59 +487,44 @@ def _parse_level_pair(p):
     return a, b
 
 
-def _parse_pair_list(p):
-    p.expect_sym("(")
-    out = [_parse_level_pair(p)]
-    while p.at_sym(","):
-        p.next()
-        out.append(_parse_level_pair(p))
-    p.expect_sym(")")
-    return out
+def _matrix_row(p):
+    return _comma_list(p, "[]", lambda p: _parse_expr(p, []))
 
 
-def _parse_row(p):
-    p.expect_sym("[")
-    spans = []
-    out = [_parse_expr(p, spans)]
-    while p.at_sym(","):
-        p.next()
-        out.append(_parse_expr(p, spans))
-    p.expect_sym("]")
-    return out
+def _meta_string(p):
+    s = p.next()
+    if s.kind != "str":
+        raise ParseError("meta lists hold strings", s.line, s.col)
+    return s.text
 
 
-def _parse_block_rows(p):
-    p.expect_sym("[")
-    out = [_parse_row(p)]
-    while p.at_sym(","):
-        p.next()
-        out.append(_parse_row(p))
-    p.expect_sym("]")
-    return out
-
-
-def _parse_meta_value(p):
+def _meta_value(p):
     t = p.peek()
     if t.kind == "str":
         p.next()
         return t.text
     if t.kind == "sym" and t.text == "[":
-        p.next()
-        out = []
-        if not p.at_sym("]"):
-            s = p.next()
-            if s.kind != "str":
-                raise ParseError("meta lists hold strings", s.line, s.col)
-            out.append(s.text)
-            while p.at_sym(","):
-                p.next()
-                s = p.next()
-                if s.kind != "str":
-                    raise ParseError("meta lists hold strings", s.line, s.col)
-                out.append(s.text)
-        p.expect_sym("]")
-        return out
+        after = p.peek(1)
+        if after.kind == "sym" and after.text == "]":
+            p.next()
+            p.next()
+            return []
+        return _comma_list(p, "[]", _meta_string)
     return p.signed_int()
+
+
+def _level_sizes(key, pairs):
+    """{level: size} in declaration order, from a rows or cols value."""
+    sizes = {}
+    for level, size in pairs:
+        if level in sizes:
+            raise SemanticError("%s declares level %d twice"
+                                % (key.text, level), key.line, key.col)
+        if size < 0:
+            raise SemanticError("%s gives level %d a negative size"
+                                % (key.text, level), key.line, key.col)
+        sizes[level] = size
+    return sizes
 
 
 def parse_matrix(text):
@@ -505,52 +533,42 @@ def parse_matrix(text):
     Blocks not mentioned are zero; mentioned blocks are either the keyword
     zero or a row-major nested list matching the declared sizes.
     """
-    p = _P(_tokenize(text))
-    head = p.expect_ident()
-    if head.text != "matrix":
-        raise ParseError("expected 'matrix'", head.line, head.col)
-    p.expect_sym("{")
-    rows = cols = None
-    meta = {}
-    blocks = []
-    while not p.at_sym("}"):
-        t = p.peek()
-        if t.kind == "eof":
-            raise ParseError("unclosed block", t.line, t.col)
-        key = p.expect_ident()
-        if key.text in ("rows", "cols"):
+    return _matrix(_P(_tokenize(text)))[0]
+
+
+def _matrix(p):
+    sizes, meta, blocks = [], [], []
+
+    def entry(p, key):
+        if key.text == "block":
+            rl, cl = _level_pair(p)
             p.expect_sym("=")
-            val = _parse_pair_list(p)
-            if key.text == "rows":
-                rows = val
-            else:
-                cols = val
-        elif key.text == "meta":
-            mk = p.expect_ident()
-            p.expect_sym("=")
-            meta[mk.text] = _parse_meta_value(p)
-        elif key.text == "block":
-            rl, cl = _parse_level_pair(p)
-            p.expect_sym("=")
-            t2 = p.peek()
-            if t2.kind == "ident" and t2.text == "zero":
+            t = p.peek()
+            if t.kind == "ident" and t.text == "zero":
                 p.next()
                 blocks.append((key, rl, cl, None))
             else:
-                blocks.append((key, rl, cl, _parse_block_rows(p)))
-        else:
+                blocks.append((key, rl, cl, _comma_list(p, "[]", _matrix_row)))
+            return None
+        if key.text == "meta":
+            name = p.expect_ident()
+            p.expect_sym("=")
+            meta.append((name, _meta_value(p)))
+            return name
+        if key.text not in ("rows", "cols"):
             raise ParseError("expected rows, cols, meta, or block",
                              key.line, key.col)
-    p.expect_sym("}")
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError("trailing input after the closing brace",
-                         t.line, t.col)
+        p.expect_sym("=")
+        sizes.append((key, _comma_list(p, "()", _level_pair)))
+        return key
 
-    if rows is None or cols is None:
+    spans = _read_block(p, "matrix", entry)
+    sizes = {k: _level_sizes(*kv) for k, kv in _unique(sizes).items()}
+    meta = {k: v for k, (_, v) in _unique(meta).items()}
+    if "rows" not in sizes or "cols" not in sizes:
         raise SemanticError("matrix needs rows and cols declarations")
-    m = BlockMatrix([l for l, _ in rows], [l for l, _ in cols],
-                    dict(rows), dict(cols), meta=meta)
+    rows, cols = sizes["rows"], sizes["cols"]
+    m = BlockMatrix(list(rows), list(cols), rows, cols, meta=meta)
     declared = set()
     for key, rl, cl, data in blocks:
         if (rl, cl) in declared:
@@ -569,57 +587,46 @@ def parse_matrix(text):
         for i, rowv in enumerate(data):
             for j, e in enumerate(rowv):
                 m.set((rl, i + 1), (cl, j + 1), e)
-    return m
+    return m, spans
 
 
 # ---------------------------------------------------------------------------
 # generic reports (anything else this module emitted)
 
-def _parse_generic(p):
-    p.expect_sym("{")
+def _report(p):
+    """Each value is kept as its raw tokens, joined by single spaces; it
+    runs up to the next `key =` or the closing brace at bracket depth 0."""
     items = []
-    spans = {}
-    while True:
-        t = p.peek()
-        if t.kind == "eof":
-            raise ParseError("unclosed block", t.line, t.col)
-        if t.kind == "sym" and t.text == "}":
-            p.next()
-            break
-        key = p.expect_ident()
-        spans.setdefault(key.text, (key.line, key.col))
+
+    def entry(p, key):
         p.expect_sym("=")
-        run = []
-        depth = 0
+        run, depth = [], 0
         while True:
             t = p.peek()
-            if t.kind == "eof":
-                raise ParseError("unclosed block", t.line, t.col)
-            if depth == 0 and t.kind == "sym" and t.text == "}":
+            # at the end of input _read_block reports the unclosed block
+            if t.kind == "eof" or depth == 0 and (
+                    (t.kind == "sym" and t.text == "}")
+                    or (t.kind == "ident" and p.peek(1).kind == "sym"
+                        and p.peek(1).text == "=")):
                 break
-            if (depth == 0 and t.kind == "ident"
-                    and p.peek(1).kind == "sym" and p.peek(1).text == "="):
-                break
-            tok = p.next()
-            if tok.kind == "sym" and tok.text in "([{":
+            p.next()
+            if t.kind == "sym" and t.text in "([{":
                 depth += 1
-            elif tok.kind == "sym" and tok.text in ")]}":
+            elif t.kind == "sym" and t.text in ")]}":
                 depth -= 1
                 if depth < 0:
-                    raise ParseError("unbalanced %r" % tok.text,
-                                     tok.line, tok.col)
-            run.append(tok)
-        if not run:
+                    raise ParseError("unbalanced %r" % t.text,
+                                     t.line, t.col)
+            run.append(t)
+        if not run and t.kind != "eof":
             raise ParseError("empty value", t.line, t.col)
         items.append((key.text,
                       " ".join('"%s"' % tk.text if tk.kind == "str"
                                else tk.text + "'" * tk.primes
                                for tk in run)))
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError("trailing input after the closing brace",
-                         t.line, t.col)
-    return items, spans
+        return key
+
+    return items, _read_block(p, None, entry)
 
 
 def parse_document(text, src=None, tgt=None):
@@ -627,36 +634,19 @@ def parse_document(text, src=None, tgt=None):
 
     Maps need src and tgt for variable binding.  Unrecognized head words
     parse as generic reports (key / raw-value pairs) so that everything
-    serialize() produces can be re-read.
+    serialize() produces can be re-read.  The text is tokenized once.
     """
     p = _P(_tokenize(text))
-    head = p.expect_ident()
-    if head.text == "system":
-        return Document("system", parse_system(text), _key_spans(text))
-    if head.text == "map":
+    head = p.peek().text
+    if head == "system":
+        return Document("system", *_system(p, ""))
+    if head == "map":
         if src is None or tgt is None:
             raise SemanticError("map documents need src and tgt systems")
-        return Document("map", parse_map(text, src, tgt), _key_spans(text))
-    if head.text == "matrix":
-        return Document("matrix-report", parse_matrix(text),
-                        _key_spans(text))
-    items, spans = _parse_generic(p)
-    return Document("report", items, spans)
-
-
-def _key_spans(text):
-    toks = _tokenize(text)
-    spans = {}
-    depth = 0
-    for k, t in enumerate(toks):
-        if t.kind == "sym" and t.text in "([{":
-            depth += 1
-        elif t.kind == "sym" and t.text in ")]}":
-            depth -= 1
-        elif (depth == 1 and t.kind == "ident" and k + 1 < len(toks)
-              and toks[k + 1].kind == "sym" and toks[k + 1].text == "="):
-            spans.setdefault(t.text, (t.line, t.col))
-    return spans
+        return Document("map", *_map(p, src, tgt, ""))
+    if head == "matrix":
+        return Document("matrix-report", *_matrix(p))
+    return Document("report", *_report(p))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,18 @@ def test_parse_error_is_usage_error(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("rhs, msg", [
+    ("u1/(x1-x1)", "col 10: division by zero"),
+    ("1/0", "col 9: division by zero"),
+    ("0^-1", "col 9: zero to a negative power"),
+])
+def test_division_by_zero_in_input_exits_2(files, capsys, rhs, msg):
+    path = files["put"]("div.sys", "system {\n  states = 1\n  controls = 1"
+                                   "\n  f1 = %s\n}\n" % rhs)
+    code, out, err = run(capsys, "classify", "--sys", path)
+    assert (code, out, err) == (2, "", "error: line 4, %s\n" % msg)
+
+
 def test_bad_arguments_exit_2(files, capsys):
     assert run(capsys, "verify", "--src", files["src"])[0] == 2
     assert run(capsys)[0] == 2
@@ -127,6 +139,10 @@ PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]
     ["crosscheck", "--steps", "-3"] + PAIR,
     ["crosscheck", "--T", "0"] + PAIR,
     ["crosscheck", "--T", "nan"] + PAIR,
+    ["crosscheck", "--tol", "nan"] + PAIR,
+    ["crosscheck", "--tol", "0"] + PAIR,
+    ["crosscheck", "--tol", "-1"] + PAIR,
+    ["crosscheck", "--tol", "inf"] + PAIR,
 ], ids=" ".join)
 def test_out_of_range_numbers_exit_2(files, capsys, argv):
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
@@ -292,7 +308,9 @@ def test_crosscheck_machine(files, capsys):
 
 
 @pytest.mark.parametrize("kw", [{"steps": 3}, {"T": float("nan")},
-                                {"T": float("inf")}, {"T": -1.0}])
+                                {"T": float("inf")}, {"T": -1.0},
+                                {"tol": float("nan")}, {"tol": 0.0},
+                                {"tol": -1e-6}, {"tol": float("inf")}])
 def test_crosscheck_rejects_unusable_grids(kw):
     with pytest.raises(UsageError):
         numeric_crosscheck(PHI, **kw)
@@ -349,7 +367,8 @@ def test_crosscheck_result_fields():
     res = numeric_crosscheck(PHI, seed=3, steps=600)
     assert res.passed and res.max_residual < 1e-6
     assert res.attempts >= 1
-    tight = numeric_crosscheck(PHI, seed=3, steps=600, tol=0.0)
+    # the bound is strict: a residual equal to tol fails
+    tight = numeric_crosscheck(PHI, seed=3, steps=600, tol=res.max_residual)
     assert not tight.passed
     nan = numeric_crosscheck(PHI, steps=10, controls=[[float("nan"), 0, 0, 0],
                                                       [0.5, 0.2, 0.0, 0.1]])

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jetfactor import (ControlSystem, RatFn, T, U, X, builtin_fixtures,
-                       factor_JK0, parse_document, parse_expression,
-                       parse_map, parse_matrix, parse_system,
-                       pullback_matrix, serialize, serialize_report,
+                       elkin_forms_32, factor_JK0, parse_document,
+                       parse_expression, parse_map, parse_matrix,
+                       parse_system, pullback_matrix,
+                       random_static_transform, serialize, serialize_report,
                        verify_pair)
-from jetfactor.errors import ArityMismatch, ParseError, SemanticError
+from jetfactor.errors import (ArityMismatch, JetError, ParseError,
+                              SemanticError)
 
 x1, x2 = RatFn.var(X(1)), RatFn.var(X(2))
 u1, u2 = RatFn.var(U(1)), RatFn.var(U(2))
@@ -59,6 +62,18 @@ def test_parse_error_carries_position():
         parse_expression("' + x1")
     with pytest.raises(ParseError):
         parse_expression("x1 + α")  # non-ascii
+
+
+def test_division_by_zero_points_at_the_operator():
+    for text, msg, col in [("u1/(x1-x1)", "division by zero", 3),
+                           ("1 + 1/0", "division by zero", 6),
+                           ("x1*0^-1", "zero to a negative power", 5),
+                           ("(x2-x2)^-2", "zero to a negative power", 8)]:
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == "line 1, col %d: %s" % (col, msg)
+    assert parse_expression("0^0") == parse_expression("1")
+    assert parse_expression("0^2").is_zero()
 
 
 def test_time_and_state_derivatives_are_rejected():
@@ -187,6 +202,35 @@ def test_matrix_block_errors():
         parse_matrix("matrix { }")
 
 
+def test_matrix_repeated_keys_are_errors():
+    head = "matrix { rows = ((0, 1)) cols = ((0, 1))\n"
+    for extra, key, col in [("rows = ((0, 2))", "rows", 1),
+                            ("cols = ((0, 1))", "cols", 1),
+                            ("meta N = 4 meta N = 5", "N", 17)]:
+        with pytest.raises(SemanticError) as exc:
+            parse_matrix(head + extra + " }")
+        assert "duplicate key %r" % key in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (2, col)
+
+
+def test_matrix_levels_are_declared_once():
+    with pytest.raises(SemanticError) as exc:
+        parse_matrix("matrix { rows = ((0, 1)) cols = ((0, 1), (1, 2),"
+                     " (0, 2)) }")
+    assert "cols declares level 0 twice" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 26)
+
+
+def test_matrix_sizes_are_not_negative():
+    with pytest.raises(SemanticError) as exc:
+        parse_matrix("matrix { rows = ((0, 1)) cols = ((0, 2), (1, -1)) }")
+    assert "cols gives level 1 a negative size" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 26)
+    # an empty level is allowed
+    m = parse_matrix("matrix { rows = ((0, 0)) cols = ((0, 1)) }")
+    assert m.row_sizes == {0: 0}
+
+
 def test_matrix_meta_kinds():
     text = ("matrix { rows = ((0, 1)) cols = ((0, 1))\n"
             '  meta N = 4 meta map = "phi" meta assumptions = ["u2", "x1"]\n'
@@ -291,3 +335,222 @@ def test_expression_text_round_trips(r):
     back = parse_expression(text)
     assert back == r
     assert back.to_text() == text
+
+
+# -------------------------------------------------------------------
+# pinned errors and spans: every keyed block is read by one loop, so each
+# document kind must keep its messages and positions
+
+_SYS = "system { states = 1 controls = 1 "
+_MAP = "map { y1 = x1 y2 = x2 y3 = x3 v1 = u1 "
+_MAT = "matrix { rows = ((0, 1)) cols = ((0, 1)) "
+
+_ERRORS = [
+    ("", (ParseError, "line 1, col 1: expected a name", 1, 1)),
+    # systems
+    (_SYS + "f1 = u1",
+     (ParseError, "line 1, col 41: unclosed block", 1, 41)),
+    (_SYS + "f1 = u1 } x1",
+     (ParseError, "line 1, col 44: trailing input after the closing brace",
+      1, 44)),
+    (_SYS + "f1 = }",
+     (ParseError, "line 1, col 39: expected a value", 1, 39)),
+    (_SYS + "f1 = (u1 }",
+     (ParseError, "line 1, col 43: expected ')'", 1, 43)),
+    (_SYS + "f1' = u1 }",
+     (ParseError, "line 1, col 34: keys take no derivative marks", 1, 34)),
+    (_SYS + "f1 u1 }",
+     (ParseError, "line 1, col 37: expected '='", 1, 37)),
+    (_SYS + "= u1 }",
+     (ParseError, "line 1, col 34: expected a name", 1, 34)),
+    ("system states = 1",
+     (ParseError, "line 1, col 8: expected '{'", 1, 8)),
+    (_SYS + "f1 = u1 f1 = u1 }",
+     (SemanticError, "line 1, col 42: duplicate key 'f1'", 1, 42)),
+    (_SYS + "f1 = u1/(x1-x1) }",
+     (SemanticError, "line 1, col 41: division by zero", 1, 41)),
+    (_SYS + "f1 = 1/0 }",
+     (SemanticError, "line 1, col 40: division by zero", 1, 40)),
+    (_SYS + "f1 = 0^-1 }",
+     (SemanticError, "line 1, col 40: zero to a negative power", 1, 40)),
+    # maps
+    (_MAP + "v2 = u2",
+     (ParseError, "line 1, col 46: unclosed block", 1, 46)),
+    (_MAP + "v2 = u2 } }",
+     (ParseError, "line 1, col 49: trailing input after the closing brace",
+      1, 49)),
+    (_MAP + "v2 = }",
+     (ParseError, "line 1, col 44: expected a value", 1, 44)),
+    (_MAP + "v2 = u2) }",
+     (ParseError, "line 1, col 46: expected a name", 1, 46)),
+    (_MAP + "v2' = u2 }",
+     (ParseError, "line 1, col 39: keys take no derivative marks", 1, 39)),
+    # matrices
+    (_MAT, (ParseError, "line 1, col 42: unclosed block", 1, 42)),
+    (_MAT + "} trailing",
+     (ParseError, "line 1, col 44: trailing input after the closing brace",
+      1, 44)),
+    (_MAT + "block (0, 0) = }",
+     (ParseError, "line 1, col 57: expected '['", 1, 57)),
+    (_MAT + "block (0, 0) = [[x1] }",
+     (ParseError, "line 1, col 63: expected ']'", 1, 63)),
+    (_MAT + "block (0, 0) = [[x1]]] }",
+     (ParseError, "line 1, col 63: expected a name", 1, 63)),
+    (_MAT + "wat = 1 }",
+     (ParseError, "line 1, col 42: expected rows, cols, meta, or block",
+      1, 42)),
+    (_MAT + 'meta k = ["a", 1] }',
+     (ParseError, "line 1, col 57: meta lists hold strings", 1, 57)),
+    (_MAT + "meta k = [1] }",
+     (ParseError, "line 1, col 52: meta lists hold strings", 1, 52)),
+    (_MAT + 'meta k = ["a" "b"] }',
+     (ParseError, "line 1, col 56: expected ']'", 1, 56)),
+    (_MAT + "meta = 1 }",
+     (ParseError, "line 1, col 47: expected a name", 1, 47)),
+    (_MAT + "meta k 1 }",
+     (ParseError, "line 1, col 49: expected '='", 1, 49)),
+    ("matrix { rows = (0, 1) cols = ((0, 1)) }",
+     (ParseError, "line 1, col 18: expected '('", 1, 18)),
+    ("matrix { rows = () cols = ((0, 1)) }",
+     (ParseError, "line 1, col 18: expected '('", 1, 18)),
+    ("matrix { rows ((0, 1)) }",
+     (ParseError, "line 1, col 15: expected '='", 1, 15)),
+    ("matrix { block (0, 0) = zero }",
+     (SemanticError, "matrix needs rows and cols declarations", None, None)),
+    (_MAT + "rows = ((0, 2)) }",
+     (SemanticError, "line 1, col 42: duplicate key 'rows'", 1, 42)),
+    (_MAT + "meta k = 1 meta k = 2 }",
+     (SemanticError, "line 1, col 58: duplicate key 'k'", 1, 58)),
+    ("matrix { rows = ((0, 1), (0, 2)) cols = ((0, 1)) }",
+     (SemanticError, "line 1, col 10: rows declares level 0 twice", 1, 10)),
+    ("matrix { rows = ((0, -1)) cols = ((0, 1)) }",
+     (SemanticError, "line 1, col 10: rows gives level 0 a negative size",
+      1, 10)),
+    # reports
+    ("report { a = 1", (ParseError, "line 1, col 15: unclosed block", 1, 15)),
+    ("report { a = [1 }",
+     (ParseError, "line 1, col 18: unclosed block", 1, 18)),
+    ("report {", (ParseError, "line 1, col 9: unclosed block", 1, 9)),
+    ("report { a = 1 } x",
+     (ParseError, "line 1, col 18: trailing input after the closing brace",
+      1, 18)),
+    ("report { a = }", (ParseError, "line 1, col 14: empty value", 1, 14)),
+    ("report { a = b = 1 }",
+     (ParseError, "line 1, col 14: empty value", 1, 14)),
+    ("report { a = 1 ) }",
+     (ParseError, "line 1, col 16: unbalanced ')'", 1, 16)),
+    ("report { = 1 }", (ParseError, "line 1, col 10: expected a name", 1, 10)),
+    ("report { a 1 }", (ParseError, "line 1, col 12: expected '='", 1, 12)),
+]
+
+
+@pytest.mark.parametrize("text, want", _ERRORS)
+def test_pinned_parse_errors(text, want):
+    cls, msg, line, col = want
+    with pytest.raises(JetError) as exc:
+        parse_document(text, src=SIGMA, tgt=LAMBDA)
+    err = exc.value
+    assert (type(err), str(err), getattr(err, "line", None),
+            getattr(err, "col", None)) == (cls, msg, line, col)
+
+
+def test_pinned_spans():
+    """Document.spans for each kind: a matrix records rows, cols and the
+    meta names, not `meta` or `block`; a report records its top-level
+    keys, not the keys of the matrices nested in it."""
+    def spans(value, **kw):
+        return parse_document(serialize(value), **kw).spans
+
+    assert spans(ControlSystem(2, 1, (u1, x1))) == {
+        "states": (2, 3), "controls": (3, 3), "f1": (4, 3), "f2": (5, 3)}
+    assert spans(PHI, src=SIGMA, tgt=LAMBDA) == {
+        "y1": (2, 3), "y2": (3, 3), "y3": (4, 3), "v1": (5, 3),
+        "v2": (6, 3)}
+    assert spans(pullback_matrix(PHI, N=2)) == {
+        "rows": (2, 3), "cols": (3, 3), "J": (4, 8), "N": (5, 8),
+        "assumptions": (6, 8), "kind_src": (7, 8), "kind_tgt": (8, 8),
+        "map": (9, 8)}
+    assert spans(verify_pair(PHI, PHI_INV, N=3)) == {
+        "forward_ok": (2, 3), "inverse_ok": (3, 3), "detected_J": (4, 3),
+        "detected_K": (5, 3), "residual": (6, 3), "assumptions": (34, 3)}
+    assert spans(factor_JK0(pullback_matrix(PHI, N=4))) == {
+        "assumptions": (2, 3), "edge_cols": (3, 3), "op": (4, 3),
+        "g": (30, 3), "S": (71, 3), "G": (120, 3)}
+
+
+def test_primed_keys_outside_systems_and_maps():
+    """Only system and map keys reject derivative marks; elsewhere the
+    mark is dropped from the key."""
+    doc = parse_document("matrix { rows' = ((0, 1)) cols = ((0, 1))"
+                         " meta k' = 1 meta rows = 2 }")
+    assert doc.body.meta == {"k": 1, "rows": 2}
+    assert doc.spans == {"rows": (1, 10), "cols": (1, 27), "k": (1, 48)}
+    doc = parse_document("report { k' = 1 k = 2 }")
+    assert doc.body == [("k", "1"), ("k", "2")]
+    assert doc.spans == {"k": (1, 10)}
+
+
+# -------------------------------------------------------------------
+# document fuzz: seeded transforms of the (3, 2) normal forms round-trip,
+# and mutations of their text fail only with the input error classes
+
+_FORMS = elkin_forms_32()
+
+
+@lru_cache(maxsize=None)
+def _transformed(form, seed):
+    """(map, system, pullback matrix) of a seeded static transform."""
+    fwd, _, sys_ = random_static_transform(_FORMS[form], seed)
+    return fwd, sys_, pullback_matrix(fwd, N=2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(0, 40))
+def test_transformed_documents_round_trip(form, seed):
+    fwd, sys_, mat = _transformed(form, seed)
+    for value in (sys_, fwd, mat):
+        text = serialize(value)
+        body = parse_document(text, src=fwd.src, tgt=fwd.tgt).body
+        assert serialize(body) == text
+    assert parse_system(serialize(sys_)) == sys_
+    back = parse_map(serialize(fwd), fwd.src, fwd.tgt)
+    assert (back.y, back.v) == (fwd.y, fwd.v)
+    back = parse_matrix(serialize(mat))
+    assert back == mat and back.meta == mat.meta
+
+
+_PIECES = ["/0", "^-1", "/(x1-x1)", " f1 = x1", " y1 = x1",
+           " rows = ((0, 1))", " meta N = 1", " block (0, 0) = zero", " x9",
+           " u3", "'", "(", ")", "[", "]", "{", "}", "=", ",", '"', "\n"]
+# (0 deletes as many characters as the piece has, 1-3 insert it; where,
+# as a share of the token ends; piece)
+_edits = st.lists(st.tuples(st.integers(0, 3),
+                            st.floats(0, 1, exclude_max=True),
+                            st.sampled_from(_PIECES)),
+                  min_size=1, max_size=3)
+
+
+def _mutate(text, edits):
+    """Each edit acts where a name, number or closing bracket meets a
+    blank, after the opening brace."""
+    for op, share, piece in edits:
+        ends = [i for i in range(text.find("{") + 1, len(text))
+                if text[i] in " \n"
+                and (text[i - 1].isalnum() or text[i - 1] in ")]'")] or [0]
+        at = ends[int(share * len(ends))]
+        if op == 0:
+            text = text[:at] + text[at + len(piece):]
+        else:
+            text = text[:at] + piece + text[at:]
+    return text
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2), _edits)
+def test_mutated_documents_raise_input_errors(form, seed, which, edits):
+    fwd, sys_, mat = _transformed(form, seed)
+    text = _mutate(serialize((sys_, fwd, mat)[which]), edits)
+    try:
+        parse_document(text, src=fwd.src, tgt=fwd.tgt)
+    except (ParseError, SemanticError, ArityMismatch):
+        pass
