@@ -16,6 +16,15 @@ single-control three-state forms, which the base invariants do not separate
 is involutive.  Each table row was validated by running the brute-force
 bracket computation on the normal form itself.
 
+static_invariants draws one seeded sample of points over the variables of
+the drift and the control fields, evaluates each field there once, and
+takes every rank as the largest over that sample; the first point where
+all of them are at their largest is kept as the regular-point witness.
+Each bracket of two fields is taken once: level two brackets every pair of
+the drift and the control fields, level three brackets those with each of
+them again, and only the closure of D2 brackets its own generators, up to
+the first bracket that leaves D2.
+
 builtin_fixtures returns the five explicit equivalence pairs used across the
 test-suite: three strict order-(0,0) pairs among the x2*u1 / x2 / 1+x2*u1
 forms, the decoupling variant, and a two-state/four-state prolongation pair.
@@ -25,10 +34,8 @@ import random
 from fractions import Fraction
 
 from .ratfn import RatFn, ZERO, ONE, T, X, U, gauss_jordan
-from .jets import (ControlSystem, to_affine, lie_bracket, sample_point,
-                   generic_rank)
-from .errors import (UnclassifiedSignature, OutOfTable, DimensionMismatch,
-                     DenominatorZero, DivisionByZero, SubstitutionPole)
+from .jets import ControlSystem, to_affine, lie_bracket, sample_points
+from .errors import UnclassifiedSignature, OutOfTable, DimensionMismatch
 from .equivalence import EquivMap
 
 
@@ -78,6 +85,10 @@ class InvariantRecord:
     point is a witnessing sample where every rank reaches its generic
     value.  drift_in_C0 and involutive_D2 only matter for the
     single-control three-state forms; they are computed for every input.
+    involutive_D2 is a static invariant only with one control: feedback
+    u -> u + R x adds multiples of the brackets [g_i, g_j] to the drift
+    brackets, so on statically moved x3' = x2*u1 and x3' = 1+x2*u1 it
+    reads True where the normal form reads False.
     """
 
     def __init__(self, rank_fu, involutive_D, drift_in_D, dim_C0, point,
@@ -97,79 +108,65 @@ class InvariantRecord:
                    self.dim_C0, self.drift_in_C0, self.involutive_D2))
 
 
-def _rank_at(rows, pt):
-    m = [[e.eval_at(pt) for e in row] for row in rows]
-    return len(gauss_jordan(m, len(m[0])))
-
-
 def static_invariants(a, seed=0):
-    """Signature of an AffineForm (or affine ControlSystem) at a generic point."""
+    """Signature of an AffineForm (or affine ControlSystem) at a generic point.
+
+    Every rank is the largest over one seeded sample of 5 points, so it is
+    a lower bound on the rank over the rational functions, exact once it
+    reaches the number of fields or of states.  A point reads a lower rank
+    only if the cleared numerator of a nonzero minor of full size, of
+    degree d, vanishes there: probability at most d/198 (Schwartz 1980;
+    Zippel 1979).  The witness is the first point where every rank taken
+    is at its largest; without one UnclassifiedSignature is raised.
+    """
     if isinstance(a, ControlSystem):
         a = to_affine(a)
     n, s = a.n, a.s
     if n > 3:
         raise DimensionMismatch("classification covers up to three states")
 
-    f0 = a.f0
-    gens = list(a.fvecs)
-    pool = [f0] + gens
+    # a bracket's denominator divides a product of powers of those of f0
+    # and the control fields, so it is finite wherever theirs are; each
+    # field is kept beside its values at the sample points
+    fields = [a.f0] + list(a.fvecs)
+    sample = list(sample_points([e for v in fields for e in v], seed))
+    points = [pt for pt, _ in sample]
+    pool = [(v, [vals[i * n:(i + 1) * n] for _, vals in sample])
+            for i, v in enumerate(fields)]
+    taken = []      # each rank at every point, for the witness
 
-    pair_brackets = [lie_bracket(gens[i], gens[j])
-                     for i in range(s) for j in range(i + 1, s)]
-    level2 = [lie_bracket(g, h) for g in gens for h in pool]
-    level3 = [lie_bracket(g, h) for g in level2 for h in pool]
-    c0 = gens + [b for b in level2 + level3 if not b.is_zero()]
-    d2 = gens + [b for b in (lie_bracket(f0, g) for g in gens) if not b.is_zero()]
-    d2_closure = [lie_bracket(d2[i], d2[j])
-                  for i in range(len(d2)) for j in range(i + 1, len(d2))]
+    def bracket(p, q):
+        b = lie_bracket(p[0], q[0])
+        return b, [[e.eval_at(pt) for e in b] for pt in points]
 
-    # every query as a list of rows; the generic value of each rank decides
-    # the invariants, and one point realizing all of them at once is kept
-    # as the regular-point witness
-    queries = {
-        "D": [list(g) for g in gens],
-        "D+f0": [list(g) for g in gens + [f0]],
-        "C0": [list(g) for g in c0],
-        "C0+f0": [list(g) for g in c0 + [f0]],
-        "D2": [list(g) for g in d2],
-    }
-    for k, b in enumerate(pair_brackets):
-        queries["D+[%d]" % k] = [list(g) for g in gens + [b]]
-    for k, b in enumerate(d2_closure):
-        queries["D2+[%d]" % k] = [list(g) for g in d2 + [b]]
+    def rank(span):
+        at = [len(gauss_jordan([vals[k] for _, vals in span], n))
+              for k in range(len(points))]
+        taken.append(at)
+        return max(at)
 
-    generic = {key: generic_rank(rows, seed=seed) if rows else 0
-               for key, rows in queries.items()}
+    # level 2 is [f0, g_j] for each j, then [g_i, g_j] for i < j
+    f0, gens = pool[0], pool[1:]
+    level2 = [bracket(pool[i], pool[j])
+              for i in range(s + 1) for j in range(i + 1, s + 1)]
+    level3 = [bracket(b, p) for b in level2 for p in pool]
+    c0 = gens + level2 + level3
+    d2 = gens + [b for b in level2[:s] if not b[0].is_zero()]
 
-    vars_ = set()
-    for rows in queries.values():
-        for row in rows:
-            for e in row:
-                vars_ |= e.vars()
-    rng = random.Random(seed)
-    witness = None
-    for _ in range(40):
-        pt = sample_point(vars_, rng)
-        try:
-            at = {key: _rank_at(rows, pt) if rows else 0
-                  for key, rows in queries.items()}
-        except (DenominatorZero, DivisionByZero, SubstitutionPole):
-            continue
-        if at == generic:
-            witness = pt
-            break
+    rank_fu = rank(gens)
+    drift_in_D = rank(gens + [f0]) == rank_fu
+    involutive_D = all(rank(gens + [b]) == rank_fu for b in level2[s:])
+    dim_C0 = rank(c0)
+    drift_in_C0 = rank(c0 + [f0]) == dim_C0
+    rank_D2 = rank(d2)
+    involutive_D2 = all(rank(d2 + [bracket(d2[i], d2[j])]) == rank_D2
+                        for i in range(len(d2)) for j in range(i + 1, len(d2)))
+
+    witness = next((pt for k, pt in enumerate(points)
+                    if all(at[k] == max(at) for at in taken)), None)
     if witness is None:
         raise UnclassifiedSignature(
             "no regular sample point found; the invariants do not stabilize")
-
-    rank_fu = generic["D"]
-    drift_in_D = generic["D+f0"] == rank_fu
-    involutive_D = all(generic["D+[%d]" % k] == rank_fu
-                       for k in range(len(pair_brackets)))
-    dim_C0 = generic["C0"]
-    drift_in_C0 = generic["C0+f0"] == dim_C0
-    involutive_D2 = all(generic["D2+[%d]" % k] == generic["D2"]
-                        for k in range(len(d2_closure)))
     return InvariantRecord(rank_fu, involutive_D, drift_in_D, dim_C0, witness,
                            drift_in_C0, involutive_D2)
 

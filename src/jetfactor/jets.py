@@ -243,31 +243,45 @@ def sample_point(vars_, rng):
     return pt
 
 
+def sample_points(exprs, seed=0, trials=5):
+    """Yield (point, values of exprs there) for `trials` seeded integer
+    points over the variables of exprs, skipping the poles of any of them;
+    raises DegenerateSystem after 20 * trials draws without enough."""
+    exprs = list(exprs)
+    vars_ = set().union(*(e.vars() for e in exprs))
+    rng = random.Random(seed)
+    got = 0
+    for _ in range(20 * trials):
+        pt = sample_point(vars_, rng)
+        try:
+            vals = [e.eval_at(pt) for e in exprs]
+        except DenominatorZero:
+            continue
+        yield pt, vals
+        got += 1
+        if got == trials:
+            return
+    raise DegenerateSystem("could not find %d valid sample points" % trials)
+
+
 def generic_rank(rows, seed=0, trials=5):
-    """Max rank of a RatFn matrix over `trials` random integer points."""
+    """Max rank of a RatFn matrix over `trials` random integer points.
+
+    The result is a lower bound on the rank over the rational functions,
+    exact once it reaches min(rows, cols).  A point reads a lower rank only
+    if the cleared numerator of a nonzero minor of full size, of degree d,
+    vanishes there; coordinates come from [-99, 99] without 0, so that
+    happens with probability at most d/198 (Schwartz 1980; Zippel 1979).
+    """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    rng = random.Random(seed)
-    vars_ = set()
-    for r in rows:
-        for e in r:
-            vars_ |= e.vars()
+    width = len(rows[0])
     best = 0
-    got = 0
-    attempts = 0
-    while got < trials:
-        attempts += 1
-        if attempts > trials * 20:
-            raise DegenerateSystem("could not find %d valid sample points" % trials)
-        pt = sample_point(vars_, rng)
-        try:
-            m = [[e.eval_at(pt) for e in r] for r in rows]
-        except DenominatorZero:
-            continue
-        got += 1
-        best = max(best, len(gauss_jordan(m, len(m[0]))))
-        if best == min(len(rows), len(rows[0])):
+    for _, vals in sample_points([e for r in rows for e in r], seed, trials):
+        m = [vals[i:i + width] for i in range(0, len(vals), width)]
+        best = max(best, len(gauss_jordan(m, width)))
+        if best == min(len(rows), width):
             break
     return best
 

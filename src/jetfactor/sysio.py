@@ -27,8 +27,10 @@ Unknown keys, duplicate keys, out-of-range indices, and control derivatives
 inside a system right-hand side are semantic errors; token-level problems
 raise ParseError carrying the line and column of the offending token.  A
 matrix may give rows, cols and each meta name once; its rows and cols name
-each level once, with a size >= 0.  A division by zero or a zero to a
-negative power written in the text is a SemanticError at the `/` or `^`.
+each level once, with a size >= 0.  No key or meta name takes derivative
+marks.  A division by zero or a zero to a negative power written in the
+text is a SemanticError at the `/` or `^`, and so is a power of a sum whose
+expansion may pass 1,000 terms (powers of a single term are not bounded).
 Every zero block of a matrix is emitted explicitly as `block (r, c) = zero`
 so a reader can see the elision; absent blocks are treated as zero on input.
 
@@ -45,6 +47,7 @@ once and hands the tokens to the reader of its kind.
 """
 
 import re
+from math import comb
 
 from .ratfn import RatFn, ZERO, T, X, U
 from .jets import ControlSystem
@@ -263,6 +266,10 @@ def _parse_atom(p, spans):
     raise ParseError("expected a value", t.line, t.col)
 
 
+# a polynomial of t terms to the power k has at most C(t+k-1, k) terms
+_MAX_POWER_TERMS = 1000
+
+
 def _parse_factor(p, spans):
     e = _parse_atom(p, spans)
     if p.at_sym("^"):
@@ -270,6 +277,10 @@ def _parse_factor(p, spans):
         k = p.signed_int()
         if k < 0 and e.is_zero():
             raise SemanticError("zero to a negative power", op.line, op.col)
+        if any(t and comb(t + abs(k) - 1, abs(k)) > _MAX_POWER_TERMS
+               for t in (len(e.num), len(e.den))):
+            raise SemanticError("power may expand past %d terms"
+                                % _MAX_POWER_TERMS, op.line, op.col)
         e = e ** k
     return e
 
@@ -325,7 +336,7 @@ def _read_block(p, head, entry):
         t = p.peek()
         if t.kind == "eof":
             raise ParseError("unclosed block", t.line, t.col)
-        name = entry(p, p.expect_ident())
+        name = entry(p, _key(p))
         if name is not None:
             spans.setdefault(name.text, (name.line, name.col))
     p.next()
@@ -334,6 +345,14 @@ def _read_block(p, head, entry):
         raise ParseError("trailing input after the closing brace",
                          t.line, t.col)
     return spans
+
+
+def _key(p):
+    """A key or meta name: a word without derivative marks."""
+    t = p.expect_ident()
+    if t.primes:
+        raise ParseError("keys take no derivative marks", t.line, t.col)
+    return t
 
 
 def _comma_list(p, brackets, item):
@@ -365,9 +384,6 @@ def _pairs(p, head):
     pairs = []
 
     def entry(p, key):
-        if key.primes:
-            raise ParseError("keys take no derivative marks",
-                             key.line, key.col)
         p.expect_sym("=")
         vs = []
         pairs.append((key, _parse_expr(p, vs), vs))
@@ -551,7 +567,7 @@ def _matrix(p):
                 blocks.append((key, rl, cl, _comma_list(p, "[]", _matrix_row)))
             return None
         if key.text == "meta":
-            name = p.expect_ident()
+            name = _key(p)
             p.expect_sym("=")
             meta.append((name, _meta_value(p)))
             return name

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from jetfactor import (CLASS1, CLASS2, CLASS3, ControlSystem, DynClass,
@@ -6,6 +8,7 @@ from jetfactor import (CLASS1, CLASS2, CLASS3, ControlSystem, DynClass,
                        random_static_transform, static_invariants, to_affine,
                        verify_pair)
 from jetfactor import classify as classify_mod
+from jetfactor import jets as jets_mod
 from jetfactor.errors import (DimensionMismatch, OutOfTable,
                               UnclassifiedSignature)
 
@@ -43,11 +46,21 @@ SIGNATURES = [
 @pytest.mark.parametrize("f,sig,tag", SIGNATURES,
                          ids=[t for _, _, t in SIGNATURES])
 def test_invariant_signature(f, sig, tag):
-    rec = static_invariants(sysn(len(f), *f))
-    got = (rec.rank_fu, rec.drift_in_D, rec.involutive_D, rec.dim_C0,
-           rec.drift_in_C0, rec.involutive_D2)
-    assert got == sig
+    def signature(rec):
+        return (rec.rank_fu, rec.drift_in_D, rec.involutive_D, rec.dim_C0,
+                rec.drift_in_C0, rec.involutive_D2)
+
+    form = sysn(len(f), *f)
+    rec = static_invariants(form)
+    assert signature(rec) == sig
     assert isinstance(rec.point, dict)
+    # the signature survives static moves; involutive_D2 is a static
+    # invariant only with one control (see InvariantRecord)
+    width = 6 if form.s == 1 else 5
+    for seed in range(3):
+        moved = random_static_transform(form, seed)[2]
+        got = signature(static_invariants(moved, seed=seed))
+        assert got[:width] == sig[:width], (seed, got)
 
 
 @pytest.mark.parametrize("f,sig,tag", SIGNATURES,
@@ -101,12 +114,39 @@ def test_too_many_states():
 
 
 def test_no_witness_is_loud(monkeypatch):
-    # pin the sampler to a point where the bracket rank collapses
-    sys_ = ControlSystem(2, 1, (u1, (x1 - 5) ** 2))
-    monkeypatch.setattr(classify_mod, "sample_point",
-                        lambda vars_, rng: {v: 5 for v in vars_})
+    # every sample alternates between x1 = 5, where the drift vanishes, and
+    # x1 = 6, where its bracket with the control field does: each rank
+    # reaches its maximum somewhere, but never all of them at one point
+    sys_ = ControlSystem(2, 1, (u1, (x1 - 5) * (x1 - 7)))
+    xs = itertools.cycle((5, 6))
+
+    def sampler(vars_, rng):
+        c = next(xs)
+        return {v: c for v in vars_}
+
+    # patched wherever a module may look the sampler up
+    for mod in (jets_mod, classify_mod):
+        monkeypatch.setattr(mod, "sample_point", sampler, raising=False)
     with pytest.raises(UnclassifiedSignature):
         static_invariants(sys_)
+
+
+def test_each_bracket_is_taken_once(monkeypatch):
+    # moved (3, 2) forms: 3 brackets at level 2, 9 at level 3 and at most
+    # 6 for the closure of D2; the full pool x pool products took 33
+    real = classify_mod.lie_bracket
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    moved = [random_static_transform(s, 3)[2] for s in elkin_forms_32()]
+    monkeypatch.setattr(classify_mod, "lie_bracket", counting)
+    for sys_ in moved:
+        del calls[:]
+        static_invariants(sys_)
+        assert 0 < len(calls) <= 18, sys_.name
 
 
 def test_static_class_value_semantics():

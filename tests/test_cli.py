@@ -115,6 +115,14 @@ def test_division_by_zero_in_input_exits_2(files, capsys, rhs, msg):
     assert (code, out, err) == (2, "", "error: line 4, %s\n" % msg)
 
 
+def test_oversized_power_in_input_exits_2(files, capsys):
+    path = files["put"]("pow.sys", "system {\n  states = 1\n  controls = 1"
+                                   "\n  f1 = (x1 + u1)^1000\n}\n")
+    code, out, err = run(capsys, "classify", "--sys", path)
+    assert (code, out, err) == (
+        2, "", "error: line 4, col 17: power may expand past 1000 terms\n")
+
+
 def test_bad_arguments_exit_2(files, capsys):
     assert run(capsys, "verify", "--src", files["src"])[0] == 2
     assert run(capsys)[0] == 2

@@ -4,7 +4,9 @@
 (fixture, command, format) case, the exact stdout, stderr and exit code.
 The test reruns each case in-process and requires byte-identical output,
 so a change to the kernel or the printers that alters any CLI byte shows
-up here.  The file also holds one `jetfactor fixtures` run per format;
+up here.  `classify` is also captured on every normal form of
+`tests/test_classify.py::SIGNATURES` and on a seed-1 static move of each.
+The file also holds one `jetfactor fixtures` run per format;
 `tests/test_cli.py` compares the battery runs it already makes against
 those, so the battery is not run a second time here.  Re-record (only
 when an output change is intended) with
@@ -19,8 +21,9 @@ import os
 import sys
 from pathlib import Path
 
-from jetfactor import builtin_fixtures, serialize
+from jetfactor import builtin_fixtures, random_static_transform, serialize
 from jetfactor.cli import main
+from test_classify import SIGNATURES, sysn
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 FIXTURES = ("phi", "psi", "theta", "dec")
@@ -37,6 +40,10 @@ def _inputs():
         out["%s.tgt.sys" % fwd.name] = serialize(fwd.tgt)
         out["%s.map" % fwd.name] = serialize(fwd)
         out["%s.inv.map" % fwd.name] = serialize(inv)
+    for k, (f, _, _) in enumerate(SIGNATURES):
+        form = sysn(len(f), *f)
+        out["nf%02d.sys" % k] = serialize(form)
+        out["nf%02d~1.sys" % k] = serialize(random_static_transform(form, 1)[2])
     return out
 
 
@@ -63,6 +70,11 @@ def _cases():
         cases["%s prolong" % f] = ["prolong", "--sys", f + ".src.sys"]
         cases["%s prolong-1" % f] = ["prolong", "--sys", f + ".src.sys",
                                      "--promote", "1"]
+    for k in range(len(SIGNATURES)):
+        for f in ("nf%02d" % k, "nf%02d~1" % k):
+            for fmt in FORMATS:
+                cases["%s classify %s" % (f, fmt)] = [
+                    "classify", "--sys", f + ".sys", "--format", fmt]
     return cases
 
 

@@ -441,6 +441,10 @@ _ERRORS = [
      (ParseError, "line 1, col 16: unbalanced ')'", 1, 16)),
     ("report { = 1 }", (ParseError, "line 1, col 10: expected a name", 1, 10)),
     ("report { a 1 }", (ParseError, "line 1, col 12: expected '='", 1, 12)),
+    # bounds
+    (_SYS + "f1 = (x1+u1)^1000 }",
+     (SemanticError, "line 1, col 46: power may expand past 1000 terms",
+      1, 46)),
 ]
 
 
@@ -479,15 +483,25 @@ def test_pinned_spans():
 
 
 def test_primed_keys_outside_systems_and_maps():
-    """Only system and map keys reject derivative marks; elsewhere the
-    mark is dropped from the key."""
-    doc = parse_document("matrix { rows' = ((0, 1)) cols = ((0, 1))"
-                         " meta k' = 1 meta rows = 2 }")
-    assert doc.body.meta == {"k": 1, "rows": 2}
-    assert doc.spans == {"rows": (1, 10), "cols": (1, 27), "k": (1, 48)}
-    doc = parse_document("report { k' = 1 k = 2 }")
-    assert doc.body == [("k", "1"), ("k", "2")]
-    assert doc.spans == {"k": (1, 10)}
+    """Matrix keys, meta names and report keys reject derivative marks,
+    as system and map keys do."""
+    for text, col in [("matrix { rows' = ((0, 1)) cols = ((0, 1)) }", 10),
+                      (_MAT + "meta k' = 1 }", 47),
+                      (_MAT + "block' (0, 0) = zero }", 42),
+                      ("report { k' = 1 }", 10)]:
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert str(exc.value) == \
+            "line 1, col %d: keys take no derivative marks" % col
+
+
+def test_powers_are_bounded_by_their_expansion():
+    assert parse_expression("x2^400") == RatFn.var(X(2)) ** 400
+    assert len(parse_expression("(x1+x2+x3+u1)^10").num) == 286
+    for text in ["(x1+x2+x3+u1)^40", "1/(x1+u1)^-1000"]:
+        with pytest.raises(SemanticError) as exc:
+            parse_expression(text)
+        assert str(exc.value).endswith(": power may expand past 1000 terms")
 
 
 # -------------------------------------------------------------------
