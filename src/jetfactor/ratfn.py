@@ -18,14 +18,18 @@ it is never a float and never a Fraction with denominator 1.  Every step
 that can make a rational (a sum of Fractions, a division, a scale) restores
 this, so integer arithmetic carries almost all of the work.  The polynomial
 helpers also accept integral Fractions on input; p_mul, p_scale and the gcd
-return coefficients in the stored form.  RatFn holds a canonical num/den
-pair: gcd 1, denominator integer-primitive with positive leading
-coefficient.  Instances are immutable; all ops return new values.
-const_value() and eval_at() return Fractions.
+return coefficients in the stored form, and so does RatFn, whatever dicts
+it is given.  RatFn holds a canonical num/den pair: gcd 1, denominator
+integer-primitive with positive leading coefficient.  A one-term
+denominator is cancelled by a monomial; any other goes through poly_gcd,
+the heuristic integer gcd GCDHEU with the primitive PRS as its fallback.
+Instances are immutable; all ops return new values.  const_value() and
+eval_at() return Fractions.
 """
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd as igcd, lcm
+from math import gcd as igcd, isqrt, lcm
 
 from .errors import DivisionByZero, SubstitutionPole, DenominatorZero
 
@@ -111,6 +115,14 @@ def _demote(r):
         if type(c) is Fraction and c.denominator == 1:
             r[m] = c.numerator
     return r
+
+
+def _demoted_copy(a):
+    """a, or a copy of it whose integral Fractions are ints."""
+    for c in a.values():
+        if type(c) is Fraction and c.denominator == 1:
+            return _demote(dict(a))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +224,42 @@ def p_diff(a, v):
 
 
 def p_divexact(a, b):
-    """Exact polynomial division; raises ArithmeticError when not exact."""
+    """Exact polynomial division; raises ArithmeticError when not exact.
+
+    Quotient terms come out in descending graded-lex order.  The
+    remainder's monomials wait in a list sorted by mono_key, so each step
+    takes the leading term off its end instead of scanning the remainder;
+    an entry whose term has cancelled since is skipped.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = dict(a)
-    q = {}
     bm, bc = p_lead(b)
-    while a:
-        am, ac = p_lead(a)
+    r = dict(a)
+    todo = sorted((mono_key(m), m) for m in r)
+    q = {}
+    while todo:
+        am = todo.pop()[1]
+        ac = r.get(am)
+        if ac is None:
+            continue
         qm = mono_div(am, bm)
         if qm is None:
             raise ArithmeticError("inexact polynomial division")
-        qc = _cdiv(ac, bc)
-        q[qm] = q.get(qm, 0) + qc
-        a = p_sub(a, p_mul({qm: qc}, b))
+        qc = q[qm] = _cdiv(ac, bc)
+        for m2, c2 in b.items():
+            m = mono_mul(qm, m2)
+            s = r.get(m, 0) - qc * c2
+            if s:
+                if m not in r:
+                    insort(todo, (mono_key(m), m))
+                r[m] = s
+            else:
+                r.pop(m, None)
     return q
 
 
 # ---------------------------------------------------------------------------
-# gcd (primitive PRS)
+# gcd: the heuristic GCDHEU, and the primitive PRS as its fallback
 
 def _scaled_to_int(a):
     """(l, l*a) for l the lcm of a's coefficient denominators."""
@@ -306,13 +335,120 @@ def _prem(a, b, v):
 
 
 def poly_gcd(a, b):
-    """Some gcd of a and b (primitive integer normalization); {():1} for coprime."""
+    """The gcd of a and b as a primitive integer polynomial with positive
+    graded-lex leading coefficient; {(): 1} for coprime inputs.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) computes
+    it.  Both inputs are cleared to primitive integer polynomials.  Then
+    the largest variable v is set to an integer xi, the gcd of the two
+    images in the other variables is found the same way (the integer
+    content of each level is split off, and the common content multiplied
+    back), and a candidate is rebuilt from the symmetric base-xi digits of
+    that gcd's coefficients as the coefficients of powers of v.  Its
+    primitive part is kept only if trial division shows that it divides
+    both inputs.
+
+    xi starts at 2*min(|a|, |b|) + 29, |.| the largest coefficient in
+    absolute value, so every xi tried meets the CGG theorem's bound
+    xi >= 2*min(|a|, |b|) + 2.  Under that bound a primitive candidate
+    that divides both inputs is their gcd: an accepted result is exact,
+    not probable.  If a candidate fails, xi grows to
+    73794*xi*xi^(1/4)//27011 as in sympy's dmp_zz_heu_gcd, in integers
+    (math.isqrt; a float root overflows for coefficients past 2^1024).
+    The heuristic gives up after six values of xi at one level, or as
+    soon as an image coefficient could pass _HEU_MAX_BITS (xi's bit
+    length times the degree in v).  Each level multiplies that length by
+    about the degree, so on many variables of high degree the integers
+    outgrow the work of the PRS.  Only then does the primitive PRS
+    (_gcd_prim) run.  Both give the same polynomial, since a primitive
+    gcd over the integers is unique up to sign.
+    """
     if not a:
         return _int_clear(b) if b else {}
     if not b:
         return _int_clear(a)
     a, b = _int_clear(a), _int_clear(b)
-    return _gcd_prim(a, b)
+    g = _heu_gcd(a, b)
+    if g is None:
+        return _gcd_prim(a, b)
+    return p_neg(g) if p_lead(g)[1] < 0 else g
+
+
+# Largest image coefficient GCDHEU builds, in bits.  Of 2^16 to 2^19, 2^17
+# kept the slowest known verify inputs shortest (BENCH_8.json, limit_sweep).
+_HEU_MAX_BITS = 1 << 17
+
+
+def _heu_gcd(a, b):
+    """The gcd of two nonzero int polynomials up to sign, by GCDHEU as
+    poly_gcd describes it, or None when the heuristic gives up."""
+    ca, cb = _content(a), _content(b)
+    c = igcd(ca, cb)
+    if _is_constant(a) or _is_constant(b):
+        return {(): c}
+    if ca != 1:
+        a = {m: k // ca for m, k in a.items()}
+    if cb != 1:
+        b = {m: k // cb for m, k in b.items()}
+    v = max(m[-1][0] for p in (a, b) for m in p if m)
+    deg = max(m[-1][1] for p in (a, b) for m in p if m and m[-1][0] == v)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(6):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            return None
+        ea, eb = _eval_last(a, v, xi), _eval_last(b, v, xi)
+        if ea and eb:
+            h = _heu_gcd(ea, eb)
+            if h is None:
+                return None
+            h = _int_clear(_xi_adic(h, v, xi))
+            if _divides(h, a) and _divides(h, b):
+                return h if c == 1 else {m: k * c for m, k in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _is_constant(a):
+    return len(a) == 1 and () in a
+
+
+def _eval_last(a, v, xi):
+    """a with v, the largest variable of a's terms that hold it, set to xi."""
+    out = {}
+    for m, k in a.items():
+        if m and m[-1][0] == v:
+            k *= xi ** m[-1][1]
+            m = m[:-1]
+        out[m] = out.get(m, 0) + k
+    return {m: k for m, k in out.items() if k}
+
+
+def _xi_adic(h, v, xi):
+    """The polynomial whose v-coefficients are the symmetric base-xi digits
+    of h's coefficients (every digit in (-xi/2, xi/2])."""
+    out, half = {}, xi // 2
+    for m, k in h.items():
+        e = 0
+        while k:
+            d = k % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m + ((v, e),) if e else m] = d
+            k = (k - d) // xi
+            e += 1
+    return out
+
+
+def _divides(h, a):
+    """Whether the primitive int polynomial h divides a."""
+    if _is_constant(h):
+        return True
+    try:
+        p_divexact(a, h)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def _gcd_prim(a, b):
@@ -596,6 +732,10 @@ def _canon(num, den):
     if scale != 1:
         num = p_scale(num, scale)
         den = p_scale(den, scale)
+    else:
+        # scale 1 means den is integral, and ints holds it as ints; a raw
+        # dict passed to RatFn may still hold integral Fractions
+        num, den = _demoted_copy(num), ints
     return num, den
 
 

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetfactor import (RatFn, U, X, battery, builtin_fixtures,
                        elkin_forms_32, parse_document, pullback_matrix,
@@ -387,3 +391,62 @@ def test_crosscheck_explicit_good_controls():
     res = numeric_crosscheck(PHI, controls=[[0.5, 0.2, 0.0, 0.1],
                                             [1.0, 0.3, 0.2, 0.0]])
     assert res.passed and res.attempts == 1
+
+
+# -------------------------------------------------------------------
+# exit-code contract: no input reaches exit 3 (an internal error)
+
+_F = ["0", "1", "u1", "u2", "x1", "x3", "x2*u1", "u1 + u2", "x1*u2 - u1"]
+_Y = ["0", "1", "x1", "x2", "x3", "x1*x2 - x3", "u2", "x1 + x2", "1/x2",
+      "u1'"]
+_V = ["0", "u1", "u2", "x1*u2", "u2'", "u1 - u2", "u1/x1"]
+_PIECES = ["/0", "^-1", "=", "{", "}", "(", ")", "'", " x9", " u3",
+           " f4 = u1", " y1 = x1", "\n", " states = 1", " controls = 3"]
+_COMMANDS = [["verify"], ["verify", "--inv", "map"], ["pullback"],
+             ["factor"], ["crosscheck", "--steps", "40"], ["classify"],
+             ["structure-check"], ["prolong"], ["prolong", "--promote", "2"]]
+
+
+def _rows(prefix, exprs):
+    return "".join("  %s%d = %s\n" % (prefix, i + 1, e)
+                   for i, e in enumerate(exprs))
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from(_F), min_size=3, max_size=3),
+                min_size=2, max_size=2),
+       st.lists(st.sampled_from(_Y), min_size=3, max_size=3),
+       st.lists(st.sampled_from(_V), min_size=2, max_size=2),
+       st.lists(st.tuples(st.sampled_from(["src", "map"]), st.booleans(),
+                          st.integers(0, 99), st.sampled_from(_PIECES)),
+                max_size=2))
+def test_inputs_never_exit_3(doc_dir, fs, ys, vs, edits):
+    """Degenerate systems (zero rows, rank-deficient df/du), singular or
+    constant maps and mutated document text, through every command."""
+    docs = {name: "system {\n  states = 3\n  controls = 2\n%s}\n"
+                  % _rows("f", rows) for name, rows in zip(("src", "tgt"), fs)}
+    docs["map"] = "map {\n%s%s}\n" % (_rows("y", ys), _rows("v", vs))
+    for name, insert, share, piece in edits:
+        text = docs[name]
+        at = len(text) * share // 100
+        docs[name] = text[:at] + (piece if insert else "") \
+            + text[at + (0 if insert else len(piece)):]
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = str(doc_dir / name)
+        (doc_dir / name).write_text(text)
+    pair = ["--src", paths["src"], "--tgt", paths["tgt"], "--map", paths["map"]]
+    for cmd in _COMMANDS:
+        if cmd[0] in ("classify", "structure-check", "prolong"):
+            argv = cmd + ["--sys", paths["src"]]
+        else:
+            argv = [paths.get(a, a) for a in cmd] + pair
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["-N", "2"])
+        assert code in (0, 1, 2), (argv, docs, err.getvalue())

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
+from jetfactor import ratfn
 from jetfactor.ratfn import (gauss_jordan, mono_mul, p_add, p_const,
                              p_divexact, p_lead, p_mul, p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
@@ -217,6 +218,90 @@ def test_monomial_denominator_matches_general_gcd():
 
 
 # ---------------------------------------------------------------------------
+# general gcd: GCDHEU must give what the primitive PRS gives, dict for dict
+
+t = RatFn.var(T)
+
+
+def _prs_gcd(a, b):
+    return ratfn._gcd_prim(ratfn._int_clear(a), ratfn._int_clear(b))
+
+
+def _random_poly(rng, terms):
+    p = {}
+    for _ in range(terms):
+        p = p_add(p, {_random_mono(rng, 2): _random_coeff(rng)})
+    return p
+
+
+def test_heuristic_gcd_matches_prs():
+    rng = random.Random(19891001)
+    kinds = {"coprime": 0, "proper": 0}
+    for _ in range(240):
+        common = _random_poly(rng, rng.randint(1, 2))
+        a = _random_poly(rng, rng.randint(1, 3))
+        b = _random_poly(rng, rng.randint(1, 3))
+        if not (common and a and b):
+            continue
+        a, b = p_mul(common, a), p_mul(common, b)
+        got = poly_gcd(a, b)
+        assert got == _prs_gcd(a, b), (a, b)
+        kinds["coprime" if got == p_const(1) else "proper"] += 1
+    assert min(kinds.values()) > 40, kinds
+
+
+def test_gcd_keeps_the_integer_content_of_images():
+    # evaluating u1 at xi leaves images t*(xi+1)*(1-2t^2) and t*(xi+1),
+    # whose gcd keeps the integer factor xi+1 that rebuilds u1 + 1
+    a = -2 * t**3 * u1 - 2 * t**3 + t * u1 + t
+    b = t * u1 + t
+    assert poly_gcd(a.num, b.num) == b.num == _prs_gcd(a.num, b.num)
+    assert a / b == 1 - 2 * t**2
+
+
+def test_gcd_of_huge_coefficients_grows_xi_in_ints(monkeypatch):
+    # constant terms past 2^1100, where a float square root overflows.  The
+    # first xi is 2s + 29, where gcd(a(xi), b(xi)) = 3s + 29 rebuilds
+    # x1 + s, which does not divide b, so xi must grow
+    s = 2**1100 + 7
+    a = {((X(1), 1),): 1, (): s}
+    b = {((X(1), 1),): 1, (): 5 * (3 * s + 29) - (2 * s + 29)}
+    roots = []
+    monkeypatch.setattr(ratfn, "isqrt",
+                        lambda n: roots.append(n) or isqrt(n))
+    assert poly_gcd(a, b) == p_const(1) == _prs_gcd(a, b)
+    assert roots and roots[0] > 2**1100
+    common = (u2 - 2**1101 - 3).num
+    assert poly_gcd(p_mul(common, a), p_mul(common, b)) == common
+
+
+def test_heuristic_gives_up_on_oversized_images():
+    # degree 40 in each of three variables: the x1-level xi would have
+    # about 8,400 bits, so its images would pass 2^17 bits; the PRS answers
+    common = (x3 - x1).num
+    a = p_mul(((x1 * x2 * x3)**40 + x1 + 1).num, common)
+    b = p_mul(((x1 * x2 * x3)**40 + x2).num, common)
+    assert ratfn._heu_gcd(a, b) is None
+    assert poly_gcd(a, b) == common == _prs_gcd(a, b)
+
+
+def test_prs_fallback_when_the_heuristic_gives_up(monkeypatch):
+    a, b = (x1 * u1 - 3) * (u2 + 2 * x1), (x1 * u1 - 3) * (x1 - t)
+    want = poly_gcd(a.num, b.num)
+    quotient = RatFn(a.num, b.num)
+    fallbacks = []
+    monkeypatch.setattr(ratfn, "_heu_gcd", lambda f, g: None)
+    prs = ratfn._gcd_prim
+    monkeypatch.setattr(ratfn, "_gcd_prim",
+                        lambda f, g: fallbacks.append(1) or prs(f, g))
+    assert poly_gcd(a.num, b.num) == want == (x1 * u1 - 3).num
+    got = RatFn(a.num, b.num)
+    assert (got.num, got.den) == (quotient.num, quotient.den)
+    assert list(got.num) == list(quotient.num)
+    assert fallbacks
+
+
+# ---------------------------------------------------------------------------
 # coefficient invariant: a stored coefficient is an int when integral and
 # otherwise a Fraction with denominator > 1, never a float
 
@@ -255,6 +340,7 @@ def test_coefficients_are_ints_or_proper_fractions():
         forms.extend(pullback_matrix(fwd, N=4).entries.values())
     assert len(forms) > 1000
     assert any(type(c) is Fraction for r in forms for c in r.num.values())
+    forms.append(RatFn({((X(1), 1),): Fraction(3)}, {(): Fraction(1)}))
     for r in forms:
         assert _coefficient_faults(r) == [], r
 
