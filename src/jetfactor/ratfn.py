@@ -23,8 +23,17 @@ it is given.  RatFn holds a canonical num/den pair: gcd 1, denominator
 integer-primitive with positive leading coefficient.  A one-term
 denominator is cancelled by a monomial; any other goes through poly_gcd,
 the heuristic integer gcd GCDHEU with the primitive PRS as its fallback.
-Instances are immutable; all ops return new values.  const_value() and
-eval_at() return Fractions.
+Instances are immutable, so an operator may return an operand itself.
+const_value() and eval_at() return Fractions.
+
+The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
+on) and canonicalization wherever the canonical result is known without
+them: a zero or constant operand, equal denominators, two polynomials,
+two one-term denominators (added over their lcm), powers, derivatives of
+polynomials, and substitution, which adds all its terms over one
+denominator.  Each method's docstring says why its result is canonical.
+Results are the canonical pairs of the general path; only the insertion
+order of their terms can differ.
 """
 
 from bisect import insort
@@ -186,10 +195,15 @@ def p_mul(a, b):
 
 def p_pow(a, n):
     assert n >= 0
-    r = p_const(1)
-    for _ in range(n):
-        r = p_mul(r, a)
-    return r
+    return _powers(a, n)[-1]
+
+
+def _powers(a, k):
+    """[a^0, a^1, ..., a^k]."""
+    out = [p_const(1)]
+    for _ in range(k):
+        out.append(p_mul(out[-1], a))
+    return out
 
 
 def p_lead(a):
@@ -598,9 +612,26 @@ class RatFn:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, o):
+        """The sum, without the general cross-multiply where it is known.
+
+        A zero operand gives the other one.  Equal denominators add the
+        numerators: over 1 that is canonical as it stands, and otherwise
+        (n1 + n2, d) is canonicalized, not (n1*d + n2*d, d*d).  Two
+        one-term denominators add over their lcm (_monomial_sum).  Any
+        other pair takes n1*d2 + n2*d1 over d1*d2.
+        """
         o = _lift(o)
         if o is NotImplemented:
             return o
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        if self.den == o.den:
+            return RatFn(p_add(self.num, o.num), self.den,
+                         _canonical=_is_one(self.den))
+        if len(self.den) == 1 and len(o.den) == 1:
+            return _monomial_sum(self, o)
         return RatFn(p_add(p_mul(self.num, o.den), p_mul(o.num, self.den)),
                      p_mul(self.den, o.den))
 
@@ -619,30 +650,59 @@ class RatFn:
         return _lift(o) - self
 
     def __mul__(self, o):
+        """The product.  A zero factor gives ZERO.  A constant c times a
+        canonical n/d is c*n/d, canonical as it stands: c changes neither
+        the gcd nor d.  Two polynomials multiply over 1 with no gcd.  Any
+        other pair takes n1*n2 over d1*d2, canonicalized."""
         o = _lift(o)
         if o is NotImplemented:
             return o
+        if not self.num or not o.num:
+            return ZERO
+        c = _scalar(o)
+        if c is not None:
+            return RatFn(p_scale(self.num, c), self.den, _canonical=True)
+        c = _scalar(self)
+        if c is not None:
+            return RatFn(p_scale(o.num, c), o.den, _canonical=True)
+        if _is_one(self.den) and _is_one(o.den):
+            return RatFn(p_mul(self.num, o.num), self.den, _canonical=True)
         return RatFn(p_mul(self.num, o.num), p_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
+        """The quotient.  A zero numerator gives ZERO, and division by a
+        constant c is multiplication by 1/c; any other pair takes n1*d2
+        over d1*n2, canonicalized."""
         o = _lift(o)
         if o is NotImplemented:
             return o
         if not o.num:
             raise DivisionByZero("division by zero rational function")
+        if not self.num:
+            return ZERO
+        c = _scalar(o)
+        if c is not None:
+            return RatFn(p_scale(self.num, _cdiv(1, c)), self.den,
+                         _canonical=True)
         return RatFn(p_mul(self.num, o.den), p_mul(self.den, o.num))
 
     def __rtruediv__(self, o):
         return _lift(o) / self
 
     def __pow__(self, n):
+        """self to the integer n.  For n >= 0, num^n over den^n is
+        canonical as it stands: num and den are coprime, so their powers
+        are; den^n is integer-primitive by Gauss's lemma; and its leading
+        coefficient, the n-th power of den's, is positive."""
         if n < 0:
             if not self.num:
                 raise DivisionByZero("zero to a negative power")
             return RatFn(p_pow(self.den, -n), p_pow(self.num, -n))
-        return RatFn(p_pow(self.num, n), p_pow(self.den, n))
+        if n == 1:
+            return self
+        return RatFn(p_pow(self.num, n), p_pow(self.den, n), _canonical=True)
 
     def __eq__(self, o):
         o = _lift(o)
@@ -659,7 +719,10 @@ class RatFn:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v):
-        """Partial derivative with respect to variable v."""
+        """Partial derivative with respect to variable v.  A polynomial's
+        is a polynomial, canonical as it stands."""
+        if _is_one(self.den):
+            return RatFn(p_diff(self.num, v), self.den, _canonical=True)
         n = p_sub(p_mul(p_diff(self.num, v), self.den),
                   p_mul(self.num, p_diff(self.den, v)))
         return RatFn(n, p_mul(self.den, self.den))
@@ -710,6 +773,33 @@ def _lift(o):
     if isinstance(o, (int, Fraction)):
         return RatFn.const(o)
     return NotImplemented
+
+
+def _scalar(x):
+    """The coefficient c when x is the constant c, else None."""
+    if _is_one(x.den) and len(x.num) == 1:
+        return x.num.get(())
+    return None
+
+
+def _monomial_sum(a, b):
+    """a + b for one-term denominators m1 != m2, over their lcm l.
+
+    A canonical one-term denominator is a monomial with coefficient 1.  A
+    variable v whose exponents in m1 and m2 differ cannot cancel.  Say it
+    is higher in m1: every term of b.num*(l/m2) holds v, while some term
+    of a.num*(l/m1) lacks it, as a.num is coprime to m1.  So only a
+    variable with the same exponent in both can, and without one the sum
+    is canonical as it stands.
+    """
+    (m1,), (m2,) = a.den, b.den
+    e1, e2 = dict(m1), dict(m2)
+    l = tuple(sorted((v, max(e1.get(v, 0), e2.get(v, 0)))
+                     for v in e1.keys() | e2.keys()))
+    num = p_add(p_mul(a.num, {mono_div(l, m1): 1}),
+                p_mul(b.num, {mono_div(l, m2): 1}))
+    same = any(e2.get(v) == e for v, e in m1)
+    return RatFn(num, {l: 1}, _canonical=not same)
 
 
 def _canon(num, den):
@@ -763,16 +853,40 @@ def _cancel_monomial(num, den):
 
 
 def _p_subst(a, binding):
-    out = RatFn.const(0)
-    for m, c in a.items():
-        term = RatFn.const(c)
+    """a with each variable v replaced by binding[v], where bound.
+
+    The terms are added over one denominator.  With n/d the image of v
+    and k its largest exponent in a, a term c*v^e*... becomes
+    c*n^e*d^(k-e)*... over the product of the d^k, and the sum is
+    canonicalized once.
+    """
+    top = {}
+    for m in a:
         for v, e in m:
-            base = binding.get(v)
-            if base is None:
-                base = RatFn.var(v)
-            term = term * base ** e
-        out = out + term
-    return out
+            top[v] = max(e, top.get(v, 0))
+    pows, den = {}, p_const(1)
+    for v, k in top.items():
+        r = binding[v] if v in binding else RatFn.var(v)
+        dens = None if r.is_poly() else _powers(r.den, k)[::-1]
+        if dens:
+            den = p_mul(den, dens[0])
+        pows[v] = _powers(r.num, k), dens
+    num = {}
+    for m, c in a.items():
+        term, have = p_const(c), dict(m)
+        for v, (nums, dens) in pows.items():
+            e = have.get(v, 0)
+            if e:
+                term = p_mul(term, nums[e])
+            if dens:
+                term = p_mul(term, dens[e])
+        for tm, tc in term.items():
+            tc += num.get(tm, 0)
+            if tc:
+                num[tm] = tc
+            else:
+                num.pop(tm, None)
+    return RatFn(_demote(num), den, _canonical=_is_one(den))
 
 
 def _p_eval(a, point):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -9,7 +10,8 @@ from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
 from jetfactor import ratfn
 from jetfactor.ratfn import (gauss_jordan, mono_mul, p_add, p_const,
-                             p_divexact, p_lead, p_mul, p_scale, poly_gcd)
+                             p_divexact, p_lead, p_mul, p_neg, p_pow, p_scale,
+                             poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 
 x1 = RatFn.var(X(1))
@@ -299,6 +301,181 @@ def test_prs_fallback_when_the_heuristic_gives_up(monkeypatch):
     assert (got.num, got.den) == (quotient.num, quotient.den)
     assert list(got.num) == list(quotient.num)
     assert fallbacks
+
+
+# ---------------------------------------------------------------------------
+# fast paths in the operators: each result must be the canonical pair the
+# general formula gives (n1*d2 + n2*d1 over d1*d2 and so on, through _canon)
+
+def _general_op(op, a, b):
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    if op == "+":
+        return RatFn(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+    if op == "-":
+        return RatFn(p_add(p_mul(n1, d2), p_neg(p_mul(n2, d1))),
+                     p_mul(d1, d2))
+    if op == "*":
+        return RatFn(p_mul(n1, n2), p_mul(d1, d2))
+    return RatFn(p_mul(n1, d2), p_mul(d1, n2))
+
+
+def _term_by_term_subst(a, binding):
+    """The substitution as a sum of RatFn terms, each canonicalized."""
+    out = ZERO
+    for m, c in a.items():
+        term = RatFn.const(c)
+        for v, e in m:
+            term = term * binding.get(v, RatFn.var(v)) ** e
+        out = out + term
+    return out
+
+
+_FAST_VARS = [X(1), X(2), U(1)]
+
+
+def _fast_poly(rng, terms):
+    p = {}
+    for _ in range(terms):
+        vs = rng.sample(_FAST_VARS, rng.randint(0, 2))
+        m = tuple(sorted((v, rng.randint(1, 2)) for v in vs))
+        p = p_add(p, {m: _random_coeff(rng)})
+    return p
+
+
+def _fast_mono(rng):
+    vs = rng.sample(_FAST_VARS, rng.randint(1, 2))
+    return tuple(sorted((v, rng.randint(1, 2)) for v in vs))
+
+
+def _operand(rng, kind, den=None):
+    """A seeded RatFn of the given kind; `den` fixes a general denominator."""
+    if kind == "zero":
+        return ZERO
+    if kind == "int":
+        return RatFn.const(rng.choice([-3, -1, 1, 2, 5]))
+    if kind == "fraction":
+        return RatFn.const(Fraction(rng.choice([-3, 1, 5]), rng.choice([2, 7])))
+    num = _fast_poly(rng, rng.randint(1, 3)) or p_const(1)
+    if kind == "poly":
+        return RatFn(num)
+    if kind == "monomial":
+        return RatFn(num, {_fast_mono(rng): _random_coeff(rng)})
+    while den is None or len(den) < 2:
+        den = _fast_poly(rng, 2)
+    return RatFn(num, den)
+
+
+_KINDS = ["zero", "int", "fraction", "poly", "monomial", "general"]
+
+
+def _operand_pairs(rng):
+    for _ in range(40):
+        for ka in _KINDS:
+            for kb in _KINDS:
+                yield _operand(rng, ka), _operand(rng, kb)
+        den = _fast_poly(rng, 2)
+        if len(den) == 2:
+            a, b = _operand(rng, "general", den), _operand(rng, "general", den)
+            yield a, b
+            yield a, -a
+        # one-term denominators whose sum cancels a shared factor:
+        # (1/p + 1/q) + (1/r - 1/q) is 1/p + 1/r
+        p, q, r = (RatFn(p_const(1), {_fast_mono(rng): 1}) for _ in range(3))
+        yield p + q, r - q
+    yield x1 / (x1**2 - 1), 1 / (x1**2 - 1)
+    yield (x1 + x2) / (x1 * x2), (x1 - u1) / (x1 * u1)
+
+
+def _sum_order_may_differ(a, b):
+    """Whether a + b may hold its terms in another order than the general
+    path.  The sums over an equal denominator other than 1 and over the lcm
+    of two one-term denominators skip its monomial cancellation, which
+    sorts the numerator; every other fast path keeps its term order."""
+    if a.is_zero() or b.is_zero() or a.is_poly() and b.is_poly():
+        return False
+    return a.den == b.den or len(a.den) == len(b.den) == 1
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def test_fast_paths_match_the_general_formula():
+    rng = random.Random(20260901)
+    kinds = {"equal general den": 0, "lcm of monomials": 0, "scalar": 0}
+    for a, b in _operand_pairs(rng):
+        for op in "+-*/" if not b.is_zero() else "+-*":
+            got = _OPS[op](a, b)
+            want = _general_op(op, a, b)
+            assert (got.num, got.den) == (want.num, want.den), (a, op, b)
+            if op in "*/" or not _sum_order_may_differ(a, b):
+                assert list(got.num.items()) == list(want.num.items())
+                assert list(got.den.items()) == list(want.den.items())
+        for k in range(4):
+            want = RatFn(p_pow(a.num, k), p_pow(a.den, k))
+            assert list((a**k).num.items()) == list(want.num.items())
+            assert (a**k).den == want.den
+        kinds["equal general den"] += len(a.den) > 1 and a.den == b.den
+        kinds["lcm of monomials"] += (len(a.den) == len(b.den) == 1
+                                      and a.den != b.den)
+        kinds["scalar"] += ratfn._scalar(b) is not None
+    assert min(kinds.values()) > 60, kinds
+    assert x1 / (x1**2 - 1) + 1 / (x1**2 - 1) == 1 / (x1 - 1)
+    assert (x1 + x2) / (x1 * x2) + (x1 - u1) / (x1 * u1) == 1 / x2 + 1 / u1
+    # plain ints and Fractions on either side
+    a = _operand(rng, "general")
+    for c in (3, Fraction(-2, 7)):
+        assert a + c == _general_op("+", a, RatFn.const(c)) == c + a
+        assert c - a == _general_op("-", RatFn.const(c), a)
+        assert a * c == _general_op("*", a, RatFn.const(c)) == c * a
+        assert a / c == _general_op("/", a, RatFn.const(c))
+        assert c / a == _general_op("/", RatFn.const(c), a)
+
+
+def test_fast_paths_in_diff_and_substitute():
+    rng = random.Random(20260902)
+    for _ in range(120):
+        a = _operand(rng, rng.choice(["poly", "monomial", "general"]))
+        for v in _FAST_VARS:
+            n, d = a.num, a.den
+            want = RatFn(p_add(p_mul(ratfn.p_diff(n, v), d),
+                               p_neg(p_mul(n, ratfn.p_diff(d, v)))),
+                         p_mul(d, d))
+            assert a.diff(v) == want, (a, v)
+        binding = {v: _operand(rng, rng.choice(["int", "poly", "monomial",
+                                                 "general"]))
+                   for v in rng.sample(_FAST_VARS, rng.randint(1, 3))}
+        for part in (a.num, a.den):
+            got = ratfn._p_subst(part, binding)
+            assert got == _term_by_term_subst(part, binding), (part, binding)
+
+
+def test_arithmetic_skips_canonicalization(monkeypatch):
+    phi = builtin_fixtures()[0][0]
+    calls = []
+    real = ratfn._canon
+    monkeypatch.setattr(ratfn, "_canon", lambda num, den:
+                        calls.append((num, den)) or real(num, den))
+    # phi's pullback and factorization took 2,423 canonicalizations with
+    # the general formula in every operator, and take 131 with the fast
+    # paths; without the lcm sum they take 145, and without the scalar,
+    # polynomial-product or derivative path 175 to 196
+    factor_JK0(pullback_matrix(phi, N=4))
+    assert 0 < len(calls) <= 140, len(calls)
+    # paths that phi's run cannot tell apart: none canonicalizes, except
+    # the sum over an equal denominator, which does so once, over d
+    a, b = (x1 + 1) / (x1 - u1), (u1 - 2) / (x1 - u1)
+    p, q, r, s = x1 + u1, x1 * u1**2, 1 / x1, 1 / u1
+    for op in (lambda: ZERO + a, lambda: a - ZERO, lambda: a**2,
+               lambda: a**0, lambda: 3 * a, lambda: a / 3, lambda: p * q,
+               lambda: q.diff(U(1)), lambda: r + s):
+        del calls[:]
+        op()
+        assert calls == []
+    want = (x1 + u1 - 1) / (x1 - u1)
+    del calls[:]
+    assert a + b == want
+    assert [den for _, den in calls] == [a.den]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jetfactor import (ControlSystem, RatFn, T, U, X, builtin_fixtures,
-                       elkin_forms_32, factor_JK0, parse_document,
-                       parse_expression, parse_map, parse_matrix,
-                       parse_system, pullback_matrix,
+from jetfactor import (ControlSystem, EquivMap, RatFn, T, U, X, ZERO,
+                       builtin_fixtures, elkin_forms_32, factor_JK0,
+                       parse_document, parse_expression, parse_map,
+                       parse_matrix, parse_system, pullback_matrix,
                        random_static_transform, serialize, serialize_report,
                        verify_pair)
 from jetfactor.errors import (ArityMismatch, JetError, ParseError,
@@ -270,6 +271,38 @@ def test_reports_re_parse():
     doc = parse_document(serialize(fac))
     keys = [k for k, _ in doc.body]
     assert keys[0] == "assumptions" and "g" in keys and "S" in keys
+
+
+def test_factorization_round_trips_to_its_product():
+    A = pullback_matrix(PHI, N=4)
+    fac = factor_JK0(A)
+    items = dict(parse_document(serialize(fac)).body)
+    g, S, G = (parse_matrix(items[k]) for k in "gSG")
+    assert (g, S, G) == (fac.g.mat, fac.S.mat, fac.G.mat)
+    # the product is exact except on the edge columns, as in matches()
+    edge = {tuple(c) for c in json.loads(items["edge_cols"])}
+    assert edge == set(fac.edge_cols)
+    prod = g.matmul(S).matmul(G)
+    keys = [k for k in set(prod.entries) | set(A.entries) if k[1] not in edge]
+    assert len(keys) > 20
+    for key in keys:
+        assert prod.entries.get(key, ZERO) == A.entries.get(key, ZERO), key
+
+
+def test_verification_residuals_round_trip():
+    wrong = EquivMap(PHI_INV.src, PHI_INV.tgt,
+                     [PHI_INV.y[0] + x2**2 / 3] + list(PHI_INV.y[1:]),
+                     PHI_INV.v)
+    for inv in (PHI_INV, wrong):
+        rep = verify_pair(PHI, inv, N=3)
+        items = parse_document(serialize(rep)).body
+        got = [v for k, v in items if k == "residual"]
+        assert len(got) == len(rep.residuals)
+        for text, (label, e) in zip(got, rep.residuals):
+            head = '[ "%s" , ' % label
+            assert text.startswith(head) and text.endswith(" ]"), text
+            assert parse_expression(text[len(head):-2]) == e, text
+    assert any(not e.is_zero() for _, e in rep.residuals)
 
 
 def test_serialize_report_values():
