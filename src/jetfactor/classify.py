@@ -17,13 +17,18 @@ is involutive.  Each table row was validated by running the brute-force
 bracket computation on the normal form itself.
 
 static_invariants draws one seeded sample of points over the variables of
-the drift and the control fields, evaluates each field there once, and
-takes every rank as the largest over that sample; the first point where
-all of them are at their largest is kept as the regular-point witness.
-Each bracket of two fields is taken once: level two brackets every pair of
-the drift and the control fields, level three brackets those with each of
-them again, and only the closure of D2 brackets its own generators, up to
-the first bracket that leaves D2.
+the drift and the control fields and takes every rank as the largest over
+that sample; the first point where all of them are at their largest is
+kept as the regular-point witness.  Only bracket values at those points
+are ever read, so no bracket is built as a rational function: each field's
+first and second partials are taken once, its 2-jet (value, Jacobian,
+Hessian) is evaluated exactly at each point and scaled there by one
+integer, and every bracket value is integer arithmetic on those jets.
+Level two brackets every pair of the drift and the control fields, level
+three brackets those with each of them again, and the closure of D2
+brackets its own generators, up to the first bracket that leaves D2.
+Ranks are taken by ratfn.exact_rank, fraction-free elimination over the
+integers.
 
 builtin_fixtures returns the five explicit equivalence pairs used across the
 test-suite: three strict order-(0,0) pairs among the x2*u1 / x2 / 1+x2*u1
@@ -33,8 +38,9 @@ forms, the decoupling variant, and a two-state/four-state prolongation pair.
 import random
 from fractions import Fraction
 
-from .ratfn import RatFn, ZERO, ONE, T, X, U, gauss_jordan
-from .jets import ControlSystem, to_affine, lie_bracket, sample_points
+from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, exact_rank,
+                    gauss_jordan)
+from .jets import ControlSystem, to_affine, sample_points
 from .errors import UnclassifiedSignature, OutOfTable, DimensionMismatch
 from .equivalence import EquivMap
 
@@ -83,7 +89,11 @@ class InvariantRecord:
     """Bracket/rank signature of an affine system at a generic point.
 
     point is a witnessing sample where every rank reaches its generic
-    value.  drift_in_C0 and involutive_D2 only matter for the
+    value.  Each rank is that of bracket values at the sample points,
+    computed from the fields' 2-jets there, each field's jet scaled by a
+    nonzero integer; a row scaled by a nonzero constant spans the same
+    line, so the ranks are those of the brackets' exact values (see
+    static_invariants).  drift_in_C0 and involutive_D2 only matter for the
     single-control three-state forms; they are computed for every input.
     involutive_D2 is a static invariant only with one control: feedback
     u -> u + R x adds multiples of the brackets [g_i, g_j] to the drift
@@ -108,8 +118,69 @@ class InvariantRecord:
                    self.dim_C0, self.drift_in_C0, self.involutive_D2))
 
 
+def _jet_exprs(v):
+    """A field's components, their first partials d v_i/d x_k and their
+    second partials d2 v_i/d x_k d x_m for k <= m, flattened in that
+    order; a partial in a state the expression does not mention is ZERO
+    without a kernel call."""
+    v = list(v)
+    xs = [X(k + 1) for k in range(len(v))]
+
+    def d(e, x):
+        return e.diff(x) if x in e.vars() else ZERO
+
+    jac = [[d(c, x) for x in xs] for c in v]
+    hess = [d(row[k], xs[m]) for row in jac
+            for k in range(len(xs)) for m in range(k, len(xs))]
+    return v + [e for row in jac for e in row] + hess
+
+
+def _scaled_jet(vals, n):
+    """(value, Jacobian, Hessian) of one field at one point, from the
+    values of its _jet_exprs there, all scaled by the lcm of their
+    denominators to ints."""
+    ints = cleared(vals)
+    jac = [ints[n * (i + 1):n * (i + 2)] for i in range(n)]
+    second = iter(ints[n * (n + 1):])
+    hess = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for h in hess:
+        for k in range(n):
+            for m in range(k, n):
+                h[k][m] = h[m][k] = next(second)
+    return ints[:n], jac, hess
+
+
+def _bracket(a, b):
+    """[a, b] at one point from jets a, b there: (value,), or (value,
+    Jacobian) when both jets carry second partials.
+
+    [a, b]_i = sum_k Jb_ik a_k - Ja_ik b_k, and its partial in x_m is
+    sum_k Hb_ikm a_k + Jb_ik Ja_km - Ha_ikm b_k - Ja_ik Jb_km.
+    """
+    av, aj, bv, bj = a[0], a[1], b[0], b[1]
+    r = range(len(av))
+    value = [sum(bj[i][k] * av[k] - aj[i][k] * bv[k] for k in r) for i in r]
+    if len(a) < 3 or len(b) < 3:
+        return (value,)
+    ah, bh = a[2], b[2]
+    jac = [[sum(bh[i][k][m] * av[k] + bj[i][k] * aj[k][m]
+                - ah[i][k][m] * bv[k] - aj[i][k] * bj[k][m] for k in r)
+            for m in r] for i in r]
+    return value, jac
+
+
 def static_invariants(a, seed=0):
     """Signature of an AffineForm (or affine ControlSystem) at a generic point.
+
+    No bracket is built as a RatFn.  Each field's first and second
+    partials are taken once, symbolically; at each sample point the
+    field's value, Jacobian and Hessian (its 2-jet) are evaluated exactly
+    and scaled by one integer, the lcm of their denominators.  Every
+    bracket value needed is then integer arithmetic on those jets: level
+    two from the 2-jets, with its Jacobian, and level three and the D2
+    closure from the values and Jacobians.  For constants L and M,
+    [L a, M b] = L M [a, b], so each value is an exact nonzero multiple of
+    the bracket's value at that point, and ranks are unchanged.
 
     Every rank is the largest over one seeded sample of 5 points, so it is
     a lower bound on the rank over the rational functions, exact once it
@@ -125,33 +196,33 @@ def static_invariants(a, seed=0):
     if n > 3:
         raise DimensionMismatch("classification covers up to three states")
 
-    # a bracket's denominator divides a product of powers of those of f0
-    # and the control fields, so it is finite wherever theirs are; each
-    # field is kept beside its values at the sample points
-    fields = [a.f0] + list(a.fvecs)
-    sample = list(sample_points([e for v in fields for e in v], seed))
+    # the partials' denominators divide powers of the fields', so they
+    # are finite wherever the fields are; each pool entry is one field's
+    # scaled 2-jet at every sample point
+    exprs = [_jet_exprs(v) for v in [a.f0] + list(a.fvecs)]
+    w = len(exprs[0])
+    sample = list(sample_points([e for ex in exprs for e in ex], seed))
     points = [pt for pt, _ in sample]
-    pool = [(v, [vals[i * n:(i + 1) * n] for _, vals in sample])
-            for i, v in enumerate(fields)]
+    pool = [[_scaled_jet(vals[i * w:(i + 1) * w], n) for _, vals in sample]
+            for i in range(s + 1)]
     taken = []      # each rank at every point, for the witness
 
     def bracket(p, q):
-        b = lie_bracket(p[0], q[0])
-        return b, [[e.eval_at(pt) for e in b] for pt in points]
+        return [_bracket(x, y) for x, y in zip(p, q)]
 
     def rank(span):
-        at = [len(gauss_jordan([vals[k] for _, vals in span], n))
-              for k in range(len(points))]
+        at = [exact_rank([e[k][0] for e in span]) for k in range(len(points))]
         taken.append(at)
         return max(at)
 
-    # level 2 is [f0, g_j] for each j, then [g_i, g_j] for i < j
+    # level 2 is [f0, g_j] for each j, then [g_i, g_j] for i < j; a zero
+    # [f0, g_j] in D2 has zero jets and moves no rank
     f0, gens = pool[0], pool[1:]
     level2 = [bracket(pool[i], pool[j])
               for i in range(s + 1) for j in range(i + 1, s + 1)]
     level3 = [bracket(b, p) for b in level2 for p in pool]
     c0 = gens + level2 + level3
-    d2 = gens + [b for b in level2[:s] if not b[0].is_zero()]
+    d2 = gens + level2[:s]
 
     rank_fu = rank(gens)
     drift_in_D = rank(gens + [f0]) == rank_fu
@@ -330,7 +401,7 @@ def builtin_fixtures():
 def _rand_invertible(rng, k):
     while True:
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
-        if len(gauss_jordan([row[:] for row in m], k)) == k:
+        if exact_rank(m) == k:
             return m
 
 

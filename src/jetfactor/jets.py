@@ -10,7 +10,7 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import RatFn, T, X, U, ZERO, gauss_jordan
+from .ratfn import RatFn, T, X, U, ZERO, exact_rank
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -280,7 +280,7 @@ def generic_rank(rows, seed=0, trials=5):
     best = 0
     for _, vals in sample_points([e for r in rows for e in r], seed, trials):
         m = [vals[i:i + width] for i in range(0, len(vals), width)]
-        best = max(best, len(gauss_jordan(m, width)))
+        best = max(best, exact_rank(m))
         if best == min(len(rows), width):
             break
     return best

@@ -951,3 +951,37 @@ def gauss_jordan(rows, ncols):
                            for e, g in zip(row, prow)]
         pivots.append(c)
     return pivots
+
+
+def cleared(vals):
+    """int or Fraction values times the lcm of their denominators: ints."""
+    l = lcm(*(e.denominator for e in vals))
+    return [e.numerator * (l // e.denominator) for e in vals]
+
+
+def exact_rank(rows):
+    """Rank over Q of a list of equal-length rows of int or Fraction.
+
+    Fraction-free (Bareiss 1968): each row is first cleared to integers,
+    which leaves the rank unchanged, and every update p*row - f*pivot_row
+    is divided exactly by the previous pivot, so the entries stay integer
+    minors and never swell past them.  A column with no nonzero entry at
+    or below the current row is skipped.
+    """
+    m = [row for row in map(cleared, rows) if any(row)]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[c]
+        for r in range(rank + 1, len(m)):
+            row, f = m[r], m[r][c]
+            m[r] = [(p * e - f * g) // prev for e, g in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank

@@ -1,7 +1,8 @@
 """Independent sympy computation of the classification invariants.
 
-Run directly (python3 tests/oracles/oracle_invariants.py).  For each normal
-form it computes, with sympy only (no package imports):
+Run directly (python3 tests/oracles/oracle_invariants.py [FILE ...]).  For
+each normal form, and for each `system { ... }` document named on the
+command line, it computes, with sympy only (no package imports):
 
   * rank of df/du at a random rational point,
   * whether the drift lies in the span D of the control fields,
@@ -15,6 +16,7 @@ and the package ever disagree, one of them has a bug.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import sympy as sp
@@ -95,10 +97,30 @@ FORMS = [
     ("21 u1,0", 2, 1, (u1, sp.Integer(0))),
     ("21 u1,1", 2, 1, (u1, sp.Integer(1))),
     ("21 u1,x1", 2, 1, (u1, x1)),
+    # --- rational fields ---
+    ("32 rational", 3, 2, (u1 * x1, u2, x3 * u1 / (x2 - 3))),
+    ("31 rational", 3, 1, (u1, x1 / (x2 + 2), x2 * x3)),
 ]
+
+
+def read_system(path):
+    """(n, s, rhs) of a serialized `system { ... }` document, one
+    `key = value` per line, read with sympy alone."""
+    keys = {}
+    with open(path) as fh:
+        for line in fh:
+            if "=" in line:
+                k, v = line.split("=", 1)
+                keys[k.strip()] = v.strip()
+    n, s = int(keys["states"]), int(keys["controls"])
+    names = {str(v): v for v in XS + US + [t]}
+    f = tuple(sp.sympify(keys["f%d" % (i + 1)].replace("^", "**"),
+                         locals=names) for i in range(n))
+    return n, s, f
 
 
 if __name__ == "__main__":
     print("%-14s rank drift_in_D invol dim_C0 drift_in_C0 invol_D2" % "form")
-    for name, n, s, f in FORMS:
+    rows = FORMS + [(path,) + read_system(path) for path in sys.argv[1:]]
+    for name, n, s, f in rows:
         print("%-14s %s" % (name, invariants(f, n, s)))

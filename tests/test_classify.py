@@ -1,14 +1,19 @@
 import itertools
+import random
+from math import lcm
 
 import pytest
 
 from jetfactor import (CLASS1, CLASS2, CLASS3, ControlSystem, DynClass,
-                       RatFn, StaticClass, U, X, ZERO, ONE, classify_static,
+                       RatFn, StaticClass, T, U, X, ZERO, ONE, classify_static,
                        dynamic_class, elkin_forms_32, random_nonaut_static_pair,
                        random_static_transform, static_invariants, to_affine,
                        verify_pair)
 from jetfactor import classify as classify_mod
 from jetfactor import jets as jets_mod
+from jetfactor._suites import _rand_poly
+from jetfactor.jets import lie_bracket
+from jetfactor.ratfn import gauss_jordan
 from jetfactor.errors import (DimensionMismatch, OutOfTable,
                               UnclassifiedSignature)
 
@@ -71,6 +76,35 @@ def test_normal_forms_classify_to_themselves(f, sig, tag):
     assert (c.n, c.s) == (len(f), sig[0])
 
 
+# Rational fields, frozen from the same oracle (its "32 rational" and
+# "31 rational" rows), with the tag of their table row.
+RATIONAL_SIGNATURES = [
+    ((u1 * x1, u2, x3 * u1 / (x2 - 3)), (2, True, False, 3, True, False),
+     "u1, u2, x2*u1"),
+    ((u1, x1 / (x2 + 2), x2 * x3), (1, False, True, 3, True, True),
+     "u1, x1, x2"),
+]
+
+
+@pytest.mark.parametrize("f,sig,tag", RATIONAL_SIGNATURES,
+                         ids=[t for _, _, t in RATIONAL_SIGNATURES])
+def test_rational_fields_classify(f, sig, tag):
+    def signature(rec):
+        return (rec.rank_fu, rec.drift_in_D, rec.involutive_D, rec.dim_C0,
+                rec.drift_in_C0, rec.involutive_D2)
+
+    form = sysn(len(f), *f)
+    assert signature(static_invariants(form)) == sig
+    assert classify_static(form).tag == tag
+    # involutive_D2 is a static invariant only with one control
+    width = 6 if form.s == 1 else 5
+    for seed in range(3):
+        moved = random_static_transform(form, seed)[2]
+        got = signature(static_invariants(moved, seed=seed))
+        assert got[:width] == sig[:width], (seed, got)
+        assert classify_static(moved, seed=seed).tag == tag
+
+
 def test_invariants_accept_affine_forms_directly():
     rec = static_invariants(to_affine(sysn(3, u1, u2, x2 * u1)))
     assert rec.rank_fu == 2
@@ -131,22 +165,156 @@ def test_no_witness_is_loud(monkeypatch):
         static_invariants(sys_)
 
 
-def test_each_bracket_is_taken_once(monkeypatch):
-    # moved (3, 2) forms: 3 brackets at level 2, 9 at level 3 and at most
-    # 6 for the closure of D2; the full pool x pool products took 33
-    real = classify_mod.lie_bracket
-    calls = []
+def test_no_symbolic_bracket_is_taken(monkeypatch):
+    # brackets come from the fields' 2-jets at the sample points: no
+    # lie_bracket call, and at most n first and n(n+1)/2 second partials
+    # of each of the n components of the s + 1 fields, 81 for (3, 2)
+    real_bracket, real_diff = jets_mod.lie_bracket, RatFn.diff
+    calls = {"bracket": 0, "diff": 0}
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counting_bracket(a, b):
+        calls["bracket"] += 1
+        return real_bracket(a, b)
 
-    moved = [random_static_transform(s, 3)[2] for s in elkin_forms_32()]
-    monkeypatch.setattr(classify_mod, "lie_bracket", counting)
-    for sys_ in moved:
-        del calls[:]
-        static_invariants(sys_)
-        assert 0 < len(calls) <= 18, sys_.name
+    def counting_diff(e, v):
+        calls["diff"] += 1
+        return real_diff(e, v)
+
+    moved = [to_affine(random_static_transform(s, 3)[2])
+             for s in elkin_forms_32()]
+    for mod in (jets_mod, classify_mod):
+        monkeypatch.setattr(mod, "lie_bracket", counting_bracket,
+                            raising=False)
+    monkeypatch.setattr(RatFn, "diff", counting_diff)
+    for form in moved:
+        calls.update(bracket=0, diff=0)
+        static_invariants(form)
+        assert calls["bracket"] == 0
+        assert 0 < calls["diff"] <= 3 * 3 * (3 + 6)
+
+
+# -------------------------------------------------------------------
+# the 2-jet brackets against the symbolic ones
+
+def _rand_field(rng, n, rational):
+    """Seeded field in x1..xn and t; a rational one has one denominator,
+    shared by some of its components."""
+    pool = [T] + [X(i + 1) for i in range(n)]
+    den = ONE
+    while rational and den.is_const():
+        den = _rand_poly(rng, pool, terms=1)
+    return [_rand_poly(rng, pool, terms=rng.randint(1, 2))
+            / (den if rng.random() < 0.7 else ONE) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n,s,rational", [
+    (n, s, r) for n in (1, 2, 3) for s in (0, 1, 2) for r in (False, True)])
+def test_jet_brackets_are_scaled_symbolic_brackets(n, s, rational):
+    # at every sample point each jet bracket is the symbolic bracket's
+    # value (and Jacobian, at level two) times the product of the fields'
+    # integer scales there: level two, level three (in either order, the
+    # reversed one against the negated bracket) and a bracket of two
+    # level-two brackets, as in the closure of D2
+    rng = random.Random(100 * n + 10 * s + rational)
+    fields = [_rand_field(rng, n, rational) for _ in range(s + 1)]
+    exprs = [classify_mod._jet_exprs(v) for v in fields]
+    w = len(exprs[0])
+    pairs = [(i, j) for i in range(s + 1) for j in range(i, s + 1)]
+    sym = {ij: lie_bracket(fields[ij[0]], fields[ij[1]]) for ij in pairs}
+    sym_jac = {ij: [[e.diff(X(m + 1)) for m in range(n)] for e in b]
+               for ij, b in sym.items()}
+    sym3 = {(ij, k): lie_bracket(b, fields[k])
+            for ij, b in sym.items() for k in range(s + 1)}
+    sym22 = {(ij, kl): lie_bracket(b, b2)
+             for ij, b in sym.items() for kl, b2 in sym.items() if ij < kl}
+    checked = 0
+    for pt, vals in jets_mod.sample_points(
+            [e for ex in exprs for e in ex], seed=n + s):
+        per = [vals[i * w:(i + 1) * w] for i in range(s + 1)]
+        jet = [classify_mod._scaled_jet(v, n) for v in per]
+        scale = [lcm(*(q.denominator for q in v)) for v in per]
+        got = {(i, j): classify_mod._bracket(jet[i], jet[j])
+               for i, j in pairs}
+
+        def want(b, c):
+            return [c * e.eval_at(pt) for e in b]
+
+        for (i, j), b in sym.items():
+            c = scale[i] * scale[j]
+            assert got[i, j][0] == want(b, c)
+            assert got[i, j][1] == [want(row, c) for row in sym_jac[i, j]]
+            for k in range(s + 1):
+                b3 = sym3[(i, j), k]
+                assert classify_mod._bracket(got[i, j], jet[k])[0] == \
+                    want(b3, c * scale[k])
+                assert classify_mod._bracket(jet[k], got[i, j])[0] == \
+                    want(b3, -c * scale[k])
+            for (k, l) in pairs:
+                if (i, j) < (k, l):
+                    assert classify_mod._bracket(got[i, j], got[k, l])[0] \
+                        == want(sym22[(i, j), (k, l)], c * scale[k] * scale[l])
+            checked += 1
+    assert checked == 5 * len(pairs)
+
+
+def _symbolic_invariants(a, seed=0):
+    """static_invariants as it stood with symbolic brackets: each bracket
+    a RatFn field, evaluated at the sample points and ranked with
+    gauss_jordan.  Returns the seven InvariantRecord fields."""
+    if isinstance(a, ControlSystem):
+        a = to_affine(a)
+    n, s = a.n, a.s
+    fields = [a.f0] + list(a.fvecs)
+    sample = list(jets_mod.sample_points([e for v in fields for e in v], seed))
+    points = [pt for pt, _ in sample]
+    pool = [(v, [vals[i * n:(i + 1) * n] for _, vals in sample])
+            for i, v in enumerate(fields)]
+    taken = []
+
+    def bracket(p, q):
+        b = lie_bracket(p[0], q[0])
+        return b, [[e.eval_at(pt) for e in b] for pt in points]
+
+    def rank(span):
+        at = [len(gauss_jordan([vals[k] for _, vals in span], n))
+              for k in range(len(points))]
+        taken.append(at)
+        return max(at)
+
+    f0, gens = pool[0], pool[1:]
+    level2 = [bracket(pool[i], pool[j])
+              for i in range(s + 1) for j in range(i + 1, s + 1)]
+    level3 = [bracket(b, p) for b in level2 for p in pool]
+    c0 = gens + level2 + level3
+    d2 = gens + [b for b in level2[:s] if not b[0].is_zero()]
+
+    rank_fu = rank(gens)
+    drift_in_D = rank(gens + [f0]) == rank_fu
+    involutive_D = all(rank(gens + [b]) == rank_fu for b in level2[s:])
+    dim_C0 = rank(c0)
+    drift_in_C0 = rank(c0 + [f0]) == dim_C0
+    rank_D2 = rank(d2)
+    involutive_D2 = all(rank(d2 + [bracket(d2[i], d2[j])]) == rank_D2
+                        for i in range(len(d2)) for j in range(i + 1, len(d2)))
+    witness = next(pt for k, pt in enumerate(points)
+                   if all(at[k] == max(at) for at in taken))
+    return (rank_fu, involutive_D, drift_in_D, dim_C0, witness, drift_in_C0,
+            involutive_D2)
+
+
+@pytest.mark.parametrize("f,sig,tag", SIGNATURES,
+                         ids=[t for _, _, t in SIGNATURES])
+def test_invariants_match_the_symbolic_algorithm(f, sig, tag):
+    form = sysn(len(f), *f)
+    cases = [(form, 0)]
+    for seed in range(3):
+        for move in (random_static_transform, random_nonaut_static_pair):
+            cases.append((move(form, seed)[2], seed))
+    for sys_, seed in cases:
+        rec = static_invariants(sys_, seed=seed)
+        got = (rec.rank_fu, rec.involutive_D, rec.drift_in_D, rec.dim_C0,
+               rec.point, rec.drift_in_C0, rec.involutive_D2)
+        assert got == _symbolic_invariants(sys_, seed), (sys_.name, seed)
 
 
 def test_static_class_value_semantics():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetfactor import (RatFn, U, X, battery, builtin_fixtures,
+from jetfactor import (ControlSystem, RatFn, U, X, battery, builtin_fixtures,
                        elkin_forms_32, parse_document, pullback_matrix,
-                       serialize)
+                       random_nonaut_static_pair, serialize)
 from jetfactor.cli import main, numeric_crosscheck
 from jetfactor.errors import SingularTrajectory, UsageError
 
@@ -252,6 +252,19 @@ def test_classify_no_dynamic_outside_32(files, capsys):
     code, out, _ = run(capsys, "classify", "--sys", path)
     assert code == 0
     assert out.rstrip() == "static: u1, x1"
+
+
+def test_classify_rational_nonautonomous_move(files, capsys):
+    # the nonautonomous seed-0 move of (u1*x1, u2, x3*u1/(x2-3)); the
+    # oracle, `python3 tests/oracles/oracle_invariants.py rational.sys`,
+    # reads (2, False, False, 3, True, True) on it: the 1+x2*u1 row
+    x1, x2, x3 = (RatFn.var(X(i)) for i in (1, 2, 3))
+    u1, u2 = RatFn.var(U(1)), RatFn.var(U(2))
+    base = ControlSystem(3, 2, (u1 * x1, u2, x3 * u1 / (x2 - 3)))
+    path = files["put"]("rational.sys", random_nonaut_static_pair(base, 0)[2])
+    code, out, _ = run(capsys, "classify", "--sys", path)
+    assert code == 0
+    assert out.rstrip() == "static: u1, u2, 1+x2*u1 ; dynamic: Class1"
 
 
 # -------------------------------------------------------------------

@@ -9,9 +9,9 @@ from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
 from jetfactor import ratfn
-from jetfactor.ratfn import (gauss_jordan, mono_mul, p_add, p_const,
-                             p_divexact, p_lead, p_mul, p_neg, p_pow, p_scale,
-                             poly_gcd)
+from jetfactor.ratfn import (exact_rank, gauss_jordan, mono_mul, p_add,
+                             p_const, p_divexact, p_lead, p_mul, p_neg, p_pow,
+                             p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 
 x1 = RatFn.var(X(1))
@@ -628,6 +628,32 @@ def test_gauss_jordan_solves_augmented_systems():
                 x[c] = row[cols]
             assert [sum(e * xi for e, xi in zip(row, x)) for row in a] == b
     assert min(seen.values()) > 20
+
+
+def test_exact_rank_is_the_gauss_jordan_rank():
+    rng = random.Random(44)
+    shapes = {"wide": 0, "tall": 0, "deficient": 0, "zero row": 0}
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(0, min(rows, cols))
+        m = _rand_matrix(rng, rows, cols, rank=k)
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        rng.shuffle(m)
+        want = len(gauss_jordan([row[:] for row in m], cols))
+        shapes["wide"] += rows < cols
+        shapes["tall"] += rows > cols
+        shapes["deficient"] += want < min(rows, cols)
+        shapes["zero row"] += any(not any(row) for row in m)
+        big = 1 << rng.randint(200, 260)
+        ints = [[int(e * 6) for e in row] for row in m]
+        for case in (m, ints, [[e * big for e in row] for row in m],
+                     [[e * big + (e != 0) for e in row] for row in ints]):
+            assert exact_rank(case) == \
+                len(gauss_jordan([row[:] for row in case], cols)), case
+    assert min(shapes.values()) > 30, shapes
+    assert exact_rank([]) == 0
+    assert exact_rank([[0, 0], [Fraction(0), 0]]) == 0
 
 
 def test_full_inverse_of_a_left_factor_multiplies_back_to_identity():
