@@ -5,13 +5,21 @@ controls with classical RK4, pushes the trajectory through the map, and
 measures how far the image is from solving the target system.  It is an
 independent floating-point check of the exact verification in
 equivalence.py, not a proof.
+
+Float evaluation is compiled once per call: ratfn.compile_float turns the
+source field, each assumption, the map's y and v and the target field into
+straight-line functions of positional floats, whose source holds only
+float literals, argument names and int exponents.  They do the float
+operations of term-by-term evaluation in the same order, so every residual
+is bit-identical to it.  Each point evaluates only the control-derivative
+levels these functions read.  The functions are local to the call.
 """
 
 import math
 import random
 
 from . import sysio
-from .ratfn import T, X, U
+from .ratfn import T, X, U, compile_float
 from .equivalence import verify_forward
 from .errors import (SingularTrajectory, DenominatorZero, DivisionByZero,
                      SubstitutionPole, UsageError)
@@ -41,17 +49,22 @@ def _poly_diff(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
 
 
-def _max_u_order(exprs):
-    return max((v[1] for e in exprs for v in e.vars() if v[0] == 2), default=0)
+def _reads(exprs):
+    """The control derivatives u_j^(k) that exprs read, sorted."""
+    return sorted({v for e in exprs for v in e.vars() if v[0] == 2})
 
 
-def _time_point(t, chains=()):
-    """{t: t, u_j^(k): value at t} for control coefficient chains."""
-    pt = {T: t}
-    for j, chain in enumerate(chains):
-        for k, c in enumerate(chain):
-            pt[U(j + 1, k)] = _poly_eval(c, t)
-    return pt
+def _u_coeffs(ucoeffs, v):
+    """The coefficient list of v = u_j^(k), from those of the controls."""
+    c = ucoeffs[v[2] - 1]
+    for _ in range(v[1]):
+        c = _poly_diff(c)
+    return c
+
+
+def _compile(exprs, n, us):
+    """compile_float over the arguments (t, x_1, ..., x_n, *us)."""
+    return compile_float(exprs, [T] + [X(i + 1) for i in range(n)] + us)
 
 
 def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
@@ -82,7 +95,13 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     rng = random.Random(seed)
     assumptions = [sysio.parse_expression(s)
                    for s in verify_forward(m).assumptions]
-    korder = _max_u_order(m.y + m.v)
+    src_us = _reads(src.f)
+    map_us = _reads(m.y + m.v + tuple(assumptions))
+    fsrc = _compile(src.f, src.n, src_us)
+    checks = [_compile([g], src.n, map_us) for g in assumptions]
+    fy = _compile(m.y, src.n, map_us)
+    fv = _compile(m.v, src.n, map_us)
+    ftgt = _compile(tgt.f, tgt.n, [U(j + 1) for j in range(tgt.s)])
 
     attempts = 0
     while True:
@@ -94,34 +113,21 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
                        for _ in range(src.s)]
         x0 = [rng.uniform(-2.0, 2.0) for _ in range(src.n)]
 
-        # u_j and enough derivatives, as coefficient lists
-        chains = []
-        for c in ucoeffs:
-            chain = [c]
-            for _ in range(korder + 1):
-                chain.append(_poly_diff(chain[-1]))
-            chains.append(chain)
+        src_polys = [_u_coeffs(ucoeffs, v) for v in src_us]
+        map_polys = [_u_coeffs(ucoeffs, v) for v in map_us]
 
-        def fsrc(t, xs):
-            pt = _time_point(t, chains)
-            for i, xi in enumerate(xs):
-                pt[X(i + 1)] = xi
-            return [fi.eval_float(pt) for fi in src.f]
+        def rhs(t, x):
+            return fsrc(t, *x, *[_poly_eval(c, t) for c in src_polys])
 
         h = T / steps
         try:
-            ts, xs = _rk4(fsrc, x0, 0.0, T, steps)
-            points = []
-            for t, xv in zip(ts, xs):
-                pt = _time_point(t, chains)
-                for i, xi in enumerate(xv):
-                    pt[X(i + 1)] = xi
-                points.append(pt)
-            if any(abs(g.eval_float(pt)) < 1e-4
-                   for pt in points for g in assumptions):
+            ts, xs = _rk4(rhs, x0, 0.0, T, steps)
+            points = [(t, *xv, *[_poly_eval(c, t) for c in map_polys])
+                      for t, xv in zip(ts, xs)]
+            if any(abs(g(*p)[0]) < 1e-4 for p in points for g in checks):
                 raise DenominatorZero("assumption vanishes on the trajectory")
-            ys = [[e.eval_float(pt) for e in m.y] for pt in points]
-            vs = [[e.eval_float(pt) for e in m.v] for pt in points]
+            ys = [fy(*p) for p in points]
+            vs = [fv(*p) for p in points]
         except (DenominatorZero, DivisionByZero, SubstitutionPole,
                 OverflowError) as exc:
             if controls is not None or attempts >= 10:
@@ -138,13 +144,9 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
         dy = [(-ys[idx + 2][i] + 8 * ys[idx + 1][i]
                - 8 * ys[idx - 1][i] + ys[idx - 2][i]) / (12 * h)
               for i in range(tgt.n)]
-        pt = _time_point(t)
+        f = ftgt(t, *ys[idx], *vs[idx])
         for i in range(tgt.n):
-            pt[X(i + 1)] = ys[idx][i]
-        for j in range(tgt.s):
-            pt[U(j + 1)] = vs[idx][j]
-        for i, fi in enumerate(tgt.f):
-            r = abs(dy[i] - fi.eval_float(pt))
+            r = abs(dy[i] - f[i])
             if math.isnan(r) or r > worst:  # max() would drop a NaN
                 worst = r
     return CrosscheckResult(worst, tol, T, seed, attempts)

@@ -41,8 +41,12 @@ class ControlSystem:
                         raise DimensionMismatch("f%d mentions u%d but s=%d" % (i + 1, v[2], s))
         self.n, self.s, self.f = n, s, f
         self.name = name
-        if check:
-            check_regular(self)
+        if check and s:
+            rows = [[fi.diff(U(j + 1)) for j in range(s)] for fi in f]
+            r = generic_rank(rows)
+            if r != s:
+                raise DegenerateSystem(
+                    "rank df/du = %d but the system declares %d controls" % (r, s))
 
     def __eq__(self, o):
         return (isinstance(o, ControlSystem) and self.n == o.n and self.s == o.s
@@ -285,12 +289,3 @@ def generic_rank(rows, seed=0, trials=5):
             break
     return best
 
-
-def check_regular(sys_, seed=0):
-    """The generic rank of df/du; raises DegenerateSystem unless it is s."""
-    rows = [[fi.diff(U(j + 1)) for j in range(sys_.s)] for fi in sys_.f]
-    r = generic_rank(rows, seed=seed) if sys_.s else 0
-    if r != sys_.s:
-        raise DegenerateSystem(
-            "rank df/du = %d but the system declares %d controls" % (r, sys_.s))
-    return r

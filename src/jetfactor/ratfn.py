@@ -34,6 +34,13 @@ polynomials, and substitution, which adds all its terms over one
 denominator.  Each method's docstring says why its result is canonical.
 Results are the canonical pairs of the general path; only the insertion
 order of their terms can differ.
+
+Float evaluation has one path, compile_float, and eval_float is a thin call
+into it.  A numeric loop compiles its expressions once per call into one
+generated straight-line function of positional floats, whose source holds
+only float literals, argument names and int exponents.  It does the float
+operations of term-by-term evaluation in the same order, so its results are
+bit-identical to that evaluation.
 """
 
 from bisect import insort
@@ -43,6 +50,8 @@ from math import gcd as igcd, isqrt, lcm
 from .errors import DivisionByZero, SubstitutionPole, DenominatorZero
 
 T = (0, 0, 0)
+
+_POLE = "denominator vanishes at the sample point"
 
 
 def X(i):
@@ -740,16 +749,15 @@ class RatFn:
         nv = _p_eval(self.num, point)
         dv = _p_eval(self.den, point)
         if dv == 0:
-            raise DenominatorZero("denominator vanishes at the sample point")
+            raise DenominatorZero(_POLE)
         return Fraction(nv, dv)
 
     def eval_float(self, point):
-        """Float evaluation for numeric work; raises DenominatorZero near poles."""
-        nv = _p_eval_f(self.num, point)
-        dv = _p_eval_f(self.den, point)
-        if dv == 0.0:
-            raise DenominatorZero("denominator vanishes at the sample point")
-        return nv / dv
+        """Float evaluation for numeric work; raises DenominatorZero at a
+        pole.  Compiles through compile_float on every call: numeric loops
+        compile once and call the function instead."""
+        args = sorted(self.vars())
+        return compile_float([self], args)(*[point[v] for v in args])[0]
 
     # -- text ------------------------------------------------------------
 
@@ -899,14 +907,45 @@ def _p_eval(a, point):
     return out
 
 
-def _p_eval_f(a, point):
-    out = 0.0
-    for m, c in a.items():
-        term = float(c)
-        for v, e in m:
-            term *= point[v] ** e
-        out += term
-    return out
+def compile_float(exprs, args):
+    """f(*values) -> [float value of e for e in exprs], values in args order.
+
+    The kernel's only float evaluator: one generated straight-line Python
+    function for the whole list, compiled once and called per point.  Per
+    expression it runs the term-by-term loop n = 0.0; n += c * a ** e * ...
+    over the num dict in its term order, with c = float(coefficient) and
+    every ** kept, even ** 1; the same for the denominator; DenominatorZero
+    if it is 0.0; then n / d.  These are the same float operations in the
+    same order, so results are bit-identical to that loop and the first
+    exception raised is the same.  The source holds only float literals
+    (repr of float(c)), the argument names a0, a1, ... and int exponents,
+    never text from the expressions.  A coefficient that overflows float()
+    is bound by name and converted at call time, so its OverflowError comes
+    at the same moment.  Nothing is cached: the function is the caller's.
+    A variable missing from args raises KeyError.
+    """
+    names = {v: "a%d" % i for i, v in enumerate(args)}
+    ns = {"__builtins__": {}, "float": float,
+          "DenominatorZero": DenominatorZero, "POLE": _POLE}
+    lines = ["def f(%s):" % ", ".join(names.values())]
+    for k, r in enumerate(exprs):
+        for acc, poly in (("n", r.num), ("d", r.den)):
+            lines.append("    %s = 0.0" % acc)
+            for m, c in poly.items():
+                try:
+                    term = repr(float(c))
+                except OverflowError:
+                    name = "c%d" % len(ns)
+                    ns[name] = c
+                    term = "float(%s)" % name
+                term += "".join(" * %s ** %d" % (names[v], e) for v, e in m)
+                lines.append("    %s += %s" % (acc, term))
+        lines += ["    if d == 0.0:", "        raise DenominatorZero(POLE)",
+                  "    r%d = n / d" % k]
+    lines.append("    return [%s]" % ", ".join(
+        "r%d" % k for k in range(len(exprs))))
+    exec("\n".join(lines), ns)
+    return ns.pop("f")  # no cycle through the function's globals
 
 
 ZERO = RatFn.const(0)

@@ -343,9 +343,43 @@ def test_crosscheck_rejects_unusable_grids(kw):
 
 def test_crosscheck_singular_controls_raise():
     theta = builtin_fixtures()[2][0]
-    with pytest.raises(SingularTrajectory, match="singular set"):
+    with pytest.raises(SingularTrajectory) as exc:
         numeric_crosscheck(theta, controls=[[0.3, 0.1, 0.0, 0.0],
                                             [0.0, 0.0, 0.0, 0.0]])
+    assert str(exc.value) == (
+        "no nonsingular trajectory after 1 draws (assumption vanishes on the "
+        "trajectory); the map is only defined off its recorded singular set")
+
+
+# repr(max_residual) and attempts of the 15 crosschecks in `fixtures --all`,
+# recorded with term-by-term float evaluation (RatFn.eval_float point by
+# point); the compiled evaluation must reproduce every bit of them
+_FROZEN_RESIDUALS = {
+    ("phi", 0): ("5.220468154987223e-13", 1),
+    ("phi", 1): ("8.356093594841241e-13", 1),
+    ("phi", 2): ("1.0387246618392965e-12", 1),
+    ("phi", 3): ("7.510658761589184e-13", 1),
+    ("phi", 4): ("6.767586491207567e-12", 1),
+    ("psi", 0): ("8.070211166000263e-13", 1),
+    ("psi", 1): ("9.534595335480844e-13", 1),
+    ("psi", 2): ("1.0587641874337805e-12", 1),
+    ("psi", 3): ("8.192890810221343e-13", 1),
+    ("psi", 4): ("6.850298106542141e-12", 1),
+    ("theta", 0): ("5.096529918091619e-07", 6),
+    ("theta", 1): ("5.915348211260607e-10", 2),
+    ("theta", 2): ("3.9995784462121264e-12", 1),
+    ("theta", 3): ("2.041744551206648e-11", 3),
+    ("theta", 4): ("7.499334486738007e-12", 2),
+}
+
+
+def test_crosscheck_residuals_are_frozen():
+    got = {}
+    for fwd, _ in builtin_fixtures()[:3]:
+        for seed in range(5):
+            res = numeric_crosscheck(fwd, seed=seed)
+            got[fwd.name, seed] = (repr(res.max_residual), res.attempts)
+    assert got == _FROZEN_RESIDUALS
 
 
 # -------------------------------------------------------------------

@@ -143,6 +143,82 @@ def test_eval_float():
         e.eval_float({X(1): 1.0, U(2): 0.0})
 
 
+def _term_by_term_float(r, point):
+    """RatFn.eval_float as it was before compile_float, the loop that the
+    generated functions must match bit for bit."""
+    def ev(a):
+        out = 0.0
+        for m, c in a.items():
+            term = float(c)
+            for v, e in m:
+                term *= point[v] ** e
+            out += term
+        return out
+
+    nv = ev(r.num)
+    dv = ev(r.den)
+    if dv == 0.0:
+        raise DenominatorZero("denominator vanishes at the sample point")
+    return nv / dv
+
+
+def _float_poly(rng):
+    p = {}
+    for _ in range(rng.randint(1, 4)):
+        vs = rng.sample(_JET_VARS, rng.randint(0, 3))
+        m = tuple(sorted((v, rng.randint(1, 7)) for v in vs))
+        c = rng.choice([rng.randint(-40, 40),
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 9))])
+        p = p_add(p, {m: c})
+    return p
+
+
+def _outcome(fn, *args):
+    """repr of what fn returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except (DenominatorZero, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_compile_float_is_the_term_by_term_loop():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        exprs = []
+        while len(exprs) < 3:
+            num, den = _float_poly(rng), _float_poly(rng)
+            if den:
+                exprs.append(RatFn(num, den))
+        f = ratfn.compile_float(exprs, _JET_VARS)
+        assert all(type(k) in (int, float) or k is None
+                   for k in f.__code__.co_consts)
+        point = {v: rng.choice([rng.uniform(-3, 3), float(rng.randint(-2, 2))])
+                 for v in _JET_VARS}
+        want = [_outcome(_term_by_term_float, r, point) for r in exprs]
+        raised = [w for w in want if isinstance(w, tuple)]
+        assert _outcome(f, *[point[v] for v in _JET_VARS]) == (
+            raised[0] if raised else "[%s]" % ", ".join(want))
+        assert [_outcome(r.eval_float, point) for r in exprs] == want
+
+
+def test_compile_float_error_paths():
+    pole = x1 / (x2 - 1)
+    with pytest.raises(DenominatorZero,
+                       match="denominator vanishes at the sample point"):
+        ratfn.compile_float([pole], [X(1), X(2)])(3.0, 1.0)
+    # an oversized coefficient fails when it is reached, not at compile time
+    for big in (10 ** 400, Fraction(10 ** 400, 3)):
+        huge = RatFn({((X(1), 1),): big})
+        with pytest.raises(OverflowError) as want:
+            _term_by_term_float(huge, {X(1): 2.0})
+        f = ratfn.compile_float([pole, huge], [X(1), X(2)])
+        with pytest.raises(DenominatorZero):
+            f(2.0, 1.0)
+        with pytest.raises(OverflowError) as got:
+            f(2.0, 3.0)
+        assert str(got.value) == str(want.value)
+
+
 def test_vars_and_jet_order():
     e = x1 * du2 - x3
     assert e.vars() == {X(1), U(2, 1), X(3)}
