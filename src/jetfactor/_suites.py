@@ -7,7 +7,6 @@ runner, so the green bar means the same thing in both places.
 """
 
 import random
-from fractions import Fraction
 
 from .ratfn import RatFn, ZERO, ONE, T, X, U
 from .errors import SubstitutionPole, DivisionByZero
@@ -23,11 +22,11 @@ _POOL = [T, X(1), X(2), U(1), U(2, 1)]
 
 
 def _rand_poly(rng, pool=_POOL, terms=None):
-    acc = RatFn.const(Fraction(rng.randint(-2, 2)))
+    acc = RatFn.const(rng.randint(-2, 2))
     if terms is None:
         terms = 1 if rng.random() < 0.8 else 2
     for _ in range(terms):
-        term = RatFn.const(Fraction(rng.choice([-2, -1, 1, 2])))
+        term = RatFn.const(rng.choice([-2, -1, 1, 2]))
         v = RatFn.var(rng.choice(pool))
         if rng.random() < 0.2:
             v = v * v
@@ -42,7 +41,7 @@ def _rand_ratfn(rng, pool=_POOL):
         while den.is_zero():
             den = _rand_poly(rng, pool, terms=1)
     else:
-        den = RatFn.const(Fraction(rng.choice([1, 2, -1])))
+        den = RatFn.const(rng.choice([1, 2, -1]))
         if rng.random() < 0.7:
             den = den * RatFn.var(rng.choice(pool))
     return num / den

@@ -27,7 +27,7 @@ integer, and every bracket value is integer arithmetic on those jets.
 Level two brackets every pair of the drift and the control fields, level
 three brackets those with each of them again, and the closure of D2
 brackets its own generators, up to the first bracket that leaves D2.
-Ranks are taken by ratfn.exact_rank, fraction-free elimination over the
+Ranks are taken by ratfn.int_rank, fraction-free elimination over the
 integers.
 
 builtin_fixtures returns the five explicit equivalence pairs used across the
@@ -36,9 +36,8 @@ forms, the decoupling variant, and a two-state/four-state prolongation pair.
 """
 
 import random
-from fractions import Fraction
 
-from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, exact_rank,
+from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, int_rank,
                     gauss_jordan)
 from .jets import ControlSystem, to_affine, sample_points
 from .errors import UnclassifiedSignature, OutOfTable, DimensionMismatch
@@ -137,7 +136,7 @@ def _jet_exprs(v):
 
 def _scaled_jet(vals, n):
     """(value, Jacobian, Hessian) of one field at one point, from the
-    values of its _jet_exprs there, all scaled by the lcm of their
+    (n, d) values of its _jet_exprs there, all scaled by the lcm of their
     denominators to ints."""
     ints = cleared(vals)
     jac = [ints[n * (i + 1):n * (i + 2)] for i in range(n)]
@@ -211,7 +210,7 @@ def static_invariants(a, seed=0):
         return [_bracket(x, y) for x, y in zip(p, q)]
 
     def rank(span):
-        at = [exact_rank([e[k][0] for e in span]) for k in range(len(points))]
+        at = [int_rank([e[k][0] for e in span]) for k in range(len(points))]
         taken.append(at)
         return max(at)
 
@@ -400,8 +399,8 @@ def builtin_fixtures():
 
 def _rand_invertible(rng, k):
     while True:
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
-        if exact_rank(m) == k:
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if int_rank(m) == k:
             return m
 
 
@@ -429,10 +428,10 @@ def _random_transform(sys_, seed, timed):
     rng = random.Random(seed)
     P = _rand_invertible(rng, n)
     Q = _rand_invertible(rng, s)
-    R = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(s)]
+    R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(s)]
     if timed:
-        b = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        dd = [Fraction(rng.randint(-3, 3)) for _ in range(s)]
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        dd = [rng.randint(-3, 3) for _ in range(s)]
     else:
         b, dd = [0] * n, [0] * s
     Pi = _inverse(P)

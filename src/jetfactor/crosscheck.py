@@ -8,11 +8,8 @@ equivalence.py, not a proof.
 
 Float evaluation is compiled once per call: ratfn.compile_float turns the
 source field, each assumption, the map's y and v and the target field into
-straight-line functions of positional floats, whose source holds only
-float literals, argument names and int exponents.  They do the float
-operations of term-by-term evaluation in the same order, so every residual
-is bit-identical to it.  Each point evaluates only the control-derivative
-levels these functions read.  The functions are local to the call.
+functions local to the call, bit-identical to term-by-term evaluation.
+Each point evaluates only the control-derivative levels they read.
 """
 
 import math
@@ -21,8 +18,7 @@ import random
 from . import sysio
 from .ratfn import T, X, U, compile_float
 from .equivalence import verify_forward
-from .errors import (SingularTrajectory, DenominatorZero, DivisionByZero,
-                     SubstitutionPole, UsageError)
+from .errors import SingularTrajectory, DenominatorZero, UsageError
 
 
 class CrosscheckResult:
@@ -116,20 +112,19 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
         src_polys = [_u_coeffs(ucoeffs, v) for v in src_us]
         map_polys = [_u_coeffs(ucoeffs, v) for v in map_us]
 
-        def rhs(t, x):
-            return fsrc(t, *x, *[_poly_eval(c, t) for c in src_polys])
+        def src_controls(t):
+            return [_poly_eval(c, t) for c in src_polys]
 
         h = T / steps
         try:
-            ts, xs = _rk4(rhs, x0, 0.0, T, steps)
+            ts, xs = _rk4(fsrc, src_controls, x0, 0.0, T, steps)
             points = [(t, *xv, *[_poly_eval(c, t) for c in map_polys])
                       for t, xv in zip(ts, xs)]
             if any(abs(g(*p)[0]) < 1e-4 for p in points for g in checks):
                 raise DenominatorZero("assumption vanishes on the trajectory")
             ys = [fy(*p) for p in points]
             vs = [fv(*p) for p in points]
-        except (DenominatorZero, DivisionByZero, SubstitutionPole,
-                OverflowError) as exc:
+        except (DenominatorZero, OverflowError) as exc:
             if controls is not None or attempts >= 10:
                 raise SingularTrajectory(
                     "no nonsingular trajectory after %d draws (%s); the map "
@@ -152,17 +147,21 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     return CrosscheckResult(worst, tol, T, seed, attempts)
 
 
-def _rk4(f, x0, t0, t1, steps):
+def _rk4(f, controls, x0, t0, t1, steps):
+    """Classical RK4 for x' = f(t, *x, *controls(t)), with the controls
+    evaluated once per distinct time: stages 2 and 3 share t + h/2."""
     h = (t1 - t0) / steps
     ts = [t0]
     xs = [list(x0)]
     x = list(x0)
     for k in range(steps):
         t = t0 + k * h
-        k1 = f(t, x)
-        k2 = f(t + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k1)])
-        k3 = f(t + h / 2, [xi + h / 2 * ki for xi, ki in zip(x, k2)])
-        k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+        k1 = f(t, *x, *controls(t))
+        tm = t + h / 2
+        um = controls(tm)
+        k2 = f(tm, *[xi + h / 2 * ki for xi, ki in zip(x, k1)], *um)
+        k3 = f(tm, *[xi + h / 2 * ki for xi, ki in zip(x, k2)], *um)
+        k4 = f(t + h, *[xi + h * ki for xi, ki in zip(x, k3)], *controls(t + h))
         x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
              for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
         ts.append(t0 + (k + 1) * h)

@@ -10,7 +10,7 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import RatFn, T, X, U, ZERO, exact_rank
+from .ratfn import RatFn, T, X, U, ZERO, cleared, int_rank
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -250,7 +250,8 @@ def sample_point(vars_, rng):
 def sample_points(exprs, seed=0, trials=5):
     """Yield (point, values of exprs there) for `trials` seeded integer
     points over the variables of exprs, skipping the poles of any of them;
-    raises DegenerateSystem after 20 * trials draws without enough."""
+    raises DegenerateSystem after 20 * trials draws without enough.  Each
+    value is the exact pair (n, d) of RatFn.eval_pair."""
     exprs = list(exprs)
     vars_ = set().union(*(e.vars() for e in exprs))
     rng = random.Random(seed)
@@ -258,7 +259,7 @@ def sample_points(exprs, seed=0, trials=5):
     for _ in range(20 * trials):
         pt = sample_point(vars_, rng)
         try:
-            vals = [e.eval_at(pt) for e in exprs]
+            vals = [e.eval_pair(pt) for e in exprs]
         except DenominatorZero:
             continue
         yield pt, vals
@@ -283,8 +284,8 @@ def generic_rank(rows, seed=0, trials=5):
     width = len(rows[0])
     best = 0
     for _, vals in sample_points([e for r in rows for e in r], seed, trials):
-        m = [vals[i:i + width] for i in range(0, len(vals), width)]
-        best = max(best, exact_rank(m))
+        m = [cleared(vals[i:i + width]) for i in range(0, len(vals), width)]
+        best = max(best, int_rank(m))
         if best == min(len(rows), width):
             break
     return best

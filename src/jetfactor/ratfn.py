@@ -12,35 +12,25 @@ major, control index minor).
 
 A polynomial is a dict {monomial: coefficient}; a monomial is a tuple of
 (var, exponent) pairs sorted by var, with the empty tuple for 1.  Monomials
-are ordered graded-lex over the variable order.  A stored coefficient is a
-plain int when it is integral and otherwise a Fraction with denominator > 1;
-it is never a float and never a Fraction with denominator 1.  Every step
-that can make a rational (a sum of Fractions, a division, a scale) restores
-this, so integer arithmetic carries almost all of the work.  The polynomial
-helpers also accept integral Fractions on input; p_mul, p_scale and the gcd
-return coefficients in the stored form, and so does RatFn, whatever dicts
-it is given.  RatFn holds a canonical num/den pair: gcd 1, denominator
-integer-primitive with positive leading coefficient.  A one-term
-denominator is cancelled by a monomial; any other goes through poly_gcd,
-the heuristic integer gcd GCDHEU with the primitive PRS as its fallback.
-Instances are immutable, so an operator may return an operand itself.
-const_value() and eval_at() return Fractions.
+are ordered graded-lex over the variable order.  The kernel's polynomials
+have int coefficients: p_mul, p_add, p_divexact and the gcd work on ints.
+A RatFn stores its value as N/(k*D): N an int polynomial, k >= 1 an int
+prime to the content of N, and D integer-primitive with positive leading
+coefficient and coprime to N.  The triple (N, k, D) is unique, so equality
+compares it; scales combine by integer gcd and lcm.  The num and den
+properties give the canonical pair (N/k, D), whose coefficients are ints
+where integral and otherwise Fractions with denominator > 1; with k = 1,
+num is N itself.  A one-term denominator is cancelled by a monomial; any
+other goes through poly_gcd, the heuristic integer gcd GCDHEU with the
+primitive PRS as its fallback.  Instances are immutable, so an operator
+may return an operand itself.  eval_pair() returns an exact value as a
+reduced pair of ints; const_value() and eval_at() return Fractions.
 
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
-them: a zero or constant operand, equal denominators, two polynomials,
-two one-term denominators (added over their lcm), powers, derivatives of
-polynomials, and substitution, which adds all its terms over one
-denominator.  Each method's docstring says why its result is canonical.
-Results are the canonical pairs of the general path; only the insertion
-order of their terms can differ.
-
-Float evaluation has one path, compile_float, and eval_float is a thin call
-into it.  A numeric loop compiles its expressions once per call into one
-generated straight-line function of positional floats, whose source holds
-only float literals, argument names and int exponents.  It does the float
-operations of term-by-term evaluation in the same order, so its results are
-bit-identical to that evaluation.
+them; each method's docstring says why its result is canonical.  Results
+are the canonical triples of the general path; only the insertion order
+of their terms can differ.  Float evaluation has one path, compile_float.
 """
 
 from bisect import insort
@@ -107,52 +97,10 @@ def mono_div(m1, m2):
 
 
 # ---------------------------------------------------------------------------
-# coefficients: int when integral, else a Fraction with denominator > 1
-
-def _coef(c):
-    """c (an int or a rational) as a stored coefficient."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _cdiv(a, b):
-    """The exact quotient a / b of two coefficients, as a coefficient."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q.numerator if q.denominator == 1 else q
-
-
-def _demote(r):
-    """Turn the integral Fractions among r's coefficients into ints, in place."""
-    for m, c in r.items():
-        if type(c) is Fraction and c.denominator == 1:
-            r[m] = c.numerator
-    return r
-
-
-def _demoted_copy(a):
-    """a, or a copy of it whose integral Fractions are ints."""
-    for c in a.values():
-        if type(c) is Fraction and c.denominator == 1:
-            return _demote(dict(a))
-    return a
-
-
-# ---------------------------------------------------------------------------
 # polynomials as {mono: coefficient} dicts (zero coeffs never stored)
 
 def p_const(c):
-    c = _coef(c)
     return {(): c} if c else {}
-
-
-def p_var(v):
-    return {((v, 1),): 1}
 
 
 def _is_one(a):
@@ -164,8 +112,6 @@ def p_add(a, b):
     for m, c in b.items():
         s = r.get(m, 0) + c
         if s:
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
             r[m] = s
         elif m in r:
             del r[m]
@@ -181,10 +127,9 @@ def p_sub(a, b):
 
 
 def p_scale(a, c):
-    c = _coef(c)
     if not c:
         return {}
-    return _demote({m: k * c for m, k in a.items()})
+    return {m: k * c for m, k in a.items()}
 
 
 def p_mul(a, b):
@@ -199,7 +144,7 @@ def p_mul(a, b):
                 r[m] = s
             elif m in r:
                 del r[m]
-    return _demote(r)
+    return r
 
 
 def p_pow(a, n):
@@ -237,8 +182,6 @@ def p_diff(a, v):
                 nm = m[:i] + ((w, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
                 s = r.get(nm, 0) + c * e
                 if s:
-                    if type(s) is Fraction and s.denominator == 1:
-                        s = s.numerator
                     r[nm] = s
                 elif nm in r:
                     del r[nm]
@@ -249,6 +192,8 @@ def p_diff(a, v):
 def p_divexact(a, b):
     """Exact polynomial division; raises ArithmeticError when not exact.
 
+    Int coefficients are divided over the integers, which for a primitive
+    b is division over Q (Gauss's lemma); Fractions are divided as such.
     Quotient terms come out in descending graded-lex order.  The
     remainder's monomials wait in a list sorted by mono_key, so each step
     takes the leading term off its end instead of scanning the remainder;
@@ -268,7 +213,9 @@ def p_divexact(a, b):
         qm = mono_div(am, bm)
         if qm is None:
             raise ArithmeticError("inexact polynomial division")
-        qc = q[qm] = _cdiv(ac, bc)
+        qc = q[qm] = ac // bc if type(ac) is int else ac / bc
+        if qc * bc != ac:
+            raise ArithmeticError("inexact polynomial division")
         for m2, c2 in b.items():
             m = mono_mul(qm, m2)
             s = r.get(m, 0) - qc * c2
@@ -286,18 +233,14 @@ def p_divexact(a, b):
 
 def _scaled_to_int(a):
     """(l, l*a) for l the lcm of a's coefficient denominators."""
-    l, exact = 1, True
-    for c in a.values():
-        if type(c) is not int:
-            l, exact = lcm(l, c.denominator), False
-    if exact:
+    if all(type(c) is int for c in a.values()):
         return 1, a
+    l = lcm(*(c.denominator for c in a.values()))
     return l, {m: c.numerator * (l // c.denominator) for m, c in a.items()}
 
 
-def _content(ints):
-    """gcd of the int coefficients of a nonzero polynomial."""
-    g = 0
+def _content(ints, g=0):
+    """gcd of g and the int coefficients of a polynomial; it stops at 1."""
     for c in ints.values():
         g = igcd(g, c)
         if g == 1:
@@ -567,48 +510,61 @@ def p_text(a):
 # RatFn
 
 class RatFn:
-    """Canonical rational function. Construct via const(), var(), or ops."""
+    """Canonical rational function. Construct via const(), var(), ops, or
+    RatFn(num, den) from polynomial dicts of int or Fraction coefficients.
+    """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_n", "_k", "_d", "_hash")
 
-    def __init__(self, num, den=None, _canonical=False):
-        if den is None:
-            den = p_const(1)
-        if _canonical:
-            self.num, self.den = num, den
-        else:
-            self.num, self.den = _canon(num, den)
+    def __init__(self, num, den=None):
+        ln, num = _scaled_to_int(num)
+        ld, den = _scaled_to_int(_UNIT if den is None else den)
+        n, k, self._d = _canon(num, den)
+        self._n, self._k = _rescale(n, k, ld, ln)
         self._hash = None
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def const(c):
-        return RatFn(p_const(c), p_const(1), _canonical=True)
+        """The constant c, an int or a Fraction."""
+        n = c.numerator
+        return _make({(): n} if n else {}, c.denominator, _UNIT)
 
     @staticmethod
     def var(v):
-        return RatFn(p_var(v), p_const(1), _canonical=True)
+        return _make({((v, 1),): 1}, 1, _UNIT)
+
+    # -- the canonical pair ----------------------------------------------
+
+    @property
+    def num(self):
+        """N/k; N itself when k is 1."""
+        k = self._k
+        return self._n if k == 1 else {
+            m: Fraction(c, k) if c % k else c // k for m, c in self._n.items()}
+
+    @property
+    def den(self):
+        return self._d
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def is_const(self):
-        return not p_vars(self.num) and not p_vars(self.den)
+        return not p_vars(self._n) and not p_vars(self._d)
 
     def is_poly(self):
-        return _is_one(self.den)
+        return _is_one(self._d)
 
     def const_value(self):
         assert self.is_const()
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[()], self.den[()])
+        return Fraction(self._n.get((), 0), self._k)
 
     def vars(self):
-        return p_vars(self.num) | p_vars(self.den)
+        return p_vars(self._n) | p_vars(self._d)
 
     def max_jet_order(self):
         """Highest control-derivative order mentioned, -1 if none."""
@@ -623,31 +579,35 @@ class RatFn:
     def __add__(self, o):
         """The sum, without the general cross-multiply where it is known.
 
-        A zero operand gives the other one.  Equal denominators add the
-        numerators: over 1 that is canonical as it stands, and otherwise
-        (n1 + n2, d) is canonicalized, not (n1*d + n2*d, d*d).  Two
-        one-term denominators add over their lcm (_monomial_sum).  Any
-        other pair takes n1*d2 + n2*d1 over d1*d2.
-        """
+        A zero operand gives the other one; otherwise the numerators are
+        brought over l, the lcm of the scales.  Equal denominators d add
+        them: over 1 only l can cancel, else (n1 + n2, d) is canonicalized.
+        Two one-term denominators add over their lcm (_monomial_sum).  Any
+        other pair takes n1*d2 + n2*d1 over d1*d2."""
         o = _lift(o)
         if o is NotImplemented:
             return o
-        if not o.num:
+        if not o._n:
             return self
-        if not self.num:
+        if not self._n:
             return o
-        if self.den == o.den:
-            return RatFn(p_add(self.num, o.num), self.den,
-                         _canonical=_is_one(self.den))
-        if len(self.den) == 1 and len(o.den) == 1:
-            return _monomial_sum(self, o)
-        return RatFn(p_add(p_mul(self.num, o.den), p_mul(o.num, self.den)),
-                     p_mul(self.den, o.den))
+        k1, k2 = self._k, o._k
+        l = k1 if k1 == k2 else lcm(k1, k2)
+        n1 = self._n if l == k1 else p_scale(self._n, l // k1)
+        n2 = o._n if l == k2 else p_scale(o._n, l // k2)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            if _is_one(d1):
+                return _make(*_rescale(p_add(n1, n2), 1, 1, l), d1)
+            return _ratio(p_add(n1, n2), d1, 1, l)
+        if len(d1) == 1 and len(d2) == 1:
+            return _monomial_sum(n1, d1, n2, d2, l)
+        return _ratio(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2), 1, l)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFn(p_neg(self.num), self.den, _canonical=True)
+        return _make(p_neg(self._n), self._k, self._d)
 
     def __sub__(self, o):
         o = _lift(o)
@@ -659,24 +619,23 @@ class RatFn:
         return _lift(o) - self
 
     def __mul__(self, o):
-        """The product.  A zero factor gives ZERO.  A constant c times a
-        canonical n/d is c*n/d, canonical as it stands: c changes neither
-        the gcd nor d.  Two polynomials multiply over 1 with no gcd.  Any
-        other pair takes n1*n2 over d1*d2, canonicalized."""
+        """The product.  A zero factor gives ZERO.  A constant c = p/q
+        times a canonical N/(k*D) is N*p/(k*q*D): D stays, and only the
+        integer scale is reduced.  Two polynomials multiply over 1 with no
+        gcd.  Any other pair takes n1*n2 over d1*d2, canonicalized."""
         o = _lift(o)
         if o is NotImplemented:
             return o
-        if not self.num or not o.num:
+        if not self._n or not o._n:
             return ZERO
-        c = _scalar(o)
-        if c is not None:
-            return RatFn(p_scale(self.num, c), self.den, _canonical=True)
-        c = _scalar(self)
-        if c is not None:
-            return RatFn(p_scale(o.num, c), o.den, _canonical=True)
-        if _is_one(self.den) and _is_one(o.den):
-            return RatFn(p_mul(self.num, o.num), self.den, _canonical=True)
-        return RatFn(p_mul(self.num, o.num), p_mul(self.den, o.den))
+        for a, b in ((self, o), (o, self)):
+            c = _scalar(b)
+            if c is not None:
+                return _make(*_rescale(a._n, a._k, *c), a._d)
+        k = self._k * o._k
+        if _is_one(self._d) and _is_one(o._d):
+            return _make(*_rescale(p_mul(self._n, o._n), 1, 1, k), _UNIT)
+        return _ratio(p_mul(self._n, o._n), p_mul(self._d, o._d), 1, k)
 
     __rmul__ = __mul__
 
@@ -687,70 +646,79 @@ class RatFn:
         o = _lift(o)
         if o is NotImplemented:
             return o
-        if not o.num:
+        if not o._n:
             raise DivisionByZero("division by zero rational function")
-        if not self.num:
+        if not self._n:
             return ZERO
         c = _scalar(o)
         if c is not None:
-            return RatFn(p_scale(self.num, _cdiv(1, c)), self.den,
-                         _canonical=True)
-        return RatFn(p_mul(self.num, o.den), p_mul(self.den, o.num))
+            return _make(*_rescale(self._n, self._k, c[1], c[0]), self._d)
+        return _ratio(p_mul(self._n, o._d), p_mul(self._d, o._n), o._k, self._k)
 
     def __rtruediv__(self, o):
         return _lift(o) / self
 
     def __pow__(self, n):
-        """self to the integer n.  For n >= 0, num^n over den^n is
-        canonical as it stands: num and den are coprime, so their powers
-        are; den^n is integer-primitive by Gauss's lemma; and its leading
-        coefficient, the n-th power of den's, is positive."""
+        """self to the integer n.  For n >= 0, (N^n, k^n, D^n) is
+        canonical as it stands: N^n and D^n are coprime; by Gauss's lemma
+        N^n has content prime to k^n and D^n is integer-primitive; and the
+        leading coefficient of D^n, the n-th power of D's, is positive."""
         if n < 0:
-            if not self.num:
+            if not self._n:
                 raise DivisionByZero("zero to a negative power")
-            return RatFn(p_pow(self.den, -n), p_pow(self.num, -n))
+            return _ratio(p_pow(self._d, -n), p_pow(self._n, -n),
+                          self._k ** -n, 1)
         if n == 1:
             return self
-        return RatFn(p_pow(self.num, n), p_pow(self.den, n), _canonical=True)
+        return _make(p_pow(self._n, n), self._k ** n, p_pow(self._d, n))
 
     def __eq__(self, o):
         o = _lift(o)
         if o is NotImplemented:
             return o
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._k == o._k and self._d == o._d
 
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((frozenset(self.num.items()),
-                               frozenset(self.den.items())))
+                               frozenset(self._d.items())))
         return self._hash
 
     # -- calculus ------------------------------------------------------
 
     def diff(self, v):
         """Partial derivative with respect to variable v.  A polynomial's
-        is a polynomial, canonical as it stands."""
-        if _is_one(self.den):
-            return RatFn(p_diff(self.num, v), self.den, _canonical=True)
-        n = p_sub(p_mul(p_diff(self.num, v), self.den),
-                  p_mul(self.num, p_diff(self.den, v)))
-        return RatFn(n, p_mul(self.den, self.den))
+        is a polynomial: only the scale can cancel against its content."""
+        n, k, d = self._n, self._k, self._d
+        if _is_one(d):
+            return _make(*_rescale(p_diff(n, v), 1, 1, k), d)
+        num = p_sub(p_mul(p_diff(n, v), d), p_mul(n, p_diff(d, v)))
+        return _ratio(num, p_mul(d, d), 1, k)
 
     def substitute(self, binding):
         """Simultaneous substitution var -> RatFn; unmapped vars stay."""
-        num = _p_subst(self.num, binding)
-        den = _p_subst(self.den, binding)
+        num = _p_subst(self._n, binding)
+        den = _p_subst(self._d, binding)
         if den.is_zero():
             raise SubstitutionPole("substitution sent a denominator to zero")
+        if self._k != 1:
+            den = den * self._k
         return num / den
 
-    def eval_at(self, point):
-        """Exact evaluation; point must bind every variable present."""
-        nv = _p_eval(self.num, point)
-        dv = _p_eval(self.den, point)
-        if dv == 0:
+    def eval_pair(self, point):
+        """Exact value at point (binding every variable) as coprime ints
+        (n, d), d > 0, from N and k*D there; no Fraction at an int point."""
+        n = _p_eval(self._n, point)
+        d = _p_eval(self._d, point)
+        if d == 0:
             raise DenominatorZero(_POLE)
-        return Fraction(nv, dv)
+        n, d = n.numerator * d.denominator, self._k * d.numerator * n.denominator
+        g = igcd(n, d) if d > 0 else -igcd(n, d)
+        return n // g, d // g
+
+    def eval_at(self, point):
+        """Exact evaluation as a Fraction; see eval_pair."""
+        return Fraction(*self.eval_pair(point))
 
     def eval_float(self, point):
         """Float evaluation for numeric work; raises DenominatorZero at a
@@ -762,17 +730,27 @@ class RatFn:
     # -- text ------------------------------------------------------------
 
     def to_text(self):
+        num = self.num
         if self.is_poly():
-            return p_text(self.num)
-        nt, dt = p_text(self.num), p_text(self.den)
-        if len(self.num) > 1 or self.num.get((), None) is not None and self.num[()] < 0:
-            nt = "(%s)" % nt
-        elif nt.startswith("-"):
+            return p_text(num)
+        nt, dt = p_text(num), p_text(self._d)
+        if len(num) > 1 or nt.startswith("-"):
             nt = "(%s)" % nt
         return "%s/(%s)" % (nt, dt)
 
     def __repr__(self):
         return "RatFn(%s)" % self.to_text()
+
+
+# the stored denominator of every polynomial; never mutated
+_UNIT = {(): 1}
+
+
+def _make(n, k, d):
+    """The RatFn with the canonical triple (n, k, d), as it stands."""
+    r = object.__new__(RatFn)
+    r._n, r._k, r._d, r._hash = n, k, d, None
+    return r
 
 
 def _lift(o):
@@ -784,57 +762,73 @@ def _lift(o):
 
 
 def _scalar(x):
-    """The coefficient c when x is the constant c, else None."""
-    if _is_one(x.den) and len(x.num) == 1:
-        return x.num.get(())
+    """(p, q) when x is the constant p/q (q >= 1, coprime), else None."""
+    if _is_one(x._d) and len(x._n) == 1 and () in x._n:
+        return x._n[()], x._k
     return None
 
 
-def _monomial_sum(a, b):
-    """a + b for one-term denominators m1 != m2, over their lcm l.
+def _rescale(n, k, p, q):
+    """(n', k') with n'/k' = n*p/(k*q) in lowest terms, k' > 0 and
+    gcd(content(n'), k') = 1, for an int polynomial n, a scale k of n
+    with gcd(content(n), k) = 1 and ints p, q != 0."""
+    if p == 1 and q == 1:
+        return n, k
+    if q < 0:
+        p, q = -p, -q
+    g = igcd(p, k * q)
+    p, k = p // g, k * q // g
+    g = _content(n, k)
+    if g != 1 or p != 1:
+        n = {m: c // g * p for m, c in n.items()}
+    return n, k // g
 
-    A canonical one-term denominator is a monomial with coefficient 1.  A
-    variable v whose exponents in m1 and m2 differ cannot cancel.  Say it
-    is higher in m1: every term of b.num*(l/m2) holds v, while some term
-    of a.num*(l/m1) lacks it, as a.num is coprime to m1.  So only a
-    variable with the same exponent in both can, and without one the sum
-    is canonical as it stands.
+
+def _ratio(num, den, p, q):
+    """The canonical RatFn num*p/(den*q) for int polynomials num, den."""
+    n, k, d = _canon(num, den)
+    return _make(*_rescale(n, k, p, q), d)
+
+
+def _monomial_sum(n1, d1, n2, d2, l):
+    """n1/(l*m1) + n2/(l*m2) for canonical one-term denominators, that is
+    monomials m1 != m2, over their lcm L.
+
+    A variable v whose exponents in m1 and m2 differ cannot cancel.  Say
+    it is higher in m1: every term of n2*(L/m2) holds v, while some term
+    of n1*(L/m1) lacks it, as n1 is coprime to m1.  So only a variable
+    with the same exponent in both can, and without one only l can.
     """
-    (m1,), (m2,) = a.den, b.den
+    (m1,), (m2,) = d1, d2
     e1, e2 = dict(m1), dict(m2)
-    l = tuple(sorted((v, max(e1.get(v, 0), e2.get(v, 0)))
+    L = tuple(sorted((v, max(e1.get(v, 0), e2.get(v, 0)))
                      for v in e1.keys() | e2.keys()))
-    num = p_add(p_mul(a.num, {mono_div(l, m1): 1}),
-                p_mul(b.num, {mono_div(l, m2): 1}))
-    same = any(e2.get(v) == e for v, e in m1)
-    return RatFn(num, {l: 1}, _canonical=not same)
+    num = p_add(p_mul(n1, {mono_div(L, m1): 1}), p_mul(n2, {mono_div(L, m2): 1}))
+    if any(e2.get(v) == e for v, e in m1):
+        return _ratio(num, {L: 1}, 1, l)
+    return _make(*_rescale(num, 1, 1, l), {L: 1})
 
 
 def _canon(num, den):
+    """(N, k, D) for num/den, two int polynomials with den nonzero."""
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return {}, p_const(1)
+        return {}, 1, _UNIT
     if len(den) == 1:
         num, den = _cancel_monomial(num, den)
     else:
         g = poly_gcd(num, den)
-        if g and not _is_one(g):
+        if not _is_one(g):
             num = p_divexact(num, g)
             den = p_divexact(den, g)
-    # normalize: den integer-primitive with positive leading coefficient
-    l, ints = _scaled_to_int(den)
-    scale = _cdiv(l, _content(ints))
+    # D primitive with positive leading coefficient; its content goes to k
+    c = _content(den)
     if p_lead(den)[1] < 0:
-        scale = -scale
-    if scale != 1:
-        num = p_scale(num, scale)
-        den = p_scale(den, scale)
-    else:
-        # scale 1 means den is integral, and ints holds it as ints; a raw
-        # dict passed to RatFn may still hold integral Fractions
-        num, den = _demoted_copy(num), ints
-    return num, den
+        c = -c
+    if c != 1:
+        den = {m: e // c for m, e in den.items()}
+    return (*_rescale(num, 1, 1, c), den)
 
 
 def _cancel_monomial(num, den):
@@ -861,24 +855,26 @@ def _cancel_monomial(num, den):
 
 
 def _p_subst(a, binding):
-    """a with each variable v replaced by binding[v], where bound.
+    """a, of int or Fraction coefficients, with each variable v replaced
+    by binding[v], where bound, as a RatFn.
 
-    The terms are added over one denominator.  With n/d the image of v
-    and k its largest exponent in a, a term c*v^e*... becomes
-    c*n^e*d^(k-e)*... over the product of the d^k, and the sum is
-    canonicalized once.
-    """
+    The terms are added over one denominator.  With N/Q the image of v
+    (Q = k*D) and e its largest exponent in a, a term c*v^f*... becomes
+    c*N^f*Q^(e-f)*... over the product of the Q^e; the sum is
+    canonicalized once."""
+    l, a = _scaled_to_int(a)
     top = {}
     for m in a:
         for v, e in m:
             top[v] = max(e, top.get(v, 0))
-    pows, den = {}, p_const(1)
+    pows, den = {}, _UNIT
     for v, k in top.items():
         r = binding[v] if v in binding else RatFn.var(v)
-        dens = None if r.is_poly() else _powers(r.den, k)[::-1]
+        q = r._d if r._k == 1 else p_scale(r._d, r._k)
+        dens = None if _is_one(q) else _powers(q, k)[::-1]
         if dens:
             den = p_mul(den, dens[0])
-        pows[v] = _powers(r.num, k), dens
+        pows[v] = _powers(r._n, k), dens
     num = {}
     for m, c in a.items():
         term, have = p_const(c), dict(m)
@@ -894,7 +890,9 @@ def _p_subst(a, binding):
                 num[tm] = tc
             else:
                 num.pop(tm, None)
-    return RatFn(_demote(num), den, _canonical=_is_one(den))
+    if _is_one(den):
+        return _make(*_rescale(num, 1, 1, l), den)
+    return _ratio(num, den, 1, l)
 
 
 def _p_eval(a, point):
@@ -992,22 +990,26 @@ def gauss_jordan(rows, ncols):
     return pivots
 
 
-def cleared(vals):
-    """int or Fraction values times the lcm of their denominators: ints."""
-    l = lcm(*(e.denominator for e in vals))
-    return [e.numerator * (l // e.denominator) for e in vals]
+def cleared(pairs):
+    """(n, d) pairs, d > 0, times the lcm of their d: ints."""
+    l = lcm(*(d for _, d in pairs))
+    return [n * (l // d) for n, d in pairs]
 
 
 def exact_rank(rows):
-    """Rank over Q of a list of equal-length rows of int or Fraction.
+    """Rank over Q of equal-length rows of int or Fraction: each row is
+    cleared to ints, which keeps the rank, and ranked by int_rank."""
+    return int_rank([cleared([(e.numerator, e.denominator) for e in row])
+                     for row in rows])
 
-    Fraction-free (Bareiss 1968): each row is first cleared to integers,
-    which leaves the rank unchanged, and every update p*row - f*pivot_row
-    is divided exactly by the previous pivot, so the entries stay integer
-    minors and never swell past them.  A column with no nonzero entry at
-    or below the current row is skipped.
-    """
-    m = [row for row in map(cleared, rows) if any(row)]
+
+def int_rank(rows):
+    """Rank over Q of equal-length rows of ints, fraction-free (Bareiss
+    1968): every update p*row - f*pivot_row is divided exactly by the
+    previous pivot, so the entries stay integer minors and never swell
+    past them.  A column with no nonzero entry at or below the current
+    row is skipped."""
+    m = [row for row in rows if any(row)]
     rank, prev = 0, 1
     for c in range(len(m[0]) if m else 0):
         if rank == len(m):

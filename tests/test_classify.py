@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -232,7 +233,7 @@ def test_jet_brackets_are_scaled_symbolic_brackets(n, s, rational):
             [e for ex in exprs for e in ex], seed=n + s):
         per = [vals[i * w:(i + 1) * w] for i in range(s + 1)]
         jet = [classify_mod._scaled_jet(v, n) for v in per]
-        scale = [lcm(*(q.denominator for q in v)) for v in per]
+        scale = [lcm(*(Fraction(*q).denominator for q in v)) for v in per]
         got = {(i, j): classify_mod._bracket(jet[i], jet[j])
                for i, j in pairs}
 
@@ -265,7 +266,8 @@ def _symbolic_invariants(a, seed=0):
         a = to_affine(a)
     n, s = a.n, a.s
     fields = [a.f0] + list(a.fvecs)
-    sample = list(jets_mod.sample_points([e for v in fields for e in v], seed))
+    sample = [(pt, [Fraction(*q) for q in vals]) for pt, vals in
+              jets_mod.sample_points([e for v in fields for e in v], seed)]
     points = [pt for pt, _ in sample]
     pool = [(v, [vals[i * n:(i + 1) * n] for _, vals in sample])
             for i, v in enumerate(fields)]

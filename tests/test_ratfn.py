@@ -609,6 +609,97 @@ def test_const_value_and_eval_at_return_fractions():
     assert type(w) is Fraction and w == Fraction(3, 2)
 
 
+# ---------------------------------------------------------------------------
+# the stored triple (N, k, D) and the exact pair evaluator
+
+def _moved_forms():
+    """Every component of seeded static and nonautonomous moves of the
+    (3, 2) normal forms, with the 2-jet expressions the classifier
+    evaluates for their fields: truly rational coefficients."""
+    from jetfactor import (elkin_forms_32, random_nonaut_static_pair,
+                           random_static_transform, to_affine)
+    from jetfactor.classify import _jet_exprs
+    for k, form in enumerate(elkin_forms_32()):
+        for move in (random_static_transform, random_nonaut_static_pair):
+            fwd, inv, moved = move(form, seed=k)
+            yield from moved.f + fwd.y + fwd.v + inv.y + inv.v
+            a = to_affine(moved)
+            for v in [a.f0] + list(a.fvecs):
+                yield from _jet_exprs(v)
+
+
+def _triple_forms():
+    forms = list(_suite_forms(seed=37, count=60)) + list(_moved_forms())
+    forms.append(RatFn({((X(1), 1),): Fraction(3)}, {(): Fraction(1)}))
+    forms.append(RatFn({(): Fraction(-4, 6)}, {((X(2), 1),): Fraction(-2, 3),
+                                              (): 4}))
+    return forms
+
+
+def _ratio_at(r, point):
+    """num/den of r evaluated at point term by term over Fractions: the
+    exact value as eval_at computed it before eval_pair, or None at a
+    pole."""
+    def ev(a):
+        out = Fraction(0)
+        for m, c in a.items():
+            term = Fraction(c)
+            for v, e in m:
+                term *= point[v] ** e
+            out += term
+        return out
+
+    d = ev(r.den)
+    return None if d == 0 else ev(r.num) / d
+
+
+def test_eval_pair_is_the_reduced_exact_value():
+    rng = random.Random(20261019)
+    forms = _triple_forms()
+    assert any(r._k > 1 for r in forms) and any(r._k == 1 for r in forms)
+    poles = values = 0
+    for r in forms:
+        for _ in range(4):
+            point = {v: rng.randint(-3, 3) for v in sorted(r.vars())}
+            want = _ratio_at(r, point)
+            if want is None:
+                poles += 1
+                for ev in (r.eval_pair, r.eval_at):
+                    with pytest.raises(DenominatorZero):
+                        ev(point)
+                continue
+            n, d = r.eval_pair(point)
+            assert type(n) is int and type(d) is int and d > 0
+            assert (n, d) == (want.numerator, want.denominator), (r, point)
+            assert r.eval_at(point) == want
+            values += 1
+        half = {v: Fraction(rng.choice([-3, -1, 1, 5]), 2) for v in r.vars()}
+        want = _ratio_at(r, half)
+        if want is not None:
+            assert r.eval_pair(half) == (want.numerator, want.denominator)
+    assert poles > 50 and values > 2000, (poles, values)
+
+
+def test_stored_triple_invariants():
+    for r in _triple_forms() + [ZERO, ONE, RatFn.const(Fraction(-6, 4))]:
+        n, k, d = r._n, r._k, r._d
+        assert all(type(c) is int for c in n.values()), r
+        assert all(type(c) is int for c in d.values()), r
+        assert type(k) is int and k >= 1, r
+        assert gcd(k, *n.values()) == 1, r
+        assert gcd(*d.values()) == 1 and p_lead(d)[1] > 0, r
+        if n:
+            assert poly_gcd(n, d) == p_const(1), r
+        else:
+            assert (k, d) == (1, p_const(1)), r
+        # num and den are the canonical pair (N/k, D), N itself when k is 1
+        assert r.num == {m: Fraction(c, k) for m, c in n.items()}
+        assert list(r.num) == list(n) and r.den is d
+        assert (r.num is n) == (k == 1), r
+        assert RatFn(r.num, r.den) == r
+        assert hash(RatFn(r.num, r.den)) == hash(r)
+
+
 # --- exact elimination ------------------------------------------------------
 
 
