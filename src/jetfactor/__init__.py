@@ -8,7 +8,7 @@ from .jets import (ControlSystem, VectorField, AffineForm, to_affine,
                    lie_bracket, total_derivative, prolong_total,
                    prolong_partial, generic_rank, sample_point)
 from .coframes import (contact_coframe, adapted_coframe_3x2, Coframe,
-                       exterior_d, wedge, check_structure)
+                       exterior_d, wedge)
 from .equivalence import (EquivMap, compose, prolong_map,
                           VerificationReport, verify_forward, verify_inverse,
                           verify_pair, verify_scalar_theorem, BlockMatrix,
@@ -31,7 +31,7 @@ __all__ = [
     "total_derivative", "prolong_total", "prolong_partial", "generic_rank",
     "sample_point",
     "contact_coframe", "adapted_coframe_3x2", "Coframe", "exterior_d",
-    "wedge", "check_structure",
+    "wedge",
     "EquivMap", "compose", "prolong_map",
     "VerificationReport", "verify_forward", "verify_inverse", "verify_pair",
     "verify_scalar_theorem", "BlockMatrix", "pullback_matrix",

@@ -15,6 +15,7 @@ reporting it, and verification treats advisory notes as failures.
 """
 
 import argparse
+import functools
 import sys
 
 from . import battery, sysio
@@ -240,7 +241,9 @@ def cmd_fixtures(a):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after."""
     ap = argparse.ArgumentParser(
         prog="jetfactor",
         description="verify, pull back, factor, and classify dynamic "
@@ -305,9 +308,8 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,16 +15,12 @@ and inverts by forward substitution.  Forms re-expressed over frame labels
 are again dicts keyed by label (or label pairs).
 """
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE
+from .ratfn import RatFn, T, X, U, ZERO, ONE, var_name
 from .errors import NotNormalizedForm, TruncationExceeded, StructureViolation
 
 
 # ---------------------------------------------------------------------------
 # coordinate-basis forms
-
-def oneform(d=None):
-    return dict(d) if d else {}
-
 
 def d_var(v):
     return {v: ONE}
@@ -32,15 +28,27 @@ def d_var(v):
 
 # The form helpers take any dict of RatFn values: one-forms over
 # differentials, frame vectors over labels, two-forms over label pairs.
+# Such a dict holds no zero value; add_term is the one place that keeps it so.
+
+def add_term(r, k, c):
+    """r[k] += c in place, dropping the key when the sum cancels."""
+    s = r.get(k, ZERO) + c
+    if s.is_zero():
+        r.pop(k, None)
+    else:
+        r[k] = s
+
+
+def add_scaled(r, a, c):
+    """r += a * c in place, term by term."""
+    for k, v in a.items():
+        add_term(r, k, v * c)
+
 
 def form_add(a, b):
     r = dict(a)
     for k, c in b.items():
-        s = r.get(k, ZERO) + c
-        if s.is_zero():
-            r.pop(k, None)
-        else:
-            r[k] = s
+        add_term(r, k, c)
     return r
 
 
@@ -48,17 +56,6 @@ def form_scale(a, c):
     if c.is_zero() if isinstance(c, RatFn) else c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
-
-
-def form_sub(a, b):
-    r = dict(a)
-    for k, c in b.items():
-        s = r.get(k, ZERO) - c
-        if s.is_zero():
-            r.pop(k, None)
-        else:
-            r[k] = s
-    return r
 
 
 def _pair(a, b):
@@ -76,13 +73,8 @@ def wedge(a, b):
     for va, ca in a.items():
         for vb, cb in b.items():
             key, sg = _pair(va, vb)
-            if key is None:
-                continue
-            s = r.get(key, ZERO) + ca * cb * sg
-            if s.is_zero():
-                r.pop(key, None)
-            else:
-                r[key] = s
+            if key is not None:
+                add_term(r, key, ca * cb * sg)
     return r
 
 
@@ -92,13 +84,8 @@ def exterior_d(a):
     for v, c in a.items():
         for w in c.vars():
             key, sg = _pair(w, v)
-            if key is None:
-                continue
-            s = r.get(key, ZERO) + c.diff(w) * sg
-            if s.is_zero():
-                r.pop(key, None)
-            else:
-                r[key] = s
+            if key is not None:
+                add_term(r, key, c.diff(w) * sg)
     return r
 
 
@@ -117,12 +104,7 @@ def exterior_d2(a):
                 for j in range(i + 1, 3):
                     if perm[i] > perm[j]:
                         sg = -sg
-            key = tuple(trip)
-            s = r.get(key, ZERO) + c.diff(w) * sg
-            if s.is_zero():
-                r.pop(key, None)
-            else:
-                r[key] = s
+            add_term(r, tuple(trip), c.diff(w) * sg)
     return r
 
 
@@ -161,7 +143,7 @@ class Coframe:
             for j in (1, 2):
                 fu = f[2].diff(U(j))
                 corr = form_add(d_var(X(j)), form_scale(d_var(T), -RatFn.var(U(j))))
-                w = form_sub(w, form_scale(corr, fu))
+                w = form_add(w, form_scale(corr, -fu))
             self.labels.append((0, 3))
             self.elements[(0, 3)] = w
         else:
@@ -179,7 +161,7 @@ class Coframe:
             acc = {lab: ONE}
             for v, c in w.items():
                 if v in self._back:
-                    acc = form_add(acc, form_scale(self._back[v], -c))
+                    add_scaled(acc, self._back[v], -c)
                 elif new_v is None:
                     new_v, new_c = v, c
                 else:
@@ -189,44 +171,33 @@ class Coframe:
 
     # -- basis conversion ------------------------------------------------
 
+    def _vector(self, v):
+        """The frame vector of the differential dv."""
+        fv = self._back.get(v)
+        if fv is None:
+            raise TruncationExceeded("d(%s) is beyond frame level %d" %
+                                     (var_name(v), self.N))
+        return fv
+
     def to_frame(self, a):
         """One-form over differentials -> dict {label: RatFn}."""
         out = {}
         for v, c in a.items():
-            fv = self._back.get(v)
-            if fv is None:
-                raise TruncationExceeded("d(%s) is beyond frame level %d" %
-                                         (_vn(v), self.N))
-            out = form_add(out, form_scale(fv, c))
+            add_scaled(out, self._vector(v), c)
         return out
 
     def to_frame2(self, a):
         """Two-form over differentials -> dict {(label, label): RatFn}."""
         out = {}
         for (va, vb), c in a.items():
-            fa = self._back.get(va)
-            fb = self._back.get(vb)
-            if fa is None or fb is None:
-                v = va if fa is None else vb
-                raise TruncationExceeded("d(%s) is beyond frame level %d" %
-                                         (_vn(v), self.N))
-            for la, ca in fa.items():
-                for lb, cb in fb.items():
-                    key, sg = _pair(la, lb)
-                    if key is None:
-                        continue
-                    s = out.get(key, ZERO) + c * ca * cb * sg
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+            add_scaled(out, wedge(self._vector(va), self._vector(vb)), c)
         return out
 
     def from_frame(self, fv):
         """dict {label: RatFn} -> one-form over differentials."""
         out = {}
         for lab, c in fv.items():
-            out = form_add(out, form_scale(self.elements[lab], c))
+            add_scaled(out, self.elements[lab], c)
         return out
 
     # -- structure equations ----------------------------------------------
@@ -255,14 +226,14 @@ class Coframe:
             else:
                 if i in (1, 2):
                     want[(wm1, (1, i))] = ONE
-            diff = form_sub(got, want)
+            diff = form_add(got, form_scale(want, -ONE))
             if diff:
                 failures.append(((0, i), _fv2_text(diff)))
         for k in range(1, self.N):
             for j in range(1, self.sys.s + 1):
                 got = self.to_frame2(exterior_d(self.elements[(k, j)]))
                 want = {(wm1, (k + 1, j)): ONE}
-                diff = form_sub(got, want)
+                diff = form_add(got, form_scale(want, -ONE))
                 if diff:
                     failures.append(((k, j), _fv2_text(diff)))
         return StructureReport(self, failures)
@@ -310,11 +281,6 @@ def _fv2_text(fv2):
     return " + ".join(bits)
 
 
-def _vn(v):
-    from .ratfn import var_name
-    return var_name(v)
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -327,17 +293,3 @@ def adapted_coframe_3x2(sys_, N):
     """The normalized frame for x1' = u1, x2' = u2, x3' = f(x, u)."""
     return Coframe(sys_, N, ADAPTED)
 
-
-def to_coframe_basis(form, frame):
-    """Express a one- or two-form over coordinate differentials in the frame."""
-    if not form:
-        return {}
-    k = next(iter(form))
-    if isinstance(k[0], tuple):
-        return frame.to_frame2(form)
-    return frame.to_frame(form)
-
-
-def check_structure(frame):
-    """Raise StructureViolation unless the frame's structure equations hold."""
-    return frame.check_structure()

@@ -10,7 +10,7 @@ source system.
 """
 
 from .ratfn import RatFn, T, X, U, ZERO, ONE, gauss_jordan
-from .coframes import Coframe, CONTACT, ADAPTED, form_add, form_scale
+from .coframes import Coframe, CONTACT, ADAPTED, add_term
 from .errors import (DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction, TruncationExceeded)
 from .jets import generic_rank
@@ -334,13 +334,9 @@ class BlockMatrix:
         for (r, c), v in other.entries.items():
             by_col.setdefault(r, []).append((c, v))
         for r, pairs in by_row.items():
-            acc = {}
             for mid, v in pairs:
                 for c, w in by_col.get(mid, ()):
-                    s = acc.get(c, ZERO) + v * w
-                    acc[c] = s
-            for c, s in acc.items():
-                out.set(r, c, s)
+                    add_term(out.entries, (r, c), v * w)
         return out
 
     def transpose(self):
@@ -405,7 +401,7 @@ class BlockMatrix:
         for col in list(self.col_labels()):
             v = self.get(src, col)
             if not v.is_zero():
-                self.set(dst, col, self.get(dst, col) + c * v)
+                add_term(self.entries, (dst, col), c * v)
 
     def row_scale(self, r, c):
         for col in list(self.col_labels()):
@@ -423,7 +419,7 @@ class BlockMatrix:
         for row in list(self.row_labels()):
             v = self.get(row, src)
             if not v.is_zero():
-                self.set(row, dst, self.get(row, dst) + c * v)
+                add_term(self.entries, (row, dst), c * v)
 
     def col_swap(self, c1, c2):
         for row in list(self.row_labels()):
@@ -496,14 +492,14 @@ def pullback_matrix(m, frame_src=None, frame_tgt=None, N=4, strict=True):
         for v, c in frame_tgt.elements[lab].items():
             cc = ctx.pull(c) if not c.is_const() else c
             if v == T:
-                pulled = form_add(pulled, {T: cc})
+                add_term(pulled, T, cc)
                 continue
             image = ctx.binding.get(v)
             if image is None:
                 ctx._ensure(v[1])
                 image = ctx.binding[v]
-            dimg = {w: image.diff(w) for w in sorted(image.vars())}
-            pulled = form_add(pulled, form_scale(dimg, cc))
+            for w in sorted(image.vars()):
+                add_term(pulled, w, image.diff(w) * cc)
         row = frame_src.to_frame(pulled)
         for clab, val in row.items():
             if clab[0] > colN:

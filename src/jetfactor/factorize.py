@@ -182,6 +182,29 @@ class _Driver:
         self.W.col_swap(a, b)
         self.R.col_swap(a, b)
 
+    def clear_by_row(self, r, c, src):
+        """Clear W[r, c] by adding a multiple of row src to row r."""
+        w = self.W.get(r, c)
+        if not w.is_zero():
+            self.row_add(r, src, ZERO - w)
+
+    def clear_by_col(self, r, c, src):
+        """Clear W[r, c] by adding a multiple of column src to column c."""
+        w = self.W.get(r, c)
+        if not w.is_zero():
+            self.col_add(c, src, ZERO - w)
+
+    def clear_control_row(self, r, i, n):
+        """Stage B: clear row r at control level i out of the second-column
+        chain, the first columns below level i - 1 and the state columns
+        2..n, using the rows already settled."""
+        for k in range(i, 0, -1):
+            self.clear_by_row(r, (k, 2), (0, 1) if k == 1 else (k - 1, 2))
+        for k in range(0, i - 1):
+            self.clear_by_row(r, (k, 1), (k + 1, 1))
+        for j in range(2, n + 1):
+            self.clear_by_row(r, (0, j), (0, j))
+
     def permute_block0_rows(self, perm):
         self.ops.append("permute level-0 rows by %s" %
                         sorted(perm.items()))
@@ -254,15 +277,11 @@ def factor_JK0(A, seed=0):
     for i in range(2, n + 1):
         if not W.get((0, i), (1, 1)).is_zero():
             raise RankMismatch("level-0 rows are not proportional over the control columns")
-        gi = W.get((0, i), (1, 2))
-        if not gi.is_zero():
-            d.row_add((0, i), (0, 1), ZERO - gi)
+        d.clear_by_row((0, i), (1, 2), (0, 1))
 
     # clear the pivot row's state entries with shears out of column (1,2)
     for j in range(1, n + 1):
-        w = W.get((0, 1), (0, j))
-        if not w.is_zero():
-            d.col_add((0, j), (1, 2), ZERO - w)
+        d.clear_by_col((0, 1), (0, j), (1, 2))
     if not W.get((0, 1), (-1, 1)).is_zero():
         raise StructureViolation("pivot row keeps a dt component")
 
@@ -287,15 +306,10 @@ def factor_JK0(A, seed=0):
         d.note(pv)
         d.row_scale((0, i), ONE / pv)
         for r2 in range(2, n + 1):
-            if r2 == i:
-                continue
-            w = W.get((0, r2), (0, i))
-            if not w.is_zero():
-                d.row_add((0, r2), (0, i), ZERO - w)
+            if r2 != i:
+                d.clear_by_row((0, r2), (0, i), (0, i))
     for i in range(2, n + 1):
-        w = W.get((0, i), (0, 1))
-        if not w.is_zero():
-            d.col_add((0, 1), (0, i), ZERO - w)
+        d.clear_by_col((0, i), (0, 1), (0, i))
 
     # ---- stage B: the control levels ----------------------------------
 
@@ -329,22 +343,9 @@ def factor_JK0(A, seed=0):
     # function at every level, so one replicated scale fixes them all
     for i in range(1, N + 1):
         r = (i, 1)
-        for k in range(i, 0, -1):
-            w = W.get(r, (k, 2))
-            if not w.is_zero():
-                d.row_add(r, (0, 1) if k == 1 else (k - 1, 2), ZERO - w)
-        for k in range(0, i - 1):
-            w = W.get(r, (k, 1))
-            if not w.is_zero():
-                d.row_add(r, (k + 1, 1), ZERO - w)
-        for j in range(2, n + 1):
-            w = W.get(r, (0, j))
-            if not w.is_zero():
-                d.row_add(r, (0, j), ZERO - w)
+        d.clear_control_row(r, i, n)
         if i >= 2:
-            w = W.get(r, (0, 1))
-            if not w.is_zero():
-                d.row_add(r, (1, 1), ZERO - w)
+            d.clear_by_row(r, (0, 1), (1, 1))
         if not W.get(r, (i, 1)).is_zero():
             raise StructureViolation("row (%d,1) keeps an entry at its own level" % i)
         piv = W.get(r, (i - 1, 1))
@@ -360,25 +361,12 @@ def factor_JK0(A, seed=0):
                                 % (i, piv.to_text()))
 
         r = (i, 2)
-        for k in range(i, 0, -1):
-            w = W.get(r, (k, 2))
-            if not w.is_zero():
-                d.row_add(r, (0, 1) if k == 1 else (k - 1, 2), ZERO - w)
-        for k in range(0, i - 1):
-            w = W.get(r, (k, 1))
-            if not w.is_zero():
-                d.row_add(r, (k + 1, 1), ZERO - w)
-        for j in range(2, n + 1):
-            w = W.get(r, (0, j))
-            if not w.is_zero():
-                d.row_add(r, (0, j), ZERO - w)
+        d.clear_control_row(r, i, n)
         # the leftover entries toward the shift column leave through the
         # next level's second column, whose only settled entry is this row's
         # unit; row operations here would break the diagonal equality of g
         for cc in ((i - 1, 1), (i, 1)):
-            w = W.get(r, cc)
-            if not w.is_zero():
-                d.col_add(cc, (i + 1, 2), ZERO - w)
+            d.clear_by_col(r, cc, (i + 1, 2))
 
     # ---- wrap up -------------------------------------------------------
 
@@ -529,20 +517,14 @@ def validate_nonaut_static(ns, frame):
     the residue may contain only dt ^ (level i+1) pairs, and its coefficient
     vector must lie in the row span of the level-(i+1) diagonal block.
     Returns a report; raises DiagonalDrift first when the diagonal-equality
-    invariant fails, StructureViolation when the shape is not block-lower.
+    invariant fails, StructureViolation when the shape is not block-lower,
+    DimensionMismatch when it is not square (the NonautStatic checks).
     """
     from .coframes import exterior_d
     from .jets import generic_rank
 
     mat = ns.mat if isinstance(ns, NonautStatic) else ns
-    if not mat.is_block_lower():
-        raise StructureViolation("coframe change mixes a level into a higher one")
-    lev = [l for l in mat.row_levels if l >= 1]
-    if lev:
-        ref = mat.block(1, 1)
-        for l in lev[1:]:
-            if mat.block(l, l) != ref:
-                raise DiagonalDrift("diagonal block at level %d differs from level 1" % l)
+    NonautStatic(mat, structure_preserving=True)
     if mat.get((-1, 1), (-1, 1)) != ONE:
         raise StructureViolation("the time row must stay untouched")
 
@@ -557,17 +539,8 @@ def validate_nonaut_static(ns, frame):
                      for a in range(1, s + 1)]
         span_rank = generic_rank(span_rows)
         for j in range(1, mat.row_sizes[i] + 1):
-            obar = {}
-            for c in mat.col_labels():
-                coeff = mat.get((i, j), c)
-                if coeff.is_zero():
-                    continue
-                for w, cw in frame.elements[c].items():
-                    acc = obar.get(w, ZERO) + coeff * cw
-                    if acc.is_zero():
-                        obar.pop(w, None)
-                    else:
-                        obar[w] = acc
+            obar = frame.from_frame({c: v for (r, c), v in mat.entries.items()
+                                     if r == (i, j)})
             got = frame.to_frame2(exterior_d(obar))
             partner = [ZERO] * s
             bad = []
@@ -622,22 +595,7 @@ def check_gnice(G):
     p1 = mat.get((1, 2), (0, 1))
     q = (mat.get((2, 2), (1, 1)) - p1) if M >= 2 else ZERO
 
-    want = {((-1, 1), (-1, 1)): ONE}
-    for i in range(1, 4):
-        want[((0, i), (0, i))] = ONE
-    if not p0.is_zero():
-        want[((0, 2), (0, 1))] = p0
-    for k in range(1, M + 1):
-        want[((k, 1), (k, 1))] = ONE
-        want[((k, 2), (k, 2))] = ONE
-        if not p0.is_zero():
-            want[((k, 2), (k, 1))] = p0
-    if not p1.is_zero():
-        want[((1, 2), (0, 1))] = p1
-    for k in range(1, M):
-        c = p1 + RatFn.const(k) * q
-        if not c.is_zero():
-            want[((k + 1, 2), (k, 1))] = c
+    want = _gnice_matrix(mat.row_levels, mat.row_sizes, p0, p1, q).entries
     for key in sorted(set(mat.entries) | set(want)):
         a = mat.entries.get(key, ZERO)
         b = want.get(key, ZERO)

@@ -71,13 +71,6 @@ class ControlSystem:
                 out = out + RatFn.var(U(v[2], v[1] + 1)) * expr.diff(v)
         return out
 
-    def dt_iter(self, expr, k):
-        """[expr, D_t expr, ..., D_t^k expr]."""
-        out = [expr]
-        for _ in range(k):
-            out.append(self.D(out[-1]))
-        return out
-
     def mentions_t(self):
         return any(T in fi.vars() for fi in self.f)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetfactor
 from jetfactor import (ControlSystem, RatFn, U, X, battery, builtin_fixtures,
                        elkin_forms_32, parse_document, pullback_matrix,
                        random_nonaut_static_pair, serialize)
@@ -15,6 +19,7 @@ from jetfactor.errors import SingularTrajectory, UsageError
 
 PHI, PHI_INV = builtin_fixtures()[0]
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+SRC = Path(jetfactor.__file__).resolve().parents[1]
 
 
 def _golden_battery(fmt):
@@ -135,6 +140,28 @@ def test_bad_arguments_exit_2(files, capsys):
                        "--promote", "1,zap")
     assert code == 2
     assert "comma-separated" in err
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(files, capsys,
+                                                         monkeypatch):
+    import argparse
+    import jetfactor.cli as cli_mod
+    builds = []
+    real = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: builds.append(self) or real(self, **kw))
+    cli_mod._build_parser.cache_clear()
+    assert run(capsys, "verify", "--src", files["src"])[0] == 2
+    argv = ["classify", "--sys", files["elkin5"], "--format", "machine"]
+    got = run(capsys, *argv)
+    assert len(builds) == 1
+    # the reused parser answers like the one a fresh process builds
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from jetfactor.cli import main; sys.exit(main())"] + argv,
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]

@@ -1,11 +1,13 @@
 """Exterior calculus on jet coordinates plus the two frame kinds."""
 
+import random
+
 import pytest
 
 from jetfactor import (Coframe, ControlSystem, RatFn, T, U, X, ZERO, ONE,
-                       adapted_coframe_3x2, contact_coframe, exterior_d, wedge)
-from jetfactor.coframes import (d_var, exterior_d2, form_add, form_scale,
-                                form_sub, oneform, to_coframe_basis)
+                       adapted_coframe_3x2, contact_coframe, elkin_forms_32,
+                       exterior_d, wedge)
+from jetfactor.coframes import d_var, exterior_d2, form_add, form_scale
 from jetfactor.errors import (NotNormalizedForm, StructureViolation,
                               TruncationExceeded)
 
@@ -26,9 +28,7 @@ def d_of(h):
 
 def test_form_add_cancels_to_nothing():
     a = form_add(d_var(X(1)), form_scale(d_var(T), x2))
-    b = form_sub(a, a)
-    assert b == {}
-    assert oneform() == {}
+    assert form_add(a, form_scale(a, -ONE)) == {}
 
 
 def test_wedge_antisymmetry():
@@ -48,7 +48,7 @@ def test_exterior_d_kills_exact_forms():
 
 def test_exterior_d_of_corrected_state_form():
     # d(dx3 - x2 dx1) = dx1 ^ dx2
-    w = form_sub(d_var(X(3)), form_scale(d_var(X(1)), x2))
+    w = form_add(d_var(X(3)), form_scale(d_var(X(1)), -x2))
     assert exterior_d(w) == {(X(1), X(2)): ONE}
 
 
@@ -131,12 +131,43 @@ def test_wedge_expansion_in_adapted_basis():
     }
 
 
-def test_to_coframe_basis_dispatches_on_degree():
+def test_frame_converts_one_and_two_forms():
     fr = adapted_coframe_3x2(sigma(), 1)
-    assert to_coframe_basis(d_var(X(1)), fr) == {(0, 1): ONE, (-1, 1): u1}
-    two = to_coframe_basis(wedge(d_var(X(1)), d_var(X(2))), fr)
+    assert fr.to_frame(d_var(X(1))) == {(0, 1): ONE, (-1, 1): u1}
+    two = fr.to_frame2(wedge(d_var(X(1)), d_var(X(2))))
     assert ((0, 1), (0, 2)) in two
-    assert to_coframe_basis({}, fr) == {}
+    assert fr.to_frame({}) == {} and fr.to_frame2({}) == {}
+
+
+def _random_oneform(rng, fr):
+    """A seeded one-form over the differentials the frame spans, with
+    polynomial and rational coefficients in the frame's jet variables."""
+    n, s = fr.sys.n, fr.sys.s
+    diffs = ([T] + [X(i) for i in range(1, n + 1)]
+             + [U(j, k) for j in range(1, s + 1) for k in range(fr.N)])
+    names = [RatFn.var(v) for v in diffs[1:]]
+    form = {}
+    for v in rng.sample(diffs, 3):
+        c = RatFn.const(rng.randint(-3, 3)) + rng.choice(names) * rng.choice(names)
+        if rng.random() < 0.5:
+            c = c / (rng.choice(names) + rng.randint(1, 4))
+        form[v] = c
+    return form
+
+
+@pytest.mark.parametrize("make", [contact_coframe, adapted_coframe_3x2],
+                         ids=["contact", "adapted"])
+def test_change_of_basis_respects_the_wedge(make):
+    # to_frame2 must be the two-form extension of to_frame, and from_frame
+    # its inverse, on every elkin form at N = 3
+    rng = random.Random(13)
+    for sys_ in elkin_forms_32():
+        fr = make(sys_, 3)
+        for _ in range(4):
+            a, b = _random_oneform(rng, fr), _random_oneform(rng, fr)
+            assert fr.to_frame2(wedge(a, b)) == wedge(fr.to_frame(a),
+                                                      fr.to_frame(b))
+            assert fr.from_frame(fr.to_frame(a)) == a
 
 
 def test_control_level_structure_identity():
