@@ -6,19 +6,29 @@ measures how far the image is from solving the target system.  It is an
 independent floating-point check of the exact verification in
 equivalence.py, not a proof.
 
-Float evaluation is compiled once per call: ratfn.compile_float turns the
-source field, each assumption, the map's y and v and the target field into
-functions local to the call, bit-identical to term-by-term evaluation.
-Each point evaluates only the control-derivative levels they read.
+The three loops are generated once per call as straight-line Python from
+ratfn.float_lines, the kernel's one float evaluator: the RK4 integrator
+with the source field inlined at each of its four stages and each control
+in unrolled Horner form, the image pass (the map's controls, the
+assumption checks, every y, then every v) and the residual loop.  They
+run the float operations of the Python loops they replace, and of
+term-by-term evaluation of each field, in the same order, except that each
+power is computed once per point and read back after (see
+ratfn.compile_float for why that changes no bit); so residuals, attempts
+and the first exception raised are bit-identical to them.  Only the
+control-derivative levels that the source field and the map read are
+evaluated.
 """
 
 import math
 import random
 
 from . import sysio
-from .ratfn import T, X, U, compile_float
+from .ratfn import X, U, T as TIME, float_functions, float_lines
 from .equivalence import verify_forward
 from .errors import SingularTrajectory, DenominatorZero, UsageError
+
+_VANISH = "assumption vanishes on the trajectory"
 
 
 class CrosscheckResult:
@@ -32,13 +42,6 @@ class CrosscheckResult:
     @property
     def passed(self):
         return self.max_residual < self.tol
-
-
-def _poly_eval(coeffs, t):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def _poly_diff(coeffs):
@@ -58,9 +61,125 @@ def _u_coeffs(ucoeffs, v):
     return c
 
 
-def _compile(exprs, n, us):
-    """compile_float over the arguments (t, x_1, ..., x_n, *us)."""
-    return compile_float(exprs, [T] + [X(i + 1) for i in range(n)] + us)
+def _flat(ucoeffs, us):
+    """The coefficients of every u in us, in one list."""
+    return [c for v in us for c in _u_coeffs(ucoeffs, v)]
+
+
+def _tuple(names):
+    """A tuple display or target of names, of any length."""
+    return "(%s)" % "".join(n + ", " for n in names)
+
+
+def _controls(us, shape):
+    """Per u in us, the names p<j>_<i> of its coefficients in the generated
+    code: as many as _u_coeffs gives for controls of the lengths in shape."""
+    return [["p%d_%d" % (j, i)
+             for i in range(len(_u_coeffs(shape, v)))]
+            for j, v in enumerate(us)]
+
+
+def _horner(coeffs, t):
+    """acc = acc * t + c from the top coefficient down, from acc = 0.0."""
+    acc = "0.0"
+    for c in reversed(coeffs):
+        acc = "(%s * %s + %s)" % (acc, t, c)
+    return acc
+
+
+def _names(n, x, us, w, t="t"):
+    """float_lines names: time t, states x<i>, the controls us as w<j>."""
+    names = {TIME: t}
+    names.update((X(i + 1), "%s%d" % (x, i + 1)) for i in range(n))
+    names.update((u, "%s%d" % (w, j)) for j, u in enumerate(us))
+    return names
+
+
+def _loops(m, assumptions, src_us, map_us, lens):
+    """The generated rk4, image and residual functions of one crosscheck,
+    for controls whose coefficient lists have the lengths lens."""
+    src, tgt = m.src, m.tgt
+    shape = [[0.0] * k for k in lens]
+    ns = {"range": range, "zip": zip, "abs": abs, "VANISH": _VANISH}
+    xs = ["x%d" % (i + 1) for i in range(src.n)]
+    p = _controls(src_us, shape)
+    lines = ["def rk4(T, steps, x0, cf):",
+             "    %s = x0" % _tuple(xs),
+             "    %s = cf" % _tuple(c for cs in p for c in cs),
+             "    t0 = 0.0",
+             "    h = (T - t0) / steps",
+             "    ts = [t0]",
+             "    xs = [%s]" % _tuple(xs),
+             "    for k in range(steps):"]
+    pad = " " * 8
+    # (time, its value if new, step from x to the stage's states): stages 2
+    # and 3 share t + h/2 and its controls
+    stages = [("t", "t0 + k * h", None), ("tm", "t + h / 2", "h / 2"),
+              ("tm", None, "h / 2"), ("te", "t + h", "h")]
+    for s, (t, at, step) in enumerate(stages, 1):
+        if at:
+            lines.append("%s%s = %s" % (pad, t, at))
+            lines += ["%sw%d = %s" % (pad, j, _horner(cs, t))
+                      for j, cs in enumerate(p)]
+        if step:
+            lines += ["%ss%d = x%d + %s * k%d_%d" % (pad, i, i, step, s - 1, i)
+                      for i in range(1, src.n + 1)]
+        names = _names(src.n, "s" if step else "x", src_us, "w", t)
+        outs = ["k%d_%d" % (s, i) for i in range(1, src.n + 1)]
+        lines += float_lines(src.f, names, outs, ns, {}, pad)
+    lines += ["%sx%d = x%d + h / 6 * (k1_%d + 2 * k2_%d + 2 * k3_%d + k4_%d)"
+              % ((pad,) + (i,) * 6) for i in range(1, src.n + 1)]
+    lines += [pad + "ts.append(t0 + (k + 1) * h)",
+              pad + "xs.append(%s)" % _tuple(xs),
+              "    return ts, xs"]
+
+    # the image pass: controls and checks point by point, then y, then v
+    p = _controls(map_us, shape)
+    point = ["t"] + xs + ["w%d" % j for j in range(len(map_us))]
+    names = _names(src.n, "x", map_us, "w")
+    lines += ["def image(ts, xs, cf):",
+              "    %s = cf" % _tuple(c for cs in p for c in cs),
+              "    pts = []",
+              "    for t, %s in zip(ts, xs):" % _tuple(xs)]
+    lines += ["%sw%d = %s" % (pad, j, _horner(cs, "t"))
+              for j, cs in enumerate(p)]
+    pows = {}
+    for g in assumptions:
+        lines += float_lines([g], names, ["g"], ns, pows, pad)
+        lines += [pad + "if abs(g) < 0.0001:",
+                  pad + "    raise DenominatorZero(VANISH)"]
+    lines.append(pad + "pts.append(%s)" % _tuple(point))
+    for acc, exprs in (("ys", m.y), ("vs", m.v)):
+        outs = ["r%d" % i for i in range(len(exprs))]
+        lines += ["    %s = []" % acc,
+                  "    for %s in pts:" % ", ".join(point)]
+        lines += float_lines(exprs, names, outs, ns, {}, pad)
+        lines.append("%s%s.append(%s)" % (pad, acc, _tuple(outs)))
+    lines.append("    return ts, ys, vs")
+
+    # the residual: five-point dy/dt against the target field, NaN-sticky max
+    ys = ["y%d" % (i + 1) for i in range(tgt.n)]
+    names = _names(tgt.n, "y", [U(j + 1) for j in range(tgt.s)], "v")
+    lines += ["def residual(ts, ys, vs, h, steps):",
+              "    worst = 0.0",
+              "    for idx in range(2, steps - 1):",
+              pad + "t = ts[idx]"]
+    for tag, off in (("m2", " - 2"), ("m1", " - 1"), ("", ""),
+                     ("p1", " + 1"), ("p2", " + 2")):
+        lines.append("%s%s = ys[idx%s]" % (
+            pad, _tuple(y + tag for y in ys), off))
+    lines += ["%sdy%d = (-y%dp2 + 8 * y%dp1 - 8 * y%dm1 + y%dm2) / (12 * h)"
+              % ((pad,) + (i,) * 5) for i in range(1, tgt.n + 1)]
+    lines.append("%s%s = vs[idx]" % (
+        pad, _tuple("v%d" % j for j in range(tgt.s))))
+    outs = ["f%d" % i for i in range(1, tgt.n + 1)]
+    lines += float_lines(tgt.f, names, outs, ns, {}, pad)
+    for i in range(1, tgt.n + 1):  # r != r: max() would drop a NaN
+        lines += ["%sr = abs(dy%d - f%d)" % (pad, i, i),
+                  pad + "if r != r or r > worst:",
+                  pad + "    worst = r"]
+    lines.append("    return worst")
+    return float_functions(lines, ns, "rk4", "image", "residual")
 
 
 def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
@@ -72,8 +191,9 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     Controls are cubics with seeded coefficients; a draw whose trajectory
     runs through a recorded nonzero-assumption is thrown away and redrawn
     (up to ten times, then SingularTrajectory).  Passing explicit
-    `controls` (one coefficient list per source control) skips redrawing:
-    a singular hit raises immediately, which is how the guard is tested.
+    `controls` (one coefficient list per source control, constant term
+    first) skips redrawing: a singular hit raises immediately, which is how
+    the guard is tested.
 
     The residual is max over interior grid points and target states of
     |dy_i/dt - f_i(t, y, v)| with the derivative taken by five-point
@@ -87,17 +207,19 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
         raise UsageError("T must be finite and positive, got %r" % T)
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError("tol must be finite and positive, got %r" % tol)
-    src, tgt = m.src, m.tgt
+    src = m.src
+    if controls is not None and len(controls) != src.s:
+        raise UsageError("controls must give one coefficient list per "
+                         "source control (%d), got %d"
+                         % (src.s, len(controls)))
     rng = random.Random(seed)
     assumptions = [sysio.parse_expression(s)
                    for s in verify_forward(m).assumptions]
     src_us = _reads(src.f)
     map_us = _reads(m.y + m.v + tuple(assumptions))
-    fsrc = _compile(src.f, src.n, src_us)
-    checks = [_compile([g], src.n, map_us) for g in assumptions]
-    fy = _compile(m.y, src.n, map_us)
-    fv = _compile(m.v, src.n, map_us)
-    ftgt = _compile(tgt.f, tgt.n, [U(j + 1) for j in range(tgt.s)])
+    lens = ([len(c) for c in controls] if controls is not None
+            else [4] * src.s)
+    rk4, image, residual = _loops(m, assumptions, src_us, map_us, lens)
 
     attempts = 0
     while True:
@@ -108,22 +230,9 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
             ucoeffs = [[rng.uniform(-1.0, 1.0) for _ in range(4)]
                        for _ in range(src.s)]
         x0 = [rng.uniform(-2.0, 2.0) for _ in range(src.n)]
-
-        src_polys = [_u_coeffs(ucoeffs, v) for v in src_us]
-        map_polys = [_u_coeffs(ucoeffs, v) for v in map_us]
-
-        def src_controls(t):
-            return [_poly_eval(c, t) for c in src_polys]
-
-        h = T / steps
         try:
-            ts, xs = _rk4(fsrc, src_controls, x0, 0.0, T, steps)
-            points = [(t, *xv, *[_poly_eval(c, t) for c in map_polys])
-                      for t, xv in zip(ts, xs)]
-            if any(abs(g(*p)[0]) < 1e-4 for p in points for g in checks):
-                raise DenominatorZero("assumption vanishes on the trajectory")
-            ys = [fy(*p) for p in points]
-            vs = [fv(*p) for p in points]
+            ts, xs = rk4(T, steps, x0, _flat(ucoeffs, src_us))
+            ts, ys, vs = image(ts, xs, _flat(ucoeffs, map_us))
         except (DenominatorZero, OverflowError) as exc:
             if controls is not None or attempts >= 10:
                 raise SingularTrajectory(
@@ -132,38 +241,5 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
                     % (attempts, exc))
             continue
         break
-
-    worst = 0.0
-    for idx in range(2, steps - 1):
-        t = ts[idx]
-        dy = [(-ys[idx + 2][i] + 8 * ys[idx + 1][i]
-               - 8 * ys[idx - 1][i] + ys[idx - 2][i]) / (12 * h)
-              for i in range(tgt.n)]
-        f = ftgt(t, *ys[idx], *vs[idx])
-        for i in range(tgt.n):
-            r = abs(dy[i] - f[i])
-            if math.isnan(r) or r > worst:  # max() would drop a NaN
-                worst = r
+    worst = residual(ts, ys, vs, T / steps, steps)
     return CrosscheckResult(worst, tol, T, seed, attempts)
-
-
-def _rk4(f, controls, x0, t0, t1, steps):
-    """Classical RK4 for x' = f(t, *x, *controls(t)), with the controls
-    evaluated once per distinct time: stages 2 and 3 share t + h/2."""
-    h = (t1 - t0) / steps
-    ts = [t0]
-    xs = [list(x0)]
-    x = list(x0)
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = f(t, *x, *controls(t))
-        tm = t + h / 2
-        um = controls(tm)
-        k2 = f(tm, *[xi + h / 2 * ki for xi, ki in zip(x, k1)], *um)
-        k3 = f(tm, *[xi + h / 2 * ki for xi, ki in zip(x, k2)], *um)
-        k4 = f(t + h, *[xi + h * ki for xi, ki in zip(x, k3)], *controls(t + h))
-        x = [xi + h / 6 * (a + 2 * b + 2 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-        ts.append(t0 + (k + 1) * h)
-        xs.append(list(x))
-    return ts, xs

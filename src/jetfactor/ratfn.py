@@ -30,7 +30,7 @@ The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
 them; each method's docstring says why its result is canonical.  Results
 are the canonical triples of the general path; only the insertion order
-of their terms can differ.  Float evaluation has one path, compile_float.
+of their terms can differ.  Float evaluation has one path, float_lines.
 """
 
 from bisect import insort
@@ -905,45 +905,82 @@ def _p_eval(a, point):
     return out
 
 
-def compile_float(exprs, args):
-    """f(*values) -> [float value of e for e in exprs], values in args order.
+def float_lines(exprs, names, outs, ns, pows, pad="    "):
+    """Straight-line source that sets the local outs[k] to the float value
+    of exprs[k], reading each variable v from the local names[v].
 
-    The kernel's only float evaluator: one generated straight-line Python
-    function for the whole list, compiled once and called per point.  Per
-    expression it runs the term-by-term loop n = 0.0; n += c * a ** e * ...
-    over the num dict in its term order, with c = float(coefficient) and
-    every ** kept, even ** 1; the same for the denominator; DenominatorZero
-    if it is 0.0; then n / d.  These are the same float operations in the
-    same order, so results are bit-identical to that loop and the first
-    exception raised is the same.  The source holds only float literals
-    (repr of float(c)), the argument names a0, a1, ... and int exponents,
-    never text from the expressions.  A coefficient that overflows float()
-    is bound by name and converted at call time, so its OverflowError comes
-    at the same moment.  Nothing is cached: the function is the caller's.
-    A variable missing from args raises KeyError.
+    Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
+    * ... over the num dict in its term order, with c = float(coefficient);
+    the same for the denominator; DenominatorZero if it is 0.0; then n / d.
+    Each power a ** e is computed once per point: its first textual use is
+    (q := a ** e) and later uses read q.  pows maps (v, e) to q; pass one
+    fresh dict per point, shared by all the lines that point runs.  The
+    source holds only float literals (repr of float(c)), names from names,
+    outs and pows, and int exponents, never text from the expressions.  A
+    coefficient that overflows float() is bound in ns as big<i> and
+    converted when reached, so its OverflowError comes at the same moment.
+    The lines also assign n, d and q<i>.  A variable missing from names
+    raises KeyError.
     """
-    names = {v: "a%d" % i for i, v in enumerate(args)}
-    ns = {"__builtins__": {}, "float": float,
-          "DenominatorZero": DenominatorZero, "POLE": _POLE}
-    lines = ["def f(%s):" % ", ".join(names.values())]
-    for k, r in enumerate(exprs):
+    def power(v, e):
+        q = pows.get((v, e))
+        if q is None:
+            q = pows[v, e] = "q%d" % len(pows)
+            return "(%s := %s ** %d)" % (q, names[v], e)
+        return q
+
+    lines = []
+    for r, out in zip(exprs, outs):
         for acc, poly in (("n", r.num), ("d", r.den)):
-            lines.append("    %s = 0.0" % acc)
+            lines.append("%s%s = 0.0" % (pad, acc))
             for m, c in poly.items():
                 try:
                     term = repr(float(c))
                 except OverflowError:
-                    name = "c%d" % len(ns)
+                    name = "big%d" % len(ns)
                     ns[name] = c
                     term = "float(%s)" % name
-                term += "".join(" * %s ** %d" % (names[v], e) for v, e in m)
-                lines.append("    %s += %s" % (acc, term))
-        lines += ["    if d == 0.0:", "        raise DenominatorZero(POLE)",
-                  "    r%d = n / d" % k]
-    lines.append("    return [%s]" % ", ".join(
-        "r%d" % k for k in range(len(exprs))))
+                term += "".join(" * " + power(v, e) for v, e in m)
+                lines.append("%s%s += %s" % (pad, acc, term))
+        lines += [pad + "if d == 0.0:",
+                  pad + "    raise DenominatorZero(POLE)",
+                  "%s%s = n / d" % (pad, out)]
+    return lines
+
+
+def float_functions(lines, ns, *fnames):
+    """Define the generated source with ns as its globals, adding no
+    builtins but float, and DenominatorZero and POLE for float_lines; then
+    take the named functions out of ns, so nothing refers back to them
+    through their globals.  Nothing is cached: they are the caller's."""
+    ns.update({"__builtins__": {}, "float": float,
+               "DenominatorZero": DenominatorZero, "POLE": _POLE})
     exec("\n".join(lines), ns)
-    return ns.pop("f")  # no cycle through the function's globals
+    return [ns.pop(f) for f in fnames]
+
+
+def compile_float(exprs, args):
+    """f(*values) -> [float value of e for e in exprs], values in args order.
+
+    The kernel's float evaluator: one generated function of the arguments
+    a0, a1, ... whose body is float_lines of the whole list, compiled once
+    and called per point.  It runs the term-by-term loop n += c * a ** e *
+    ... over each numerator and denominator, in their term order, but
+    computes each power a ** e once per call and reads it back at every
+    later use.  That is bit-identical to the loop: pow is deterministic, so
+    a reused power is the value the loop recomputes, and the body has no
+    branch but the raise that ends it, so a power's first textual use is
+    also its first execution and the first exception raised (a pole, or an
+    OverflowError from a power or a coefficient) is the loop's.  Nothing is
+    cached: the function is the caller's.
+    """
+    names = {v: "a%d" % i for i, v in enumerate(args)}
+    outs = ["r%d" % k for k in range(len(exprs))]
+    ns = {}
+    lines = (["def f(%s):" % ", ".join(names.values())]
+             + float_lines(exprs, names, outs, ns, {})
+             + ["    return [%s]" % ", ".join(outs)])
+    return float_functions(lines, ns, "f")[0]
 
 
 ZERO = RatFn.const(0)

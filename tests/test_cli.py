@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import jetfactor
 from jetfactor import (ControlSystem, RatFn, U, X, battery, builtin_fixtures,
                        elkin_forms_32, parse_document, pullback_matrix,
-                       random_nonaut_static_pair, serialize)
+                       random_nonaut_static_pair, random_static_transform,
+                       serialize)
 from jetfactor.cli import main, numeric_crosscheck
 from jetfactor.errors import SingularTrajectory, UsageError
 
@@ -407,6 +408,33 @@ def test_crosscheck_residuals_are_frozen():
             res = numeric_crosscheck(fwd, seed=seed)
             got[fwd.name, seed] = (repr(res.max_residual), res.attempts)
     assert got == _FROZEN_RESIDUALS
+
+
+# the same for the seed-0 crosscheck of the seed-0 static and nonautonomous
+# moves of the five Elkin forms, whose target fields have 16 to 50 terms in
+# all, so powers repeat across terms (the fixtures' have 6 or 7)
+_FROZEN_MOVED_RESIDUALS = {
+    ("x3'=0", "static"): ("8.837375276016246e-13", 1),
+    ("x3'=0", "nonaut"): ("1.101729818486774e-12", 1),
+    ("x3'=1", "static"): ("2.022382261657185e-12", 1),
+    ("x3'=1", "nonaut"): ("1.7394974349826953e-12", 1),
+    ("x3'=x2", "static"): ("1.6817658377021871e-12", 1),
+    ("x3'=x2", "nonaut"): ("1.8534063173092363e-12", 1),
+    ("x3'=x2*u1", "static"): ("1.8318679906315083e-12", 1),
+    ("x3'=x2*u1", "nonaut"): ("1.6608936448392342e-12", 1),
+    ("x3'=1+x2*u1", "static"): ("2.6894042548519792e-12", 1),
+    ("x3'=1+x2*u1", "nonaut"): ("2.859046333014703e-12", 1),
+}
+
+
+def test_moved_form_residuals_are_frozen():
+    got = {}
+    for form in elkin_forms_32():
+        for kind, move in (("static", random_static_transform),
+                           ("nonaut", random_nonaut_static_pair)):
+            res = numeric_crosscheck(move(form, 0)[0], seed=0)
+            got[form.name, kind] = (repr(res.max_residual), res.attempts)
+    assert got == _FROZEN_MOVED_RESIDUALS
 
 
 # -------------------------------------------------------------------

@@ -181,6 +181,19 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _compiled_is_the_loop(exprs, point):
+    """compile_float's values at point, or the first exception it raises,
+    are the term-by-term loop's; returns the loop's outcome per expression."""
+    f = ratfn.compile_float(exprs, _JET_VARS)
+    assert all(type(k) in (int, float) or k is None
+               for k in f.__code__.co_consts)
+    want = [_outcome(_term_by_term_float, r, point) for r in exprs]
+    raised = [w for w in want if isinstance(w, tuple)]
+    assert _outcome(f, *[point[v] for v in _JET_VARS]) == (
+        raised[0] if raised else "[%s]" % ", ".join(want))
+    return want
+
+
 def test_compile_float_is_the_term_by_term_loop():
     rng = random.Random(20261018)
     for _ in range(300):
@@ -189,16 +202,57 @@ def test_compile_float_is_the_term_by_term_loop():
             num, den = _float_poly(rng), _float_poly(rng)
             if den:
                 exprs.append(RatFn(num, den))
-        f = ratfn.compile_float(exprs, _JET_VARS)
-        assert all(type(k) in (int, float) or k is None
-                   for k in f.__code__.co_consts)
         point = {v: rng.choice([rng.uniform(-3, 3), float(rng.randint(-2, 2))])
                  for v in _JET_VARS}
-        want = [_outcome(_term_by_term_float, r, point) for r in exprs]
-        raised = [w for w in want if isinstance(w, tuple)]
-        assert _outcome(f, *[point[v] for v in _JET_VARS]) == (
-            raised[0] if raised else "[%s]" % ", ".join(want))
+        want = _compiled_is_the_loop(exprs, point)
         assert [_outcome(r.eval_float, point) for r in exprs] == want
+
+
+def _shared_power_poly(rng, powers):
+    """A polynomial whose monomials are drawn from powers, a few (var, e)
+    pairs, so the same power repeats across terms and expressions."""
+    p = {}
+    for _ in range(rng.randint(1, 5)):
+        m = dict(rng.sample(powers, rng.randint(0, 3)))
+        c = rng.choice([rng.randint(-40, 40),
+                        Fraction(rng.randint(-40, 40), rng.randint(1, 9))])
+        p = p_add(p, {tuple(sorted(m.items())): c})
+    return p
+
+
+def test_compile_float_computes_each_power_once():
+    rng = random.Random(20261019)
+    raised = 0
+    for _ in range(400):
+        # x ** 8 overflows for |x| > 1.2e38, in whichever term reaches it
+        powers = [(v, rng.choice([1, 2, 3, 8]))
+                  for v in rng.sample(_JET_VARS, 4)]
+        powers += [(powers[0][0], rng.choice([2, 8]))]
+        exprs = []
+        while len(exprs) < 3:
+            num = _shared_power_poly(rng, powers)
+            den = _shared_power_poly(rng, powers)
+            if den:
+                exprs.append(RatFn(num, den))
+        point = {v: rng.choice([rng.uniform(-3, 3), float(rng.randint(-2, 2)),
+                                rng.uniform(-1e40, 1e40)])
+                 for v in _JET_VARS}
+        want = _compiled_is_the_loop(exprs, point)
+        raised += any(isinstance(w, tuple) for w in want)
+    assert 40 < raised < 360  # both outcomes are well covered
+
+
+def test_compile_float_overflow_in_a_later_term():
+    # x1 ** 2 is computed in the first term and reused; x2 ** 700 overflows
+    # in the second expression's last term, after a pole check passed
+    a = RatFn({((X(1), 2),): 3, ((X(2), 1),): 1}, {((X(1), 2),): 1, (): 1})
+    b = RatFn({((X(1), 2), (X(2), 1)): 2, ((X(1), 1),): 1,
+               ((X(2), 700),): Fraction(1, 3)})
+    for x2, raised in ((2.0, False), (3.0, True)):
+        point = dict.fromkeys(_JET_VARS, 0.5)
+        point.update({X(1): 1.5, X(2): x2})
+        want = _compiled_is_the_loop([a, b], point)
+        assert isinstance(want[1], tuple) == raised
 
 
 def test_compile_float_error_paths():
