@@ -17,15 +17,19 @@ power is computed once per point and read back after (see
 ratfn.compile_float for why that changes no bit); so residuals, attempts
 and the first exception raised are bit-identical to them.  Only the
 control-derivative levels that the source field and the map read are
-evaluated.
+evaluated.  The assumption checks evaluate the denominators that pulling
+the target field back along the map notes (forward_assumptions): the list
+that verify_forward reports, kept as RatFns rather than read back from
+their text.  A denominator's terms can come in another order than the
+parsed text's, so a check's value can differ in its last bits; it only
+decides whether |g| < 1e-4, and no residual reads it.
 """
 
 import math
 import random
 
-from . import sysio
 from .ratfn import X, U, T as TIME, float_functions, float_lines
-from .equivalence import verify_forward
+from .equivalence import PullbackContext
 from .errors import SingularTrajectory, DenominatorZero, UsageError
 
 _VANISH = "assumption vanishes on the trajectory"
@@ -42,6 +46,16 @@ class CrosscheckResult:
     @property
     def passed(self):
         return self.max_residual < self.tol
+
+
+def forward_assumptions(m):
+    """The denominators that pulling the target field back along m moves
+    across, sorted by their text: verify_forward(m).assumptions as
+    RatFns."""
+    ctx = PullbackContext(m)
+    for f in m.tgt.f:
+        ctx.pull(f)
+    return [ctx.assumptions[t] for t in sorted(ctx.assumptions)]
 
 
 def _poly_diff(coeffs):
@@ -213,8 +227,7 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
                          "source control (%d), got %d"
                          % (src.s, len(controls)))
     rng = random.Random(seed)
-    assumptions = [sysio.parse_expression(s)
-                   for s in verify_forward(m).assumptions]
+    assumptions = forward_assumptions(m)
     src_us = _reads(src.f)
     map_us = _reads(m.y + m.v + tuple(assumptions))
     lens = ([len(c) for c in controls] if controls is not None

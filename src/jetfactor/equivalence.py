@@ -78,7 +78,12 @@ def prolong_map(m, k):
 
 
 class PullbackContext:
-    """Binds target-side jet variables to source expressions along a map."""
+    """Binds target-side jet variables to source expressions along a map.
+
+    assumptions maps the text of each noted denominator (of the map's
+    components, the derivatives bound so far and every pulled expression)
+    to the denominator itself, a RatFn.
+    """
 
     def __init__(self, m):
         self.m = m
@@ -88,7 +93,7 @@ class PullbackContext:
         self._chain = [list(m.v)]  # _chain[k][j] = D_t^k v_j along src
         for j, e in enumerate(m.v):
             self.binding[U(j + 1, 0)] = e
-        self.assumptions = set()
+        self.assumptions = {}
         for e in m.y + m.v:
             self._note(e)
 
@@ -102,7 +107,8 @@ class PullbackContext:
 
     def _note(self, e):
         if not e.is_poly():
-            self.assumptions.add(RatFn(e.den).to_text())
+            d = RatFn(e.den)
+            self.assumptions[d.to_text()] = d
 
     def pull(self, expr):
         need = expr.max_jet_order()
@@ -421,6 +427,12 @@ class BlockMatrix:
             if not v.is_zero():
                 add_term(self.entries, (row, dst), c * v)
 
+    def col_scale(self, c, s):
+        for row in list(self.row_labels()):
+            v = self.get(row, c)
+            if not v.is_zero():
+                self.set(row, c, s * v)
+
     def col_swap(self, c1, c2):
         for row in list(self.row_labels()):
             a, b = self.get(row, c1), self.get(row, c2)
@@ -434,6 +446,15 @@ class BlockMatrix:
             if r[0] == level:
                 del self.entries[(r, c)]
                 moved[((level, perm[r[1]]), c)] = v
+        self.entries.update(moved)
+
+    def permute_cols(self, level, perm):
+        """perm maps old index -> new index within one column level."""
+        moved = {}
+        for (r, c), v in list(self.entries.items()):
+            if c[0] == level:
+                del self.entries[(r, c)]
+                moved[(r, (level, perm[c[1]]))] = v
         self.entries.update(moved)
 
 

@@ -8,13 +8,14 @@ up.  g and G are block-lower-triangular coframe changes on the two sides
 ("nonautonomous static" changes: they never mix a level into a higher one),
 with all control-level diagonal blocks equal.
 
-The factorization is computed by recorded row operations (collected into g)
-and column operations (collected into G) driving a working copy of A onto
-the S pattern.  Row mixes and scales at control levels are replicated across
-every level so the diagonal-equality invariant holds by construction; the
-column side uses only unit shears and swaps, which is what makes G land on
-the narrow three-function pattern (check_gnice) whenever the input comes
-from an equivalence in the normalized class.
+The factorization is computed by recorded row operations (their inverses
+collected into g) and column operations (their inverses collected into G)
+driving a working copy of A onto the S pattern.  Row mixes and scales at
+control levels are replicated across every level so the diagonal-equality
+invariant holds by construction; the column side uses only unit shears and
+swaps, which is what makes G land on the narrow three-function pattern
+(check_gnice) whenever the input comes from an equivalence in the
+normalized class.
 
 The product identity g * S * G == A is checked before returning; every
 division performed along the way is recorded as a nonvanishing assumption.
@@ -142,12 +143,19 @@ class GnicePattern:
 # the factorizer
 
 class _Driver:
-    """Working copy plus the accumulated left/right elementary products."""
+    """Working copy W of A and the factors g, G with g * W * G == A.
+
+    g and G start at the identity and are never inverted.  A row
+    operation W -> E*W takes g to g*E^-1, a column operation on g; a
+    column operation W -> W*E takes G to E^-1*G, a row operation on G.
+    So g * W * G == A holds after every step, and once W is the shift
+    pattern S, g and G are the factors.
+    """
 
     def __init__(self, A):
         self.W = A.copy()
-        self.L = BlockMatrix.identity(A.row_levels, A.row_sizes)
-        self.R = BlockMatrix.identity(A.col_levels, A.col_sizes)
+        self.g = BlockMatrix.identity(A.row_levels, A.row_sizes)
+        self.G = BlockMatrix.identity(A.col_levels, A.col_sizes)
         self.assumptions = []
         self.ops = []
 
@@ -160,27 +168,27 @@ class _Driver:
     def row_add(self, dst, src, c):
         self.ops.append("row %s += (%s) * row %s" % (dst, c.to_text(), src))
         self.W.row_add(dst, src, c)
-        self.L.row_add(dst, src, c)
+        self.g.col_add(src, dst, -c)
 
     def row_scale(self, r, c):
         self.ops.append("row %s *= %s" % (r, c.to_text()))
         self.W.row_scale(r, c)
-        self.L.row_scale(r, c)
+        self.g.col_scale(r, ONE / c)
 
     def row_swap(self, a, b):
         self.ops.append("swap rows %s, %s" % (a, b))
         self.W.row_swap(a, b)
-        self.L.row_swap(a, b)
+        self.g.col_swap(a, b)
 
     def col_add(self, dst, src, c):
         self.ops.append("col %s += (%s) * col %s" % (dst, c.to_text(), src))
         self.W.col_add(dst, src, c)
-        self.R.col_add(dst, src, c)
+        self.G.row_add(src, dst, -c)
 
     def col_swap(self, a, b):
         self.ops.append("swap cols %s, %s" % (a, b))
         self.W.col_swap(a, b)
-        self.R.col_swap(a, b)
+        self.G.row_swap(a, b)
 
     def clear_by_row(self, r, c, src):
         """Clear W[r, c] by adding a multiple of row src to row r."""
@@ -209,7 +217,7 @@ class _Driver:
         self.ops.append("permute level-0 rows by %s" %
                         sorted(perm.items()))
         self.W.permute_rows(0, perm)
-        self.L.permute_rows(0, perm)
+        self.g.permute_cols(0, perm)
 
 
 def factor_JK0(A, seed=0):
@@ -375,8 +383,8 @@ def factor_JK0(A, seed=0):
         extra = sorted(set(W.entries) ^ set(S.mat.entries))
         raise StructureViolation("reduction did not reach the shift pattern; "
                                  "mismatched entries at %s" % (extra[:6],))
-    g = NonautStatic(d.L.full_inverse(), structure_preserving=True)
-    G = NonautStatic(d.R.full_inverse(), structure_preserving=True)
+    g = NonautStatic(d.g, structure_preserving=True)
+    G = NonautStatic(d.G, structure_preserving=True)
     product = g.mat.matmul(S.mat).matmul(G.mat)
     if not (product.entries == A.entries):
         raise StructureViolation("product of the factors does not reproduce the input")

@@ -10,7 +10,7 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import RatFn, T, X, U, ZERO, cleared, int_rank
+from .ratfn import RatFn, T, X, U, ZERO, ONE, cleared, derivation, int_rank
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -62,7 +62,19 @@ class ControlSystem:
     # -- total time derivative ------------------------------------------
 
     def D(self, expr):
-        """D_t expr = d/dt + sum f_i d/dx_i + sum u_j^(k+1) d/du_j^(k)."""
+        """D_t expr = d/dt + sum f_i d/dx_i + sum u_j^(k+1) d/du_j^(k).
+
+        On a polynomial field it is one ratfn.derivation of expr, which
+        canonicalizes once.  A field with a non-unit denominator adds the
+        terms one at a time, each canonicalized (see docs/decisions.md)."""
+        if all(fi.is_poly() for fi in self.f):
+            images = {T: ONE}
+            for v in expr.vars():
+                if v[0] == 1:
+                    images[v] = self.f[v[2] - 1]
+                elif v[0] == 2:
+                    images[v] = RatFn.var(U(v[2], v[1] + 1))
+            return derivation(expr, images)
         out = expr.diff(T)
         for v in sorted(expr.vars()):
             if v[0] == 1:

@@ -895,6 +895,44 @@ def _p_subst(a, binding):
     return _ratio(num, den, 1, l)
 
 
+def derivation(r, images):
+    """The derivation that sends each variable v to images[v], applied to
+    r in one pass; a variable without an image goes to 0.  Every image is
+    a polynomial RatFn.
+
+    With K the lcm of the images' scales, K times the derivation sends an
+    int polynomial p to the int polynomial sum over v of
+    (K * images[v]) * dp/dv (_p_derive).  For r = N/(k*Q) the result is
+    (DN*Q - N*DQ)/(k*Q^2), canonicalized once; over Q = 1 only the scale
+    can cancel."""
+    n, k, d = r._n, r._k, r._d
+    K = lcm(*(img._k for img in images.values()))
+    dn = _p_derive(n, images, K)
+    if _is_one(d):
+        return _make(*_rescale(dn, 1, 1, K * k), _UNIT)
+    num = p_sub(p_mul(dn, d), p_mul(n, _p_derive(d, images, K)))
+    return _ratio(num, p_mul(d, d), 1, K * k)
+
+
+def _p_derive(p, images, K):
+    """sum over the variables v of p, in order, of (K * images[v]) * dp/dv
+    for an int polynomial p; K is a multiple of every image's scale."""
+    out = {}
+    for v in sorted(p_vars(p)):
+        img = images.get(v)
+        if img is None or not img._n:
+            continue
+        s = K // img._k
+        for m, c in p_mul(img._n if s == 1 else p_scale(img._n, s),
+                          p_diff(p, v)).items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
 def _p_eval(a, point):
     out = 0
     for m, c in a.items():
@@ -912,6 +950,10 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
     Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
     * ... over the num dict in its term order, with c = float(coefficient);
     the same for the denominator; DenominatorZero if it is 0.0; then n / d.
+    Two steps of that loop are left out, as they are exact in IEEE
+    arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), and
+    a denominator 1 (n / 1.0 is n, and 1.0 is never 0.0).  The sum still
+    starts from 0.0, since 0.0 + -0.0 is +0.0.
     Each power a ** e is computed once per point: its first textual use is
     (q := a ** e) and later uses read q.  pows maps (v, e) to q; pass one
     fresh dict per point, shared by all the lines that point runs.  The
@@ -931,20 +973,25 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
 
     lines = []
     for r, out in zip(exprs, outs):
-        for acc, poly in (("n", r.num), ("d", r.den)):
+        sums = [("n", r.num)] if r.is_poly() else [("n", r.num), ("d", r.den)]
+        for acc, poly in sums:
             lines.append("%s%s = 0.0" % (pad, acc))
             for m, c in poly.items():
-                try:
-                    term = repr(float(c))
-                except OverflowError:
-                    name = "big%d" % len(ns)
-                    ns[name] = c
-                    term = "float(%s)" % name
-                term += "".join(" * " + power(v, e) for v, e in m)
-                lines.append("%s%s += %s" % (pad, acc, term))
-        lines += [pad + "if d == 0.0:",
-                  pad + "    raise DenominatorZero(POLE)",
-                  "%s%s = n / d" % (pad, out)]
+                factors = [power(v, e) for v, e in m]
+                if c != 1 or not factors:
+                    try:
+                        factors.insert(0, repr(float(c)))
+                    except OverflowError:
+                        name = "big%d" % len(ns)
+                        ns[name] = c
+                        factors.insert(0, "float(%s)" % name)
+                lines.append("%s%s += %s" % (pad, acc, " * ".join(factors)))
+        if r.is_poly():
+            lines.append("%s%s = n" % (pad, out))
+        else:
+            lines += [pad + "if d == 0.0:",
+                      pad + "    raise DenominatorZero(POLE)",
+                      "%s%s = n / d" % (pad, out)]
     return lines
 
 

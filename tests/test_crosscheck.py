@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 import jetfactor.crosscheck as crosscheck
-from jetfactor import ControlSystem, EquivMap, RatFn, U, X, builtin_fixtures
+from jetfactor import (ControlSystem, EquivMap, RatFn, U, X, builtin_fixtures,
+                       elkin_forms_32, random_nonaut_static_pair,
+                       random_static_transform)
 from jetfactor import T as TIME
 from jetfactor.cli import numeric_crosscheck
 from jetfactor.equivalence import verify_forward
@@ -244,6 +246,17 @@ def test_generated_loops_on_random_maps():
               "steps": rng.choice([4, 5, 17, 60])}
         assert _outcome(numeric_crosscheck, m, **kw) == \
             _outcome(_reference, m, **kw), kw
+
+
+def test_assumptions_come_from_the_forward_pulls():
+    maps = [m for pair in builtin_fixtures() for m in pair]
+    for form in elkin_forms_32():
+        for seed in range(3):
+            maps.append(random_static_transform(form, seed)[0])
+            maps.append(random_nonaut_static_pair(form, seed)[0])
+    for m in maps:
+        assert crosscheck.forward_assumptions(m) == [
+            parse_expression(s) for s in verify_forward(m).assumptions], m
 
 
 def test_generated_functions_hold_only_numbers(monkeypatch):

@@ -1,5 +1,9 @@
 """Factoring pullback matrices as g * S * G."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
 from jetfactor import (BlockMatrix, GnicePattern, NonautStatic, RatFn, U, X,
@@ -8,6 +12,8 @@ from jetfactor import (BlockMatrix, GnicePattern, NonautStatic, RatFn, U, X,
                        pullback_matrix, validate_nonaut_static)
 from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
                               PatternViolation, StructureViolation)
+from jetfactor.factorize import _Driver
+from jetfactor.sysio import serialize
 
 FIX = builtin_fixtures()
 PHI = FIX[0][0]
@@ -164,6 +170,98 @@ def test_left_factors_preserve_structure_equations(m):
     rep = validate_nonaut_static(fac.g, frame)
     assert rep.passed, rep.summary()
     assert "preserves" in rep.summary()
+
+
+# --- the carried factors -----------------------------------------------------
+
+
+_MULTIPLIERS = [RatFn.const(2), RatFn.const(Fraction(-1, 3)), x1, u1 + 1,
+                du(2, 1), ONE / x1, x1 / (u2 - 1)]
+
+
+def _replay(rng, A, steps):
+    """Random elementary operations through _Driver, each also applied to
+    L (rows) or R (columns); asserts g * W * G == A after every step."""
+    d = _Driver(A)
+    L = BlockMatrix.identity(A.row_levels, A.row_sizes)
+    R = BlockMatrix.identity(A.col_levels, A.col_sizes)
+    rows, cols = A.row_labels(), A.col_labels()
+    n = A.row_sizes[0]
+    for _ in range(steps):
+        op = rng.choice(["row_add", "row_scale", "row_swap", "permute",
+                         "col_add", "col_swap"])
+        c = rng.choice(_MULTIPLIERS)
+        if op == "row_add":
+            dst, src = rng.sample(rows, 2)
+            d.row_add(dst, src, c)
+            L.row_add(dst, src, c)
+        elif op == "row_scale":
+            r = rng.choice(rows)
+            d.row_scale(r, c)
+            L.row_scale(r, c)
+        elif op == "row_swap":
+            a, b = rng.sample(rows, 2)
+            d.row_swap(a, b)
+            L.row_swap(a, b)
+        elif op == "permute":
+            new = rng.sample(range(1, n + 1), n)
+            perm = {i + 1: j for i, j in enumerate(new)}
+            d.permute_block0_rows(perm)
+            L.permute_rows(0, perm)
+        elif op == "col_add":
+            dst, src = rng.sample(cols, 2)
+            d.col_add(dst, src, c)
+            R.col_add(dst, src, c)
+        else:
+            a, b = rng.sample(cols, 2)
+            d.col_swap(a, b)
+            R.col_swap(a, b)
+        assert d.g.matmul(d.W).matmul(d.G) == A, d.ops[-1]
+    return d, L, R
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_driver_keeps_g_W_G_equal_to_A(seed):
+    rng = random.Random(seed)
+    A = pullback_matrix(rng.choice([PHI, PSI, THETA]), N=2)
+    d, L, R = _replay(rng, A, 24)
+    assert d.W == L.matmul(A).matmul(R)
+    # the carried factors are the inverses of the accumulated products
+    assert d.g == L.full_inverse()
+    assert d.G == R.full_inverse()
+
+
+# SHA-256 of serialize(factor_JK0(pullback_matrix(m, N=N))), recorded with
+# the factors computed as inverses of the accumulated elementary products
+_FACTOR_DIGESTS = {
+    ("phi", 4):
+        "47b9c67c119bc5e7cb7afc6054af8775c0101675bf7afccadcd1a3841d64bc8c",
+    ("psi", 4):
+        "89320154e2e5b51c7e603efdd9d67cb9d8518bbcee0ed78b5975d7a6265792e1",
+    ("theta", 4):
+        "e0746f22b74101dbbc8a2a6a3e46d2aaf237f2f029e539c7d1df4074f470f211",
+    ("phi", 6):
+        "15d550e6d1309e32ae061c19f008ccca8455c8a189d34751b7bf91b4f473e7ea",
+    ("psi", 6):
+        "bc7d08617614195077641fe900182d23290046c3e7843e7d5c54310643e57819",
+    ("theta", 6):
+        "771907ec7a76cfcabfb8dcaf1d21acc11be9d6333943f944d07d11bd26ba9708",
+    ("phi", 8):
+        "746ff40d17d7d8760cd2a6ce0ae75a18c75349edfd31ed56cf81b318b93c40c0",
+    ("psi", 8):
+        "b5dad7b63398b73d1f426e4827836173771443181f74396444112dce4f834b21",
+    ("theta", 8):
+        "0e6660bc92eff2ccb2b72894ad776ffbe8aa7d09b085f352e1413ccbf3dc5d10",
+}
+
+
+def test_factorizations_are_frozen():
+    got = {}
+    for N in (4, 6, 8):
+        for m in (PHI, PSI, THETA):
+            text = serialize(factor_JK0(pullback_matrix(m, N=N)))
+            got[m.name, N] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == _FACTOR_DIGESTS
 
 
 # --- coframe-change validation ------------------------------------------------

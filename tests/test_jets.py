@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,72 @@ class TestTotalDerivative:
         assert chain == [u1, rv(U(1, 1))]
         with pytest.raises(ValueError):
             total_derivative(sys_, x1, k=0)
+
+
+def _d_by_variable(sys_, expr):
+    """D_t as one canonicalized sum per variable: the transcription that
+    ControlSystem.D must match."""
+    out = expr.diff(T)
+    for v in sorted(expr.vars()):
+        if v[0] == 1:
+            out = out + sys_.f[v[2] - 1] * expr.diff(v)
+        elif v[0] == 2:
+            out = out + rv(U(v[2], v[1] + 1)) * expr.diff(v)
+    return out
+
+
+_D_VARS = [T, X(1), X(2), X(3), U(1), U(2), U(1, 1), U(2, 1)]
+
+
+def _d_poly(rng, terms):
+    out = ZERO
+    for _ in range(terms):
+        c = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+        term = RatFn.const(c)
+        for v in rng.sample(_D_VARS, rng.randint(0, 3)):
+            term = term * rv(v) ** rng.randint(1, 2)
+        out = out + term
+    return out
+
+
+def _d_input(rng, kind):
+    num = _d_poly(rng, rng.randint(1, 4))
+    if kind == "poly":
+        return num
+    if kind == "monomial":
+        den = RatFn.const(rng.choice([1, 2, -3]))
+        for v in rng.sample(_D_VARS, rng.randint(1, 2)):
+            den = den * rv(v) ** rng.randint(1, 2)
+        return num / den
+    den = ZERO
+    while den.is_zero() or den.is_const():
+        den = _d_poly(rng, 2)
+    return num / den
+
+
+def test_d_matches_the_per_variable_sum():
+    h = Fraction(1, 2)
+    fields = [
+        bilinear(),
+        ControlSystem(3, 2, (h * u1, u2 + x3 / 3, rv(T) * x2 * u1 - 2 * x1)),
+        ControlSystem(3, 2, (u1, u2, x2 * u1 / (1 + x1 ** 2))),
+    ]
+    assert [all(fi.is_poly() for fi in s.f) for s in fields] == [
+        True, True, False]
+    assert {fi._k for fi in fields[1].f} == {1, 2, 3}
+    rng = random.Random(20261019)
+    kinds = ["poly", "monomial", "general"]
+    scales = set()
+    for i in range(200):
+        expr = _d_input(rng, kinds[i % 3])
+        scales.add(expr._k)
+        # the rational field takes the per-variable sum itself; over a
+        # two-term denominator its gcds take seconds on some inputs
+        for sys_ in fields[:2] if i % 3 == 2 else fields:
+            got, want = sys_.D(expr), _d_by_variable(sys_, expr)
+            assert (got._n, got._k, got._d) == (want._n, want._k, want._d), (
+                expr, sys_)
+    assert len(scales) > 1
 
 
 class TestAffine:

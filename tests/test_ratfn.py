@@ -208,6 +208,29 @@ def test_compile_float_is_the_term_by_term_loop():
         assert [_outcome(r.eval_float, point) for r in exprs] == want
 
 
+def test_compile_float_leaves_out_only_exact_steps():
+    # polynomials with coefficient-1 terms, at points that include -0.0:
+    # the sum must still start from 0.0, as 0.0 + -0.0 is +0.0
+    rng = random.Random(20261020)
+    for _ in range(300):
+        exprs = []
+        for _ in range(3):
+            vs = rng.sample(_JET_VARS, rng.randint(1, 2))
+            m = tuple(sorted((v, rng.randint(1, 3)) for v in vs))
+            exprs.append(RatFn(p_add(_float_poly(rng), {m: 1})))
+        point = {v: rng.choice([rng.uniform(-3, 3), -0.0, 0.0, 1.0])
+                 for v in _JET_VARS}
+        _compiled_is_the_loop(exprs, point)
+    lines = ratfn.float_lines([x1 * x2 + 3, x1 / x2], {X(1): "a", X(2): "b"},
+                              ["r0", "r1"], {}, {})
+    assert lines == ["    n = 0.0", "    n += (q0 := a ** 1) * (q1 := b ** 1)",
+                     "    n += 3.0", "    r0 = n",
+                     "    n = 0.0", "    n += q0",
+                     "    d = 0.0", "    d += q1",
+                     "    if d == 0.0:", "        raise DenominatorZero(POLE)",
+                     "    r1 = n / d"]
+
+
 def _shared_power_poly(rng, powers):
     """A polynomial whose monomials are drawn from powers, a few (var, e)
     pairs, so the same power repeats across terms and expressions."""
