@@ -28,7 +28,11 @@ Level two brackets every pair of the drift and the control fields, level
 three brackets those with each of them again, and the closure of D2
 brackets its own generators, up to the first bracket that leaves D2.
 Ranks are taken by ratfn.int_rank, fraction-free elimination over the
-integers.
+integers.  A span that holds a sub-span of rank n (the state count) at a
+point has rank n there, so it is not ranked again at that point; level
+three is bracketed only at the points where the controls and level two
+fall short of n, and each D2-closure bracket only where D2 does.  Every
+rank, and so the witness, is the one full elimination gives.
 
 builtin_fixtures returns the five explicit equivalence pairs used across the
 test-suite: three strict order-(0,0) pairs among the x2*u1 / x2 / 1+x2*u1
@@ -181,6 +185,16 @@ def static_invariants(a, seed=0):
     [L a, M b] = L M [a, b], so each value is an exact nonzero multiple of
     the bracket's value at that point, and ranks are unchanged.
 
+    A span's rank is at least that of any sub-span and at most n, so at a
+    point where a sub-span already reads n the span reads n without an
+    elimination: gens + [f0], gens + [b] and D2 given gens, c0 + [f0]
+    given c0 and D2 + [bracket] given D2.  c0 is given gens + level two,
+    whose rank is read for that only and is not an invariant.  Level three
+    is built only at the points where gens + level two fall short of n,
+    and a D2-closure bracket only where D2 does: no other point reads
+    them.  Each rank at each point is the one full elimination gives, and
+    so are the maxima and the witness.
+
     Every rank is the largest over one seeded sample of 5 points, so it is
     a lower bound on the rank over the rational functions, exact once it
     reaches the number of fields or of states.  A point reads a lower rank
@@ -206,11 +220,20 @@ def static_invariants(a, seed=0):
             for i in range(s + 1)]
     taken = []      # each rank at every point, for the witness
 
-    def bracket(p, q):
-        return [_bracket(x, y) for x, y in zip(p, q)]
+    def bracket(p, q, known=None):
+        # only at the points where the known ranks fall short of n; no
+        # other point reads it
+        return [_bracket(x, y) if not known or known[k] < n else None
+                for k, (x, y) in enumerate(zip(p, q))]
 
-    def rank(span):
-        at = [int_rank([e[k][0] for e in span]) for k in range(len(points))]
+    def ranks(span, known=None):
+        # a span holding a sub-span of rank n at a point has rank n there
+        return [n if known and known[k] == n
+                else int_rank([e[k][0] for e in span])
+                for k in range(len(points))]
+
+    def rank(span, known=None):
+        at = ranks(span, known)
         taken.append(at)
         return max(at)
 
@@ -219,18 +242,24 @@ def static_invariants(a, seed=0):
     f0, gens = pool[0], pool[1:]
     level2 = [bracket(pool[i], pool[j])
               for i in range(s + 1) for j in range(i + 1, s + 1)]
-    level3 = [bracket(b, p) for b in level2 for p in pool]
-    c0 = gens + level2 + level3
     d2 = gens + level2[:s]
 
     rank_fu = rank(gens)
-    drift_in_D = rank(gens + [f0]) == rank_fu
-    involutive_D = all(rank(gens + [b]) == rank_fu for b in level2[s:])
-    dim_C0 = rank(c0)
-    drift_in_C0 = rank(c0 + [f0]) == dim_C0
-    rank_D2 = rank(d2)
-    involutive_D2 = all(rank(d2 + [bracket(d2[i], d2[j])]) == rank_D2
-                        for i in range(len(d2)) for j in range(i + 1, len(d2)))
+    at_gens = taken[-1]
+    drift_in_D = rank(gens + [f0], at_gens) == rank_fu
+    involutive_D = all(rank(gens + [b], at_gens) == rank_fu
+                       for b in level2[s:])
+    # level 3 only where gens and level 2 fall short of n; their rank is
+    # not an invariant, so it is not taken
+    at_low = ranks(gens + level2, at_gens)
+    c0 = gens + level2 + [bracket(b, p, at_low) for b in level2 for p in pool]
+    dim_C0 = rank(c0, at_low)
+    drift_in_C0 = rank(c0 + [f0], taken[-1]) == dim_C0
+    rank_D2 = rank(d2, at_gens)
+    at_d2 = taken[-1]
+    involutive_D2 = all(
+        rank(d2 + [bracket(d2[i], d2[j], at_d2)], at_d2) == rank_D2
+        for i in range(len(d2)) for j in range(i + 1, len(d2)))
 
     witness = next((pt for k, pt in enumerate(points)
                     if all(at[k] == max(at) for at in taken)), None)

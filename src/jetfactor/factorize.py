@@ -456,19 +456,23 @@ def _canonicalize(A, S, assumptions, ops=()):
                     ZERO - RatFn.const(k - 1) * nxt2)
         return (A.get(x, (k + 1, 2)), ZERO, ZERO, ZERO)
 
+    # each pair's form, built once: the system and g both read it, and
+    # the diagonal pairs are among these, as every level from 1 up has
+    # the rows (k, 1) and (k, 2)
+    aff = {(x, r): affine(x, r) for x in rows for r in rows}
     eqs = []
     for x in rows:
         for r in rows:
             if x[0] < r[0]:
-                af = affine(x, r)
+                af = aff[x, r]
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
     maxrow = max(l for l in A.row_levels)
     for k in range(2, maxrow + 1):
         for a in (1, 2):
             for b in (1, 2):
-                hi = affine((k, a), (k, b))
-                lo = affine((1, a), (1, b))
+                hi = aff[(k, a), (k, b)]
+                lo = aff[(1, a), (1, b)]
                 af = tuple(h - l for h, l in zip(hi, lo))
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
@@ -489,7 +493,7 @@ def _canonicalize(A, S, assumptions, ops=()):
                        meta={"kind": "left-factor"})
     for x in rows:
         for r in rows:
-            base, c0, c1, c2 = affine(x, r)
+            base, c0, c1, c2 = aff[x, r]
             val = base + c0 * p0 + c1 * p1 + c2 * q
             if not val.is_zero():
                 gmat.set(x, r, val)

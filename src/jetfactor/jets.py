@@ -256,15 +256,21 @@ def sample_points(exprs, seed=0, trials=5):
     """Yield (point, values of exprs there) for `trials` seeded integer
     points over the variables of exprs, skipping the poles of any of them;
     raises DegenerateSystem after 20 * trials draws without enough.  Each
-    value is the exact pair (n, d) of RatFn.eval_pair."""
+    value is the exact pair (n, d) of RatFn.eval_pair.  A constant has no
+    pole and one value, so its pair is computed once, before the draws;
+    each draw evaluates only the other expressions."""
     exprs = list(exprs)
     vars_ = set().union(*(e.vars() for e in exprs))
+    fixed = [e.eval_pair({}) if e.is_const() else None for e in exprs]
+    live = [(i, e) for i, e in enumerate(exprs) if fixed[i] is None]
     rng = random.Random(seed)
     got = 0
     for _ in range(20 * trials):
         pt = sample_point(vars_, rng)
+        vals = fixed[:]
         try:
-            vals = [e.eval_pair(pt) for e in exprs]
+            for i, e in live:
+                vals[i] = e.eval_pair(pt)
         except DenominatorZero:
             continue
         yield pt, vals

@@ -1080,13 +1080,6 @@ def cleared(pairs):
     return [n * (l // d) for n, d in pairs]
 
 
-def exact_rank(rows):
-    """Rank over Q of equal-length rows of int or Fraction: each row is
-    cleared to ints, which keeps the rank, and ranked by int_rank."""
-    return int_rank([cleared([(e.numerator, e.denominator) for e in row])
-                     for row in rows])
-
-
 def int_rank(rows):
     """Rank over Q of equal-length rows of ints, fraction-free (Bareiss
     1968): every update p*row - f*pivot_row is divided exactly by the

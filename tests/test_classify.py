@@ -194,6 +194,51 @@ def test_no_symbolic_bracket_is_taken(monkeypatch):
         assert 0 < calls["diff"] <= 3 * 3 * (3 + 6)
 
 
+def test_known_ranks_and_unneeded_brackets_are_skipped(monkeypatch):
+    # no span is ranked at a point where a sub-span already ranked there
+    # reads n (its rows are a proper prefix of the span's, the same row
+    # objects), and level three is bracketed only at the points where the
+    # controls and level two fall short of n, found from the symbolic
+    # brackets; level-three calls are the only ones of a level-two jet
+    # (value, Jacobian) with a field's 2-jet
+    real_rank, real_bracket = classify_mod.int_rank, classify_mod._bracket
+    ranked, level3 = [], [0]
+
+    def counting_rank(rows):
+        r = real_rank(rows)
+        ranked.append((list(rows), r))
+        return r
+
+    def counting_bracket(a, b):
+        level3[0] += len(a) == 2 and len(b) == 3
+        return real_bracket(a, b)
+
+    moved = [to_affine(random_static_transform(s, 3)[2])
+             for s in elkin_forms_32()]
+    short = []
+    for form in moved:
+        fields = [form.f0] + list(form.fvecs)
+        low = fields[1:] + [lie_bracket(fields[i], fields[j])
+                            for i in range(3) for j in range(i + 1, 3)]
+        short.append(sum(
+            len(gauss_jordan([[e.eval_at(pt) for e in v] for v in low], 3)) < 3
+            for pt, _ in jets_mod.sample_points([e for v in fields for e in v])))
+    monkeypatch.setattr(classify_mod, "int_rank", counting_rank)
+    monkeypatch.setattr(classify_mod, "_bracket", counting_bracket)
+    for form, k in zip(moved, short):
+        ranked.clear()
+        level3[0] = 0
+        static_invariants(form)
+        for i, (rows, _) in enumerate(ranked):
+            for sub, r in ranked[:i]:
+                if len(sub) < len(rows) and all(
+                        x is y for x, y in zip(sub, rows)):
+                    assert r < 3
+        assert level3[0] == k * 3 * 3
+    # the saving is real: three forms span at level two everywhere
+    assert short.count(0) == 3 and short.count(5) == 2
+
+
 # -------------------------------------------------------------------
 # the 2-jet brackets against the symbolic ones
 

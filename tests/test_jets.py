@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetfactor import (AffineForm, ControlSystem, RatFn, T, U, VectorField, X,
-                       ZERO, generic_rank, lie_bracket, prolong_partial,
+from jetfactor import (AffineForm, ControlSystem, ONE, RatFn, T, U,
+                       VectorField, X, ZERO, generic_rank, lie_bracket, prolong_partial,
                        prolong_total, sample_point, to_affine, total_derivative)
-from jetfactor.errors import (DegenerateSystem, DimensionMismatch,
-                              EmptyPromotionSet, NotAffine)
+from jetfactor.errors import (DegenerateSystem, DenominatorZero,
+                              DimensionMismatch, EmptyPromotionSet, NotAffine)
+from jetfactor.jets import sample_points
 
 
 def rv(v):
@@ -249,3 +250,69 @@ def test_generic_rank():
     assert generic_rank([[ZERO, ZERO]]) == 0
     # rank that only drops on a thin set must come out full
     assert generic_rank([[x1, x2], [x2, x1]]) == 2
+
+
+def _sample_points_per_draw(exprs, seed=0, trials=5):
+    """sample_points as it stood: every expression, constants included,
+    evaluated at every draw."""
+    exprs = list(exprs)
+    vars_ = set().union(*(e.vars() for e in exprs))
+    rng = random.Random(seed)
+    got = 0
+    for _ in range(20 * trials):
+        pt = sample_point(vars_, rng)
+        try:
+            vals = [e.eval_pair(pt) for e in exprs]
+        except DenominatorZero:
+            continue
+        yield pt, vals
+        got += 1
+        if got == trials:
+            return
+    raise DegenerateSystem("could not find %d valid sample points" % trials)
+
+
+def _drawn(points):
+    """Every (point, values) yielded, and whether DegenerateSystem ended
+    the draws."""
+    out = []
+    try:
+        for pt, vals in points:
+            out.append((pt, vals))
+    except DegenerateSystem:
+        return out, True
+    return out, False
+
+
+def test_sample_points_matches_the_per_draw_loop():
+    # constants take their pair once, before the draws; the points, the
+    # values, the skipped poles and DegenerateSystem are the loop's
+    def linear_factors(skip):
+        den = ONE
+        for c in range(-99, 100):
+            if c not in skip:
+                den = den * (x1 - RatFn.const(c))
+        return den
+
+    consts = [ZERO, ONE, RatFn.const(-7), RatFn.const(Fraction(3, 4)),
+              RatFn.const(Fraction(-22, 7))]
+    polys = [x1 * x2 - u1, x3 * x3 * u2 + RatFn.const(Fraction(5, 3)) * x1]
+    # poles: a pole wherever x1 is in 1..60; rare: finite only where x1
+    # is in 1..5, so most draws of five points run out
+    poles = (x2 + u1) / linear_factors(set(range(-99, 1)) |
+                                       set(range(61, 100)))
+    rare = x2 / linear_factors({0, 1, 2, 3, 4, 5})
+    cases = [(consts, 3), (consts + polys, 5), (polys[:1] + consts, 1),
+             (consts[:2] + [poles] + polys + consts[2:], 5),
+             (consts + [rare] + polys, 5), ([rare] + consts, 1)]
+    skipped = raised_after_some = 0
+    for exprs, trials in cases:
+        vars_ = set().union(*(e.vars() for e in exprs))
+        for seed in range(6):
+            want = _drawn(_sample_points_per_draw(exprs, seed, trials))
+            assert _drawn(sample_points(exprs, seed, trials)) == want
+            rng = random.Random(seed)
+            first = [sample_point(vars_, rng) for _ in want[0]]
+            skipped += [pt for pt, _ in want[0]] != first
+            raised_after_some += want[1] and bool(want[0])
+    assert skipped > 10 and raised_after_some > 2

@@ -9,9 +9,9 @@ from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
 from jetfactor import ratfn
-from jetfactor.ratfn import (exact_rank, gauss_jordan, mono_mul, p_add,
-                             p_const, p_divexact, p_lead, p_mul, p_neg, p_pow,
-                             p_scale, poly_gcd)
+from jetfactor.ratfn import (cleared, gauss_jordan, int_rank, mono_mul,
+                             p_add, p_const, p_divexact, p_lead, p_mul, p_neg,
+                             p_pow, p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 
 x1 = RatFn.var(X(1))
@@ -872,6 +872,13 @@ def test_gauss_jordan_solves_augmented_systems():
                 x[c] = row[cols]
             assert [sum(e * xi for e, xi in zip(row, x)) for row in a] == b
     assert min(seen.values()) > 20
+
+
+def exact_rank(rows):
+    """Rank over Q of equal-length rows of int or Fraction: each row is
+    cleared to ints, which keeps the rank, and ranked by int_rank."""
+    return int_rank([cleared([(e.numerator, e.denominator) for e in row])
+                     for row in rows])
 
 
 def test_exact_rank_is_the_gauss_jordan_rank():
