@@ -62,29 +62,15 @@ class ControlSystem:
     # -- total time derivative ------------------------------------------
 
     def D(self, expr):
-        """D_t expr = d/dt + sum f_i d/dx_i + sum u_j^(k+1) d/du_j^(k).
-
-        On a polynomial field it is one ratfn.derivation of expr, which
-        canonicalizes once.  A field with a non-unit denominator adds the
-        terms one at a time, each canonicalized (see docs/decisions.md)."""
-        if all(fi.is_poly() for fi in self.f):
-            images = {T: ONE}
-            for v in expr.vars():
-                if v[0] == 1:
-                    images[v] = self.f[v[2] - 1]
-                elif v[0] == 2:
-                    images[v] = RatFn.var(U(v[2], v[1] + 1))
-            return derivation(expr, images)
-        out = expr.diff(T)
-        for v in sorted(expr.vars()):
+        """D_t expr = d/dt + sum f_i d/dx_i + sum u_j^(k+1) d/du_j^(k):
+        one ratfn.derivation over the variables expr mentions."""
+        images = {T: ONE}
+        for v in expr.vars():
             if v[0] == 1:
-                out = out + self.f[v[2] - 1] * expr.diff(v)
+                images[v] = self.f[v[2] - 1]
             elif v[0] == 2:
-                out = out + RatFn.var(U(v[2], v[1] + 1)) * expr.diff(v)
-        return out
-
-    def mentions_t(self):
-        return any(T in fi.vars() for fi in self.f)
+                images[v] = RatFn.var(U(v[2], v[1] + 1))
+        return derivation(expr, images)
 
 
 def total_derivative(sys_, h, k=1):

@@ -896,35 +896,47 @@ def _p_subst(a, binding):
 
 
 def derivation(r, images):
-    """The derivation that sends each variable v to images[v], applied to
-    r in one pass; a variable without an image goes to 0.  Every image is
-    a polynomial RatFn.
+    """The derivation that sends each variable v to the RatFn images[v],
+    applied to r in one pass; a variable without an image goes to 0.
 
-    With K the lcm of the images' scales, K times the derivation sends an
-    int polynomial p to the int polynomial sum over v of
-    (K * images[v]) * dp/dv (_p_derive).  For r = N/(k*Q) the result is
-    (DN*Q - N*DQ)/(k*Q^2), canonicalized once; over Q = 1 only the scale
-    can cancel."""
+    Write images[v] = N_v/(k_v*D_v), K for the lcm of the k_v and L for
+    the lcm of the D_v.  K*L times the derivation sends an int polynomial
+    p to the int polynomial sum over v of P_v * dp/dv (_p_derive), with
+    P_v = N_v*(K/k_v)*(L/D_v).  For r = N/(k*Q) the result is
+    (DN*Q - N*DQ)/(k*K*L*Q^2), canonicalized once; over L = Q = 1 only
+    the scale can cancel."""
     n, k, d = r._n, r._k, r._d
     K = lcm(*(img._k for img in images.values()))
-    dn = _p_derive(n, images, K)
+    L, seen = _UNIT, []
+    for img in images.values():
+        if not _is_one(img._d) and img._d not in seen:
+            seen.append(img._d)
+            L = p_mul(L, p_divexact(img._d, poly_gcd(L, img._d)))
+    pre = {}
+    for v, img in images.items():
+        if img._n:
+            p = img._n if img._k == K else p_scale(img._n, K // img._k)
+            pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
+    num = _p_derive(n, pre)
     if _is_one(d):
-        return _make(*_rescale(dn, 1, 1, K * k), _UNIT)
-    num = p_sub(p_mul(dn, d), p_mul(n, _p_derive(d, images, K)))
-    return _ratio(num, p_mul(d, d), 1, K * k)
+        den = L
+    else:
+        num = p_sub(p_mul(num, d), p_mul(n, _p_derive(d, pre)))
+        den = p_mul(d, d) if _is_one(L) else p_mul(L, p_mul(d, d))
+    if _is_one(den):
+        return _make(*_rescale(num, 1, 1, K * k), _UNIT)
+    return _ratio(num, den, 1, K * k)
 
 
-def _p_derive(p, images, K):
-    """sum over the variables v of p, in order, of (K * images[v]) * dp/dv
-    for an int polynomial p; K is a multiple of every image's scale."""
+def _p_derive(p, images):
+    """sum over the variables v of p, in order, of images[v] * dp/dv for
+    an int polynomial p and int polynomial images."""
     out = {}
     for v in sorted(p_vars(p)):
         img = images.get(v)
-        if img is None or not img._n:
+        if img is None:
             continue
-        s = K // img._k
-        for m, c in p_mul(img._n if s == 1 else p_scale(img._n, s),
-                          p_diff(p, v)).items():
+        for m, c in p_mul(img, p_diff(p, v)).items():
             c += out.get(m, 0)
             if c:
                 out[m] = c

@@ -603,6 +603,33 @@ def test_fast_paths_in_diff_and_substitute():
             assert got == _term_by_term_subst(part, binding), (part, binding)
 
 
+def test_derivation_is_the_sum_of_image_times_partial():
+    # (1 + x2) divides two denominators, so their lcm is not their product
+    shared = [x2 / ((1 + x2) * (x1 - u1)), u1 / ((1 + x2) * (x1 + 3))]
+    scaled = Fraction(2, 3) * x1 / (1 + x1**2)
+    pool = shared + [scaled, ZERO, None, Fraction(1, 2) * x1 * u1 - x2,
+                     RatFn.var(U(1, 1))]
+    rng = random.Random(20261020)
+    seen = {"shared": 0, "scaled": 0, "zero": 0, "no image": 0, "rational": 0}
+    for _ in range(120):
+        r = _operand(rng, rng.choice(["poly", "monomial", "general"]))
+        picks = {v: rng.choice(pool) for v in _FAST_VARS}
+        images = {v: img for v, img in picks.items() if img is not None}
+        want = ZERO
+        for v, img in images.items():
+            want = want + img * r.diff(v)
+        got = ratfn.derivation(r, images)
+        assert (got._n, got._k, got._d) == (want._n, want._k, want._d), (
+            r, images)
+        values = list(picks.values())
+        seen["shared"] += all(img in values for img in shared)
+        seen["scaled"] += scaled in values
+        seen["zero"] += ZERO in values
+        seen["no image"] += None in values
+        seen["rational"] += not r.is_poly()
+    assert min(seen.values()) > 8, seen
+
+
 def test_arithmetic_skips_canonicalization(monkeypatch):
     phi = builtin_fixtures()[0][0]
     calls = []
