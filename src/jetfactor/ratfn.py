@@ -20,17 +20,20 @@ coefficient and coprime to N.  The triple (N, k, D) is unique, so equality
 compares it; scales combine by integer gcd and lcm.  The num and den
 properties give the canonical pair (N/k, D), whose coefficients are ints
 where integral and otherwise Fractions with denominator > 1; with k = 1,
-num is N itself.  A one-term denominator is cancelled by a monomial; any
-other goes through poly_gcd, the heuristic integer gcd GCDHEU with the
-primitive PRS as its fallback.  Instances are immutable, so an operator
-may return an operand itself.  eval_pair() returns an exact value as a
-reduced pair of ints; const_value() and eval_at() return Fractions.
+num is N itself.  Gcds come with their cofactors (_cofactors): by a
+monomial when one side has a single term, else by the heuristic integer
+gcd GCDHEU with the primitive PRS as its fallback.  Instances are
+immutable, so an operator may return an operand itself.  eval_pair()
+returns an exact value as a reduced pair of ints; const_value() and
+eval_at() return Fractions.
 
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
-them; each method's docstring says why its result is canonical.  Results
-are the canonical triples of the general path; only the insertion order
-of their terms can differ.  Float evaluation has one path, float_lines.
+them.  Where a denominator has more than one term, they take gcds of the
+factors, not of the product (Henrici).  Each method's docstring says why
+its result is canonical.  Results are the canonical triples of the
+general path; only the insertion order of their terms can differ.  Float
+evaluation has one path, float_lines.
 """
 
 from bisect import insort
@@ -127,6 +130,9 @@ def p_sub(a, b):
 
 
 def p_scale(a, c):
+    """c*a; a itself when c is 1."""
+    if c == 1:
+        return a
     if not c:
         return {}
     return {m: k * c for m, k in a.items()}
@@ -304,15 +310,17 @@ def poly_gcd(a, b):
     """The gcd of a and b as a primitive integer polynomial with positive
     graded-lex leading coefficient; {(): 1} for coprime inputs.
 
-    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) computes
-    it.  Both inputs are cleared to primitive integer polynomials.  Then
-    the largest variable v is set to an integer xi, the gcd of the two
-    images in the other variables is found the same way (the integer
-    content of each level is split off, and the common content multiplied
-    back), and a candidate is rebuilt from the symmetric base-xi digits of
-    that gcd's coefficients as the coefficients of powers of v.  Its
-    primitive part is kept only if trial division shows that it divides
-    both inputs.
+    Both inputs are cleared to primitive integer polynomials and passed to
+    _cofactors.  If one has a single term, the gcd is the monomial of
+    least exponents common to every term.  Otherwise GCDHEU (Char, Geddes
+    and Gonnet, J. Symbolic Comput. 7, 1989) computes it.  The largest
+    variable v is set to an integer xi, the gcd of the two images in the
+    other variables is found the same way (the integer content of each
+    level is split off, and the common content multiplied back), and a
+    candidate is rebuilt from the symmetric base-xi digits of that gcd's
+    coefficients as the coefficients of powers of v.  Its primitive part
+    is kept only if trial division shows that it divides both inputs; the
+    two quotients are the cofactors.
 
     xi starts at 2*min(|a|, |b|) + 29, |.| the largest coefficient in
     absolute value, so every xi tried meets the CGG theorem's bound
@@ -333,11 +341,64 @@ def poly_gcd(a, b):
         return _int_clear(b) if b else {}
     if not b:
         return _int_clear(a)
-    a, b = _int_clear(a), _int_clear(b)
-    g = _heu_gcd(a, b)
-    if g is None:
-        return _gcd_prim(a, b)
-    return p_neg(g) if p_lead(g)[1] < 0 else g
+    return _cofactors(_int_clear(a), _int_clear(b))[0]
+
+
+def _cofactors(a, b):
+    """(g, a/g, b/g) for nonzero int polynomials a and b, g = poly_gcd(a, b).
+
+    The cofactors keep a's and b's integer content.  When g is 1 they are
+    a and b themselves; otherwise their terms come in descending graded-lex
+    order, the order p_divexact gives.  With a one-term operand g is the
+    monomial of least exponents common to every term of both.  Otherwise
+    GCDHEU hands back the quotients of the trial divisions that accepted
+    g, so nothing is divided twice."""
+    if len(a) == 1 or len(b) == 1:
+        one, other = (a, b) if len(a) == 1 else (b, a)
+        (m, c), = one.items()
+        g = dict(m)
+        for nm in other:
+            if not g:
+                break
+            e = dict(nm)
+            g = {v: min(k, e[v]) for v, k in g.items() if v in e}
+        if not g:
+            return _UNIT, a, b
+        gm = tuple(sorted(g.items()))
+        one = {mono_div(m, gm): c}
+        other = {mono_div(nm, gm): k for nm, k in
+                 sorted(other.items(), key=_term_key, reverse=True)}
+        return ({gm: 1}, one, other) if len(a) == 1 else ({gm: 1}, other, one)
+    r = _heu_gcd(a, b)
+    if r is None:
+        g = _gcd_prim(_int_clear(a), _int_clear(b))
+        if _is_one(g):
+            return g, a, b
+        return g, p_divexact(a, g), p_divexact(b, g)
+    g, qa, qb = r
+    if _is_constant(g):
+        return _UNIT, a, b
+    # g is the gcd times the common content, up to sign
+    c, g = _primitive(g)
+    return g, p_scale(qa, c), p_scale(qb, c)
+
+
+def _term_key(term):
+    return mono_key(term[0])
+
+
+def _descending(a):
+    """a with its terms in descending graded-lex order."""
+    return dict(sorted(a.items(), key=_term_key, reverse=True))
+
+
+def _primitive(a):
+    """(s, a/s) for a nonzero int polynomial a, with s its content signed
+    so that a/s has a positive leading coefficient."""
+    s = _content(a)
+    if p_lead(a)[1] < 0:
+        s = -s
+    return s, (a if s == 1 else {m: k // s for m, k in a.items()})
 
 
 # Largest image coefficient GCDHEU builds, in bits.  Of 2^16 to 2^19, 2^17
@@ -346,32 +407,47 @@ _HEU_MAX_BITS = 1 << 17
 
 
 def _heu_gcd(a, b):
-    """The gcd of two nonzero int polynomials up to sign, by GCDHEU as
-    poly_gcd describes it, or None when the heuristic gives up."""
+    """(g, a/g, b/g) for two nonzero int polynomials, g their gcd up to
+    sign, by GCDHEU as poly_gcd describes it, or None when the heuristic
+    gives up.  The cofactors are the quotients of the trial divisions that
+    accept g, times the contents split off before them."""
     ca, cb = _content(a), _content(b)
     c = igcd(ca, cb)
     if _is_constant(a) or _is_constant(b):
-        return {(): c}
-    if ca != 1:
-        a = {m: k // ca for m, k in a.items()}
-    if cb != 1:
-        b = {m: k // cb for m, k in b.items()}
-    v = max(m[-1][0] for p in (a, b) for m in p if m)
-    deg = max(m[-1][1] for p in (a, b) for m in p if m and m[-1][0] == v)
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+        return _coprime(a, b, c)
+    pa = a if ca == 1 else {m: k // ca for m, k in a.items()}
+    pb = b if cb == 1 else {m: k // cb for m, k in b.items()}
+    v = max(m[-1][0] for p in (pa, pb) for m in p if m)
+    deg = max(m[-1][1] for p in (pa, pb) for m in p if m and m[-1][0] == v)
+    xi = 2 * min(max(map(abs, pa.values())), max(map(abs, pb.values()))) + 29
     for _ in range(6):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
-        ea, eb = _eval_last(a, v, xi), _eval_last(b, v, xi)
+        ea, eb = _eval_last(pa, v, xi), _eval_last(pb, v, xi)
         if ea and eb:
             h = _heu_gcd(ea, eb)
             if h is None:
                 return None
-            h = _int_clear(_xi_adic(h, v, xi))
-            if _divides(h, a) and _divides(h, b):
-                return h if c == 1 else {m: k * c for m, k in h.items()}
+            h = _int_clear(_xi_adic(h[0], v, xi))
+            if _is_constant(h):
+                return _coprime(a, b, c * h[()])
+            try:
+                qa, qb = p_divexact(pa, h), p_divexact(pb, h)
+            except ArithmeticError:
+                pass
+            else:
+                return p_scale(h, c), p_scale(qa, ca // c), p_scale(qb, cb // c)
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
+
+
+def _coprime(a, b, c):
+    """({(): c}, a/c, b/c): _heu_gcd's answer for a and b whose gcd is
+    their common integer content, c up to sign."""
+    if c == 1:
+        return _UNIT, a, b
+    return ({(): c}, {m: k // c for m, k in a.items()},
+            {m: k // c for m, k in b.items()})
 
 
 def _is_constant(a):
@@ -404,17 +480,6 @@ def _xi_adic(h, v, xi):
             k = (k - d) // xi
             e += 1
     return out
-
-
-def _divides(h, a):
-    """Whether the primitive int polynomial h divides a."""
-    if _is_constant(h):
-        return True
-    try:
-        p_divexact(a, h)
-    except ArithmeticError:
-        return False
-    return True
 
 
 def _gcd_prim(a, b):
@@ -583,7 +648,10 @@ class RatFn:
         brought over l, the lcm of the scales.  Equal denominators d add
         them: over 1 only l can cancel, else (n1 + n2, d) is canonicalized.
         Two one-term denominators add over their lcm (_monomial_sum).  Any
-        other pair takes n1*d2 + n2*d1 over d1*d2."""
+        other pair takes g = gcd(d1, d2).  With g = 1, n1*d2 + n2*d1 over
+        d1*d2 is reduced.  Else t = n1*(d2/g) + n2*(d1/g) can share with
+        d1*d2/g only a factor g' of g, and the sum is (t/g') over
+        (d1/g)*(d2/g') (Henrici)."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -602,7 +670,13 @@ class RatFn:
             return _ratio(p_add(n1, n2), d1, 1, l)
         if len(d1) == 1 and len(d2) == 1:
             return _monomial_sum(n1, d1, n2, d2, l)
-        return _ratio(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2), 1, l)
+        g, a1, a2 = _cofactors(d1, d2)
+        if _is_one(g):
+            num = p_add(p_mul(n1, d2), p_mul(n2, d1))
+            return _make(*_rescale(num, 1, 1, l), p_mul(d1, d2))
+        g2, t, g = _cofactors(p_add(p_mul(n1, a2), p_mul(n2, a1)), g)
+        den = p_mul(a1, d2 if _is_one(g2) else p_mul(a2, g))
+        return _make(*_rescale(_descending(t), 1, 1, l), _descending(den))
 
     __radd__ = __add__
 
@@ -622,7 +696,8 @@ class RatFn:
         """The product.  A zero factor gives ZERO.  A constant c = p/q
         times a canonical N/(k*D) is N*p/(k*q*D): D stays, and only the
         integer scale is reduced.  Two polynomials multiply over 1 with no
-        gcd.  Any other pair takes n1*n2 over d1*d2, canonicalized."""
+        gcd.  Two one-term denominators take n1*n2 over d1*d2,
+        canonicalized; any other pair goes through _product."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -633,16 +708,22 @@ class RatFn:
             if c is not None:
                 return _make(*_rescale(a._n, a._k, *c), a._d)
         k = self._k * o._k
-        if _is_one(self._d) and _is_one(o._d):
+        d1, d2 = self._d, o._d
+        if _is_one(d1) and _is_one(d2):
             return _make(*_rescale(p_mul(self._n, o._n), 1, 1, k), _UNIT)
-        return _ratio(p_mul(self._n, o._n), p_mul(self._d, o._d), 1, k)
+        if len(d1) > 1 or len(d2) > 1:
+            return _product(self._n, d1, o._n, d2, 1, k)
+        return _ratio(p_mul(self._n, o._n), p_mul(d1, d2), 1, k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         """The quotient.  A zero numerator gives ZERO, and division by a
-        constant c is multiplication by 1/c; any other pair takes n1*d2
-        over d1*n2, canonicalized."""
+        constant c is multiplication by 1/c.  When d1, d2 and n2 have one
+        term each, n1*d2 over d1*n2 is canonicalized.  Any other pair is
+        the _product of n1/d1 and d2/P, with P the primitive part of n2
+        with positive leading coefficient and its signed content s going
+        to the scale."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -653,7 +734,11 @@ class RatFn:
         c = _scalar(o)
         if c is not None:
             return _make(*_rescale(self._n, self._k, c[1], c[0]), self._d)
-        return _ratio(p_mul(self._n, o._d), p_mul(self._d, o._n), o._k, self._k)
+        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
+        if len(d1) > 1 or len(d2) > 1 or len(n2) > 1:
+            s, p = _primitive(n2)
+            return _product(n1, d1, d2, p, o._k, self._k * s)
+        return _ratio(p_mul(n1, d2), p_mul(d1, n2), o._k, self._k)
 
     def __rtruediv__(self, o):
         return _lift(o) / self
@@ -688,12 +773,28 @@ class RatFn:
 
     def diff(self, v):
         """Partial derivative with respect to variable v.  A polynomial's
-        is a polynomial: only the scale can cancel against its content."""
+        is a polynomial: only the scale can cancel against its content.
+        Over a one-term d, (n'd - nd')/d^2 is canonicalized.  Any other d
+        takes h = gcd(d, d'), a = d/h and b = d'/h.  With h = 1,
+        (n'd - nd')/d^2 is reduced.  Else num = n'a - nb can share with
+        d*a only a factor g of h, one that does not contain v, and the
+        derivative is (num/g)/((d/g)*a), sorted as in _product."""
         n, k, d = self._n, self._k, self._d
         if _is_one(d):
             return _make(*_rescale(p_diff(n, v), 1, 1, k), d)
-        num = p_sub(p_mul(p_diff(n, v), d), p_mul(n, p_diff(d, v)))
-        return _ratio(num, p_mul(d, d), 1, k)
+        dn, dd = p_diff(n, v), p_diff(d, v)
+        if len(d) == 1:
+            return _ratio(p_sub(p_mul(dn, d), p_mul(n, dd)), p_mul(d, d), 1, k)
+        h, a, b = _cofactors(d, dd) if dd else (d, _UNIT, {})
+        if _is_one(h):
+            num = p_sub(p_mul(dn, d), p_mul(n, dd))
+            return _make(*_rescale(num, 1, 1, k), p_mul(d, d))
+        num = p_sub(p_mul(dn, a), p_mul(n, b))
+        if not num:
+            return ZERO
+        g, num, h = _cofactors(num, h)
+        den = p_mul(d if _is_one(g) else p_mul(a, h), a)
+        return _make(*_rescale(_descending(num), 1, 1, k), _descending(den))
 
     def substitute(self, binding):
         """Simultaneous substitution var -> RatFn; unmapped vars stay."""
@@ -790,6 +891,25 @@ def _ratio(num, den, p, q):
     return _make(*_rescale(n, k, p, q), d)
 
 
+def _product(n1, d1, n2, d2, p, q):
+    """The canonical (n1*n2*p)/(d1*d2*q) for int polynomials with n1
+    coprime to d1 and n2 to d2, and d1, d2 primitive with positive
+    leading coefficients (Henrici).
+
+    With g1 = gcd(n1, d2) and g2 = gcd(n2, d1), (n1/g1)*(n2/g2) is coprime
+    to (d1/g2)*(d2/g1), a product of primitive factors with positive
+    leading coefficients: only the scale p/q is left to reduce.  When g1
+    or g2 is not 1 the general gcd is not 1 either, so both sides are
+    sorted into the descending graded-lex order that p_divexact gives it.
+    """
+    g1, n1, d2 = _cofactors(n1, d2)
+    g2, n2, d1 = _cofactors(n2, d1)
+    num, den = p_mul(n1, n2), p_mul(d1, d2)
+    if not (_is_one(g1) and _is_one(g2)):
+        num, den = _descending(num), _descending(den)
+    return _make(*_rescale(num, 1, p, q), den)
+
+
 def _monomial_sum(n1, d1, n2, d2, l):
     """n1/(l*m1) + n2/(l*m2) for canonical one-term denominators, that is
     monomials m1 != m2, over their lcm L.
@@ -815,43 +935,10 @@ def _canon(num, den):
         raise DivisionByZero("zero denominator")
     if not num:
         return {}, 1, _UNIT
-    if len(den) == 1:
-        num, den = _cancel_monomial(num, den)
-    else:
-        g = poly_gcd(num, den)
-        if not _is_one(g):
-            num = p_divexact(num, g)
-            den = p_divexact(den, g)
+    _, num, den = _cofactors(num, den)
     # D primitive with positive leading coefficient; its content goes to k
-    c = _content(den)
-    if p_lead(den)[1] < 0:
-        c = -c
-    if c != 1:
-        den = {m: e // c for m, e in den.items()}
+    c, den = _primitive(den)
     return (*_rescale(num, 1, 1, c), den)
-
-
-def _cancel_monomial(num, den):
-    """Divide num and a one-term den = c*m by their gcd without the PRS.
-
-    The gcd is the monomial of least exponents common to m and every term
-    of num.  Quotient terms come out in descending graded-lex order, the
-    order p_divexact gives, so the result matches the general path term
-    for term.
-    """
-    (m, c), = den.items()
-    g = dict(m)
-    for nm in num:
-        if not g:
-            break
-        e = dict(nm)
-        g = {v: min(k, e[v]) for v, k in g.items() if v in e}
-    if not g:
-        return num, den
-    gm = tuple(sorted(g.items()))
-    terms = sorted(num.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
-    return ({mono_div(nm, gm): a for nm, a in terms},
-            {mono_div(m, gm): c})
 
 
 def _p_subst(a, binding):

@@ -106,6 +106,18 @@ def test_rational_fields_classify(f, sig, tag):
         assert classify_static(moved, seed=seed).tag == tag
 
 
+def test_moves_of_a_form_with_binomial_denominators_classify():
+    # the second partials of these moves take gcds of binomial
+    # denominators and their derivatives; the seed-1 moves once took
+    # seconds (static) and minutes (nonautonomous)
+    form = sysn(3, u1 / (1 + x1**2), u2, x2 * u1 / (x3 - 2))
+    static = random_static_transform(form, 0)[2]
+    assert classify_static(static).tag == "u1, u2, x2*u1"
+    # the time shift adds a drift, as on the polynomial form x2*u1
+    nonaut = random_nonaut_static_pair(form, 0)[2]
+    assert classify_static(nonaut).tag == "u1, u2, 1+x2*u1"
+
+
 def test_invariants_accept_affine_forms_directly():
     rec = static_invariants(to_affine(sysn(3, u1, u2, x2 * u1)))
     assert rec.rank_fu == 2

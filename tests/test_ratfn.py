@@ -659,6 +659,183 @@ def test_arithmetic_skips_canonicalization(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# gcds of the factors (Henrici): operands are products of planted factors
+# of more than one term, so the gcds the operators take are not 1.  Each
+# result must be the stored triple that one gcd of the whole numerator and
+# denominator gives, term order included.
+
+def _factor(rng, variables=_FAST_VARS):
+    """A seeded int polynomial of two or three terms."""
+    while True:
+        f = {}
+        for _ in range(rng.randint(2, 3)):
+            vs = rng.sample(variables, rng.randint(0, min(2, len(variables))))
+            m = tuple(sorted((v, rng.randint(1, 2)) for v in vs))
+            f = p_add(f, {m: rng.choice([-3, -2, -1, 1, 2, 5])})
+        if len(f) > 1:
+            return f
+
+
+def _triple(r):
+    return list(r._n.items()), r._k, list(r._d.items())
+
+
+def _one_gcd(num, den):
+    """The stored triple of num/den, two int polynomials, through one gcd
+    of num and den."""
+    n, d = _general_canon(num, den)
+    k = lcm(*(Fraction(c).denominator for c in n.values()))
+    return [(m, c * k) for m, c in n.items()], k, list(d.items())
+
+
+def _general_formula(op, a, b=None):
+    """The stored triple of a op b, or of a.diff(b) for op "d", from the
+    general formula over the int parts N/(k*D) of a and b."""
+    n1, k1, d1 = a._n, a._k, a._d
+    if op == "d":
+        num = p_add(p_mul(ratfn.p_diff(n1, b), d1),
+                    p_neg(p_mul(n1, ratfn.p_diff(d1, b))))
+        return _one_gcd(num, p_scale(p_mul(d1, d1), k1))
+    n2, k2, d2 = b._n, b._k, b._d
+    if op == "*":
+        return _one_gcd(p_mul(n1, n2), p_scale(p_mul(d1, d2), k1 * k2))
+    if op == "/":
+        return _one_gcd(p_scale(p_mul(n1, d2), k2), p_scale(p_mul(d1, n2), k1))
+    return _one_gcd(p_add(p_scale(p_mul(n1, d2), k2),
+                          p_scale(p_mul(n2, d1), k1)),
+                    p_scale(p_mul(d1, d2), k1 * k2))
+
+
+def _planted_pairs(rng, count=80):
+    """(op, a, b) whose * and / share a factor between n1 and d2 (or n2)
+    and between n2 (or d2) and d1, and whose sums share a factor of the
+    denominators that the sum cancels or keeps."""
+    for _ in range(count):
+        f, g, w, x, y, z = (_factor(rng) for _ in range(6))
+        yield "*", RatFn(p_mul(f, x), p_mul(g, w)), RatFn(p_mul(g, z),
+                                                         p_mul(f, y))
+        yield "/", RatFn(p_mul(f, x), p_mul(g, w)), RatFn(p_mul(f, y),
+                                                         p_mul(g, z))
+        yield "+", RatFn(x, p_mul(g, w)), RatFn(y, p_mul(g, z))
+        # (x/f + y/g) + (z/w - y/g): the sum of the two cancels g
+        p, q, r = RatFn(x, f), RatFn(y, g), RatFn(z, w)
+        yield "+", p + q, r - q
+
+
+def _planted_quotients(rng, count=64):
+    """(a, v) whose d has a squared factor that holds v, or a factor h
+    free of v that the derivative's numerator keeps: d = h*(h*v^2 + c)
+    and n = s + h*v*r, with c and s free of v."""
+    v, rest = X(1), [X(2), U(1)]
+    for _ in range(count):
+        f = p_add({((v, 1),): rng.choice([-3, 1, 2])}, _factor(rng, rest))
+        yield RatFn(_factor(rng), p_mul(p_mul(f, f), _factor(rng, rest))), v
+        h, c, s = (_factor(rng, rest) for _ in range(3))
+        d = p_mul(h, p_add(p_mul(h, {((v, 2),): 1}), c))
+        n = p_add(s, p_mul(p_mul(h, {((v, 1),): 1}), _factor(rng, rest)))
+        yield RatFn(n, d), v
+
+
+def test_henrici_paths_match_one_gcd_of_the_product():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(["* g1", "* g2", "/ g1", "/ g2", "+ g", "+ g'",
+                          "diff h", "diff g'"], 0)
+
+    def hit(key, a, b):
+        seen[key] += poly_gcd(a, b) != p_const(1)
+
+    for op, a, b in _planted_pairs(rng):
+        assert _triple(_OPS[op](a, b)) == _general_formula(op, a, b), (
+            a, op, b)
+        n1, d1, n2, d2 = a._n, a._d, b._n, b._d
+        if op == "*":
+            hit("* g1", n1, d2)
+            hit("* g2", n2, d1)
+        elif op == "/":
+            hit("/ g1", n1, n2)
+            hit("/ g2", d2, d1)
+        else:
+            g = poly_gcd(d1, d2)
+            seen["+ g"] += g != p_const(1)
+            hit("+ g'", p_add(p_mul(n1, p_divexact(d2, g)),
+                              p_mul(n2, p_divexact(d1, g))), g)
+    for a, v in _planted_quotients(rng):
+        # v, a variable of d, and U(2), a variable of neither n nor d
+        for w in (v, U(1), U(2)):
+            assert _triple(a.diff(w)) == _general_formula("d", a, w), (a, w)
+        n, d = a._n, a._d
+        dd = ratfn.p_diff(d, v)
+        h = poly_gcd(d, dd)
+        seen["diff h"] += h != p_const(1)
+        hit("diff g'", p_add(p_mul(ratfn.p_diff(n, v), p_divexact(d, h)),
+                             p_neg(p_mul(n, p_divexact(dd, h)))), h)
+    assert min(seen.values()) >= 60, seen
+
+
+def test_henrici_paths_agree_with_sympy_cancel():
+    # sympy's rational function field reduces each result with its own gcd
+    sympy = pytest.importorskip("sympy")
+    field, *gens = sympy.field(",".join(map(var_name, _FAST_VARS)), sympy.QQ)
+    where = {v: i for i, v in enumerate(_FAST_VARS)}
+
+    def poly(p):
+        terms = {}
+        for m, c in p.items():
+            e = [0] * len(_FAST_VARS)
+            for v, k in m:
+                e[where[v]] = k
+            terms[tuple(e)] = sympy.QQ(c.numerator, c.denominator)
+        return field.ring.from_dict(terms)
+
+    def check(r, want):
+        n, d = poly(r.num), poly(r.den)
+        assert n * want.denom == want.numer * d
+        assert d * want.denom.LC == want.denom * d.LC, (r, want)
+
+    def sym(r):
+        return field(poly(r.num)) / field(poly(r.den))
+
+    rng = random.Random(20261020)
+    for op, a, b in _planted_pairs(rng, 16):
+        check(_OPS[op](a, b), {"*": operator.mul, "/": operator.truediv,
+                               "+": operator.add}[op](sym(a), sym(b)))
+    for a, v in _planted_quotients(rng, 16):
+        check(a.diff(v), sym(a).diff(gens[where[v]]))
+
+
+def test_cofactors_multiply_back():
+    rng = random.Random(20261021)
+    cases = []
+    # the property suites' generators: monomial and binomial denominators
+    for _ in range(150):
+        a, b = _rand_ratfn(rng), _rand_ratfn(rng)
+        cases += [(p, q) for p, q in ((a._n, b._d), (a._d, b._d),
+                                      (a._n, b._n)) if p and q]
+    # planted factors, scaled by integers with common factors and signs
+    for _ in range(200):
+        f, x, y = _factor(rng), _factor(rng), _factor(rng)
+        ca, cb = rng.choice([1, 2, 6, -3, -4]), rng.choice([1, 4, -2, -6])
+        cases.append((p_scale(p_mul(f, x), ca), p_scale(p_mul(f, y), cb)))
+    seen = {"content": 0, "negative candidate": 0, "proper": 0}
+    for a, b in cases:
+        g, qa, qb = ratfn._cofactors(a, b)
+        assert g == poly_gcd(a, b), (a, b)
+        assert p_mul(g, qa) == a and p_mul(g, qb) == b, (a, b)
+        if g == p_const(1):
+            assert list(qa.items()) == list(a.items())
+            assert list(qb.items()) == list(b.items())
+        else:
+            for q in (qa, qb):
+                assert list(q) == sorted(q, key=ratfn.mono_key, reverse=True)
+            seen["proper"] += 1
+        if len(a) > 1 and len(b) > 1:
+            heu = ratfn._heu_gcd(a, b)
+            seen["content"] += gcd(ratfn._content(a), ratfn._content(b)) > 1
+            seen["negative candidate"] += p_lead(heu[0])[1] < 0
+    assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
 # coefficient invariant: a stored coefficient is an int when integral and
 # otherwise a Fraction with denominator > 1, never a float
 
