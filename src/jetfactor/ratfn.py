@@ -29,11 +29,11 @@ eval_at() return Fractions.
 
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
-them.  Where a denominator has more than one term, they take gcds of the
-factors, not of the product (Henrici).  Each method's docstring says why
-its result is canonical.  Results are the canonical triples of the
-general path; only the insertion order of their terms can differ.  Float
-evaluation has one path, float_lines.
+them.  Elsewhere they take gcds of the factors, not of the product
+(Henrici).  Each method's docstring says why its result is canonical.
+Results are the canonical triples of the general path; only the insertion
+order of their terms can differ.  Float evaluation has one path,
+float_lines.
 """
 
 from bisect import insort
@@ -356,19 +356,19 @@ def _cofactors(a, b):
     if len(a) == 1 or len(b) == 1:
         one, other = (a, b) if len(a) == 1 else (b, a)
         (m, c), = one.items()
+        if not m:
+            return _UNIT, a, b
         g = dict(m)
         for nm in other:
-            if not g:
-                break
             e = dict(nm)
             g = {v: min(k, e[v]) for v, k in g.items() if v in e}
-        if not g:
-            return _UNIT, a, b
-        gm = tuple(sorted(g.items()))
-        one = {mono_div(m, gm): c}
-        other = {mono_div(nm, gm): k for nm, k in
+            if not g:
+                return _UNIT, a, b
+        g = tuple(sorted(g.items()))
+        one = {mono_div(m, g): c}
+        other = {mono_div(nm, g): k for nm, k in
                  sorted(other.items(), key=_term_key, reverse=True)}
-        return ({gm: 1}, one, other) if len(a) == 1 else ({gm: 1}, other, one)
+        return ({g: 1}, one, other) if len(a) == 1 else ({g: 1}, other, one)
     r = _heu_gcd(a, b)
     if r is None:
         g = _gcd_prim(_int_clear(a), _int_clear(b))
@@ -376,11 +376,11 @@ def _cofactors(a, b):
             return g, a, b
         return g, p_divexact(a, g), p_divexact(b, g)
     g, qa, qb = r
-    if _is_constant(g):
+    if qa is None:
         return _UNIT, a, b
     # g is the gcd times the common content, up to sign
     c, g = _primitive(g)
-    return g, p_scale(qa, c), p_scale(qb, c)
+    return (g, qa, qb) if c > 0 else (g, p_neg(qa), p_neg(qb))
 
 
 def _term_key(term):
@@ -407,14 +407,14 @@ _HEU_MAX_BITS = 1 << 17
 
 
 def _heu_gcd(a, b):
-    """(g, a/g, b/g) for two nonzero int polynomials, g their gcd up to
-    sign, by GCDHEU as poly_gcd describes it, or None when the heuristic
-    gives up.  The cofactors are the quotients of the trial divisions that
-    accept g, times the contents split off before them."""
+    """(g, a/h, b/h) for two nonzero int polynomials, g their gcd up to
+    sign and h its primitive part, by GCDHEU as poly_gcd describes it, or
+    None when the heuristic gives up.  The cofactors are the quotients of
+    the trial divisions that accept h; for a constant g they are None."""
     ca, cb = _content(a), _content(b)
     c = igcd(ca, cb)
     if _is_constant(a) or _is_constant(b):
-        return _coprime(a, b, c)
+        return {(): c}, None, None
     pa = a if ca == 1 else {m: k // ca for m, k in a.items()}
     pb = b if cb == 1 else {m: k // cb for m, k in b.items()}
     v = max(m[-1][0] for p in (pa, pb) for m in p if m)
@@ -430,24 +430,13 @@ def _heu_gcd(a, b):
                 return None
             h = _int_clear(_xi_adic(h[0], v, xi))
             if _is_constant(h):
-                return _coprime(a, b, c * h[()])
+                return {(): c * h[()]}, None, None
             try:
-                qa, qb = p_divexact(pa, h), p_divexact(pb, h)
+                return p_scale(h, c), p_divexact(a, h), p_divexact(b, h)
             except ArithmeticError:
                 pass
-            else:
-                return p_scale(h, c), p_scale(qa, ca // c), p_scale(qb, cb // c)
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
-
-
-def _coprime(a, b, c):
-    """({(): c}, a/c, b/c): _heu_gcd's answer for a and b whose gcd is
-    their common integer content, c up to sign."""
-    if c == 1:
-        return _UNIT, a, b
-    return ({(): c}, {m: k // c for m, k in a.items()},
-            {m: k // c for m, k in b.items()})
 
 
 def _is_constant(a):
@@ -552,9 +541,8 @@ def _mono_text(m):
 def p_text(a):
     if not a:
         return "0"
-    terms = sorted(a.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
     out = []
-    for i, (m, c) in enumerate(terms):
+    for i, (m, c) in enumerate(_descending(a).items()):
         sign = "-" if c < 0 else "+"
         body = _mono_text(m)
         ac = abs(c)
@@ -647,11 +635,12 @@ class RatFn:
         A zero operand gives the other one; otherwise the numerators are
         brought over l, the lcm of the scales.  Equal denominators d add
         them: over 1 only l can cancel, else (n1 + n2, d) is canonicalized.
-        Two one-term denominators add over their lcm (_monomial_sum).  Any
-        other pair takes g = gcd(d1, d2).  With g = 1, n1*d2 + n2*d1 over
-        d1*d2 is reduced.  Else t = n1*(d2/g) + n2*(d1/g) can share with
-        d1*d2/g only a factor g' of g, and the sum is (t/g') over
-        (d1/g)*(d2/g') (Henrici)."""
+        Any other pair takes g = gcd(d1, d2).  With g = 1, n1*d2 + n2*d1
+        over d1*d2 is reduced.  Else t = n1*(d2/g) + n2*(d1/g) can share
+        with d1*d2/g only a factor g' of g, and the sum is (t/g') over
+        (d1/g)*(d2/g') (Henrici), sorted as in _product.  Over two one-term
+        denominators, d1*d2/g is their lcm and only the cancellation of g'
+        sorts t (in _cofactors), the term order of the lcm sum."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -668,15 +657,15 @@ class RatFn:
             if _is_one(d1):
                 return _make(*_rescale(p_add(n1, n2), 1, 1, l), d1)
             return _ratio(p_add(n1, n2), d1, 1, l)
-        if len(d1) == 1 and len(d2) == 1:
-            return _monomial_sum(n1, d1, n2, d2, l)
         g, a1, a2 = _cofactors(d1, d2)
+        t = p_add(p_mul(n1, a2), p_mul(n2, a1))
         if _is_one(g):
-            num = p_add(p_mul(n1, d2), p_mul(n2, d1))
-            return _make(*_rescale(num, 1, 1, l), p_mul(d1, d2))
-        g2, t, g = _cofactors(p_add(p_mul(n1, a2), p_mul(n2, a1)), g)
+            return _make(*_rescale(t, 1, 1, l), p_mul(d1, d2))
+        g2, t, g = _cofactors(t, g)
         den = p_mul(a1, d2 if _is_one(g2) else p_mul(a2, g))
-        return _make(*_rescale(_descending(t), 1, 1, l), _descending(den))
+        if len(d1) > 1 or len(d2) > 1:
+            t, den = _descending(t), _descending(den)
+        return _make(*_rescale(t, 1, 1, l), den)
 
     __radd__ = __add__
 
@@ -696,8 +685,7 @@ class RatFn:
         """The product.  A zero factor gives ZERO.  A constant c = p/q
         times a canonical N/(k*D) is N*p/(k*q*D): D stays, and only the
         integer scale is reduced.  Two polynomials multiply over 1 with no
-        gcd.  Two one-term denominators take n1*n2 over d1*d2,
-        canonicalized; any other pair goes through _product."""
+        gcd; any other pair goes through _product."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -708,22 +696,18 @@ class RatFn:
             if c is not None:
                 return _make(*_rescale(a._n, a._k, *c), a._d)
         k = self._k * o._k
-        d1, d2 = self._d, o._d
-        if _is_one(d1) and _is_one(d2):
+        if _is_one(self._d) and _is_one(o._d):
             return _make(*_rescale(p_mul(self._n, o._n), 1, 1, k), _UNIT)
-        if len(d1) > 1 or len(d2) > 1:
-            return _product(self._n, d1, o._n, d2, 1, k)
-        return _ratio(p_mul(self._n, o._n), p_mul(d1, d2), 1, k)
+        return _product(self._n, self._d, o._n, o._d, 1, k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
         """The quotient.  A zero numerator gives ZERO, and division by a
-        constant c is multiplication by 1/c.  When d1, d2 and n2 have one
-        term each, n1*d2 over d1*n2 is canonicalized.  Any other pair is
-        the _product of n1/d1 and d2/P, with P the primitive part of n2
-        with positive leading coefficient and its signed content s going
-        to the scale."""
+        constant c is multiplication by 1/c.  Any other pair is the
+        _product of n1/d1 and d2/P, with P the primitive part of n2 with
+        positive leading coefficient and its signed content s going to the
+        scale."""
         o = _lift(o)
         if o is NotImplemented:
             return o
@@ -734,11 +718,8 @@ class RatFn:
         c = _scalar(o)
         if c is not None:
             return _make(*_rescale(self._n, self._k, c[1], c[0]), self._d)
-        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
-        if len(d1) > 1 or len(d2) > 1 or len(n2) > 1:
-            s, p = _primitive(n2)
-            return _product(n1, d1, d2, p, o._k, self._k * s)
-        return _ratio(p_mul(n1, d2), p_mul(d1, n2), o._k, self._k)
+        s, p = _primitive(o._n)
+        return _product(self._n, self._d, o._d, p, o._k, self._k * s)
 
     def __rtruediv__(self, o):
         return _lift(o) / self
@@ -774,22 +755,18 @@ class RatFn:
     def diff(self, v):
         """Partial derivative with respect to variable v.  A polynomial's
         is a polynomial: only the scale can cancel against its content.
-        Over a one-term d, (n'd - nd')/d^2 is canonicalized.  Any other d
-        takes h = gcd(d, d'), a = d/h and b = d'/h.  With h = 1,
-        (n'd - nd')/d^2 is reduced.  Else num = n'a - nb can share with
-        d*a only a factor g of h, one that does not contain v, and the
+        Any other d takes h = gcd(d, d'), a = d/h and b = d'/h.  With
+        h = 1, (n'd - nd')/d^2 is reduced.  Else num = n'a - nb can share
+        with d*a only a factor g of h, one that does not contain v, and the
         derivative is (num/g)/((d/g)*a), sorted as in _product."""
         n, k, d = self._n, self._k, self._d
         if _is_one(d):
             return _make(*_rescale(p_diff(n, v), 1, 1, k), d)
         dn, dd = p_diff(n, v), p_diff(d, v)
-        if len(d) == 1:
-            return _ratio(p_sub(p_mul(dn, d), p_mul(n, dd)), p_mul(d, d), 1, k)
         h, a, b = _cofactors(d, dd) if dd else (d, _UNIT, {})
-        if _is_one(h):
-            num = p_sub(p_mul(dn, d), p_mul(n, dd))
-            return _make(*_rescale(num, 1, 1, k), p_mul(d, d))
         num = p_sub(p_mul(dn, a), p_mul(n, b))
+        if _is_one(h):
+            return _make(*_rescale(num, 1, 1, k), p_mul(d, d))
         if not num:
             return ZERO
         g, num, h = _cofactors(num, h)
@@ -908,25 +885,6 @@ def _product(n1, d1, n2, d2, p, q):
     if not (_is_one(g1) and _is_one(g2)):
         num, den = _descending(num), _descending(den)
     return _make(*_rescale(num, 1, p, q), den)
-
-
-def _monomial_sum(n1, d1, n2, d2, l):
-    """n1/(l*m1) + n2/(l*m2) for canonical one-term denominators, that is
-    monomials m1 != m2, over their lcm L.
-
-    A variable v whose exponents in m1 and m2 differ cannot cancel.  Say
-    it is higher in m1: every term of n2*(L/m2) holds v, while some term
-    of n1*(L/m1) lacks it, as n1 is coprime to m1.  So only a variable
-    with the same exponent in both can, and without one only l can.
-    """
-    (m1,), (m2,) = d1, d2
-    e1, e2 = dict(m1), dict(m2)
-    L = tuple(sorted((v, max(e1.get(v, 0), e2.get(v, 0)))
-                     for v in e1.keys() | e2.keys()))
-    num = p_add(p_mul(n1, {mono_div(L, m1): 1}), p_mul(n2, {mono_div(L, m2): 1}))
-    if any(e2.get(v) == e for v, e in m1):
-        return _ratio(num, {L: 1}, 1, l)
-    return _make(*_rescale(num, 1, 1, l), {L: 1})
 
 
 def _canon(num, den):

@@ -803,6 +803,38 @@ def test_henrici_paths_agree_with_sympy_cancel():
         check(a.diff(v), sym(a).diff(gens[where[v]]))
 
 
+def test_monomial_sums_keep_the_term_order_of_the_lcm_sum():
+    # over one-term denominators m1 != m2 the sum is taken over their lcm
+    # L as n1*(L/m1) + n2*(L/m2), whose terms are sorted only when a
+    # monomial cancels: float evaluation sums them in this order
+    rng = random.Random(20261022)
+    seen = {"coprime": 0, "shared, kept": 0, "cancelled": 0}
+    for _ in range(300):
+        p, q, r = (_operand(rng, "monomial") for _ in range(3))
+        for a, b in ((p, q), (p + q, r - q)):
+            if a.is_poly() or b.is_poly() or a.den == b.den or not (a + b)._n:
+                continue
+            (m1,), (m2,) = a._d, b._d
+            e1, e2 = dict(m1), dict(m2)
+            top = tuple(sorted((v, max(e1.get(v, 0), e2.get(v, 0)))
+                               for v in e1.keys() | e2.keys()))
+            l = lcm(a._k, b._k)
+            n1, n2 = p_scale(a._n, l // a._k), p_scale(b._n, l // b._k)
+            num = p_add(p_mul(n1, {ratfn.mono_div(top, m1): 1}),
+                        p_mul(n2, {ratfn.mono_div(top, m2): 1}))
+            g = dict(top)
+            for m in num:
+                g = {v: min(k, dict(m).get(v, 0)) for v, k in g.items()}
+            g = tuple((v, k) for v, k in sorted(g.items()) if k)
+            want = [ratfn.mono_div(m, g) for m in num]
+            if g:
+                want.sort(key=ratfn.mono_key, reverse=True)
+            assert list((a + b)._n) == want, (a, b)
+            seen["cancelled" if g else "shared, kept" if set(e1) & set(e2)
+                 else "coprime"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_cofactors_multiply_back():
     rng = random.Random(20261021)
     cases = []
@@ -819,7 +851,8 @@ def test_cofactors_multiply_back():
     seen = {"content": 0, "negative candidate": 0, "proper": 0}
     for a, b in cases:
         g, qa, qb = ratfn._cofactors(a, b)
-        assert g == poly_gcd(a, b), (a, b)
+        # the primitive PRS, not GCDHEU or the monomial gcd
+        assert g == _prs_gcd(a, b) == poly_gcd(a, b), (a, b)
         assert p_mul(g, qa) == a and p_mul(g, qb) == b, (a, b)
         if g == p_const(1):
             assert list(qa.items()) == list(a.items())
