@@ -43,10 +43,6 @@ class EquivMap:
     def v_order(self):
         return max((e.max_jet_order() for e in self.v), default=-1)
 
-    def is_static(self):
-        """States from (t, x) only and controls from (t, x, u) only."""
-        return self.order() == -1 and self.v_order() <= 0
-
     def __repr__(self):
         return "EquivMap(%s: y=[%s], v=[%s])" % (
             self.name or "?", ", ".join(e.to_text() for e in self.y),
@@ -91,18 +87,25 @@ class PullbackContext:
         for i, e in enumerate(m.y):
             self.binding[X(i + 1)] = e
         self._chain = [list(m.v)]  # _chain[k][j] = D_t^k v_j along src
+        self._bound = 0            # levels bound and noted so far
         for j, e in enumerate(m.v):
             self.binding[U(j + 1, 0)] = e
         self.assumptions = {}
         for e in m.y + m.v:
             self._note(e)
 
-    def _ensure(self, k):
+    def chain(self, k):
+        """D_t^k of the map's controls along its source, built once;
+        reading it binds and notes nothing."""
         while len(self._chain) <= k:
-            nxt = [self.m.src.D(e) for e in self._chain[-1]]
-            self._chain.append(nxt)
-            for j, e in enumerate(nxt):
-                self.binding[U(j + 1, len(self._chain) - 1)] = e
+            self._chain.append([self.m.src.D(e) for e in self._chain[-1]])
+        return self._chain[k]
+
+    def _ensure(self, k):
+        while self._bound < k:
+            self._bound += 1
+            for j, e in enumerate(self.chain(self._bound)):
+                self.binding[U(j + 1, self._bound)] = e
                 self._note(e)
 
     def _note(self, e):
@@ -168,66 +171,81 @@ class VerificationReport:
         return "\n".join(out)
 
 
-def _forward_residuals(m, prefix=""):
-    """g_i(y, v) - D_t(y_i) along the source; zero iff solutions map to
-    solutions."""
-    ctx = PullbackContext(m)
+def _forward_residuals(ctx, prefix=""):
+    """g_i(y, v) - D_t(y_i) along the source of ctx's map; zero iff
+    solutions map to solutions."""
+    m = ctx.m
     residuals = []
     for i in range(m.tgt.n):
         lhs = m.src.D(m.y[i])
         rhs = ctx.pull(m.tgt.f[i])
         residuals.append(("%sy%d" % (prefix, i + 1), rhs - lhs))
-    return residuals, ctx.assumptions
+    return residuals
 
 
-def _roundtrip_residuals(m, minv, N, prefix=""):
-    """minv composed with m must fix x_i and u_j^(k) for k <= N."""
-    ctx = PullbackContext(m)
+def _roundtrip_residuals(ctx, other, N, prefix=""):
+    """other's map composed with ctx's must fix x_i and u_j^(k) for k <= N.
+
+    D_t^k of other's controls along its source, ctx's target, is other's
+    chain: D_t depends only on the system.
+    """
+    m, minv = ctx.m, other.m
     residuals = []
     for i in range(m.src.n):
         residuals.append(("%sx%d" % (prefix, i + 1),
                           ctx.pull(minv.y[i]) - RatFn.var(X(i + 1))))
-    chain = list(minv.v)
     for k in range(N + 1):
-        for j in range(m.src.s):
+        for j, e in enumerate(other.chain(k)):
             residuals.append(("%su%d^(%d)" % (prefix, j + 1, k),
-                              ctx.pull(chain[j]) - RatFn.var(U(j + 1, k))))
-        if k < N:
-            chain = [m.tgt.D(e) for e in chain]
-    return residuals, ctx.assumptions
+                              ctx.pull(e) - RatFn.var(U(j + 1, k))))
+    return residuals
 
 
 def verify_forward(m):
     """Forward check only: does m send solutions of src to solutions of tgt?"""
-    residuals, assume = _forward_residuals(m, "forward ")
+    ctx = PullbackContext(m)
+    residuals = _forward_residuals(ctx, "forward ")
     ok = all(r.is_zero() for _, r in residuals)
-    return VerificationReport(ok, None, m.order(), None, residuals, assume)
+    return VerificationReport(ok, None, m.order(), None, residuals,
+                              ctx.assumptions)
+
+
+def _check_inverse(m, minv):
+    if minv.src is not m.tgt and minv.src != m.tgt:
+        raise DimensionMismatch("inverse candidate starts at the wrong system")
+    if minv.tgt is not m.src and minv.tgt != m.src:
+        raise DimensionMismatch("inverse candidate ends at the wrong system")
 
 
 def verify_inverse(m, minv, N=4):
     """Substituting m's prolongation into minv must give back the source
     identity chart, through control jets of order N."""
-    if minv.src is not m.tgt and minv.src != m.tgt:
-        raise DimensionMismatch("inverse candidate starts at the wrong system")
-    if minv.tgt is not m.src and minv.tgt != m.src:
-        raise DimensionMismatch("inverse candidate ends at the wrong system")
-    residuals, assume = _roundtrip_residuals(m, minv, N, "roundtrip ")
+    _check_inverse(m, minv)
+    ctx = PullbackContext(m)
+    residuals = _roundtrip_residuals(ctx, PullbackContext(minv), N,
+                                     "roundtrip ")
     ok = all(r.is_zero() for _, r in residuals)
-    return VerificationReport(None, ok, m.order(), minv.order(), residuals, assume)
+    return VerificationReport(None, ok, m.order(), minv.order(), residuals,
+                              ctx.assumptions)
 
 
 def verify_pair(m, minv, N=4):
-    """Forward and inverse checks in both directions, one combined report."""
-    fwd, a1 = _forward_residuals(m, "forward ")
-    bwd, a2 = _forward_residuals(minv, "backward ")
-    rt, a3 = _roundtrip_residuals(m, minv, N, "roundtrip ")
-    ct, a4 = _roundtrip_residuals(minv, m, N, "cotrip ")
+    """Forward and inverse checks in both directions, one combined report.
+
+    One pullback context per map serves all four passes, so each D_t chain
+    is built once.
+    """
+    _check_inverse(m, minv)
+    cm, ci = PullbackContext(m), PullbackContext(minv)
+    fwd = _forward_residuals(cm, "forward ")
+    bwd = _forward_residuals(ci, "backward ")
+    rt = _roundtrip_residuals(cm, ci, N, "roundtrip ")
+    ct = _roundtrip_residuals(ci, cm, N, "cotrip ")
     residuals = fwd + bwd + rt + ct
-    assume = a1 | a2 | a3 | a4
     forward_ok = all(r.is_zero() for _, r in fwd + bwd)
     inverse_ok = all(r.is_zero() for _, r in rt + ct)
     rep = VerificationReport(forward_ok, inverse_ok, m.order(), minv.order(),
-                             residuals, assume)
+                             residuals, cm.assumptions | ci.assumptions)
     if rep.ok:
         for mm, side in ((m, "map"), (minv, "inverse")):
             if mm.v_order() > mm.order() + 1:
@@ -356,16 +374,6 @@ class BlockMatrix:
         return (isinstance(o, BlockMatrix) and self.row_levels == o.row_levels
                 and self.col_levels == o.col_levels and self.row_sizes == o.row_sizes
                 and self.col_sizes == o.col_sizes and self.entries == o.entries)
-
-    def equal_on_shared(self, other):
-        """Compare entries on the common row/col label range."""
-        rows = set(self.row_labels()) & set(other.row_labels())
-        cols = set(self.col_labels()) & set(other.col_labels())
-        for r in rows:
-            for c in cols:
-                if self.get(r, c) != other.get(r, c):
-                    return False
-        return True
 
     def is_block_lower(self):
         """No nonzero entry strictly above the block diagonal."""

@@ -17,8 +17,10 @@ swaps, which is what makes G land on the narrow three-function pattern
 (check_gnice) whenever the input comes from an equivalence in the
 normalized class.
 
-The product identity g * S * G == A is checked before returning; every
-division performed along the way is recorded as a nonvanishing assumption.
+Each returned factorization has its product checked against A: the raw
+factors' g * S * G == A, or the narrow ones' on the truncation interior.
+Every division performed along the way is recorded as a nonvanishing
+assumption.
 """
 
 from .ratfn import RatFn, ZERO, ONE, gauss_jordan
@@ -150,14 +152,33 @@ class _Driver:
     column operation W -> W*E takes G to E^-1*G, a row operation on G.
     So g * W * G == A holds after every step, and once W is the shift
     pattern S, g and G are the factors.
+
+    The operations on g and G wait in one list until either is read, so
+    an elimination whose factors are never read never builds them.
     """
 
     def __init__(self, A):
         self.W = A.copy()
-        self.g = BlockMatrix.identity(A.row_levels, A.row_sizes)
-        self.G = BlockMatrix.identity(A.col_levels, A.col_sizes)
+        self._g = BlockMatrix.identity(A.row_levels, A.row_sizes)
+        self._G = BlockMatrix.identity(A.col_levels, A.col_sizes)
+        self._pending = []
         self.assumptions = []
         self.ops = []
+
+    def _flush(self):
+        for op in self._pending:
+            op()
+        self._pending.clear()
+
+    @property
+    def g(self):
+        self._flush()
+        return self._g
+
+    @property
+    def G(self):
+        self._flush()
+        return self._G
 
     def note(self, d):
         if not d.is_const():
@@ -168,27 +189,27 @@ class _Driver:
     def row_add(self, dst, src, c):
         self.ops.append("row %s += (%s) * row %s" % (dst, c.to_text(), src))
         self.W.row_add(dst, src, c)
-        self.g.col_add(src, dst, -c)
+        self._pending.append(lambda: self._g.col_add(src, dst, -c))
 
     def row_scale(self, r, c):
         self.ops.append("row %s *= %s" % (r, c.to_text()))
         self.W.row_scale(r, c)
-        self.g.col_scale(r, ONE / c)
+        self._pending.append(lambda: self._g.col_scale(r, ONE / c))
 
     def row_swap(self, a, b):
         self.ops.append("swap rows %s, %s" % (a, b))
         self.W.row_swap(a, b)
-        self.g.col_swap(a, b)
+        self._pending.append(lambda: self._g.col_swap(a, b))
 
     def col_add(self, dst, src, c):
         self.ops.append("col %s += (%s) * col %s" % (dst, c.to_text(), src))
         self.W.col_add(dst, src, c)
-        self.G.row_add(src, dst, -c)
+        self._pending.append(lambda: self._G.row_add(src, dst, -c))
 
     def col_swap(self, a, b):
         self.ops.append("swap cols %s, %s" % (a, b))
         self.W.col_swap(a, b)
-        self.G.row_swap(a, b)
+        self._pending.append(lambda: self._G.row_swap(a, b))
 
     def clear_by_row(self, r, c, src):
         """Clear W[r, c] by adding a multiple of row src to row r."""
@@ -217,7 +238,7 @@ class _Driver:
         self.ops.append("permute level-0 rows by %s" %
                         sorted(perm.items()))
         self.W.permute_rows(0, perm)
-        self.g.permute_cols(0, perm)
+        self._pending.append(lambda: self._g.permute_cols(0, perm))
 
 
 def factor_JK0(A, seed=0):
@@ -383,17 +404,16 @@ def factor_JK0(A, seed=0):
         extra = sorted(set(W.entries) ^ set(S.mat.entries))
         raise StructureViolation("reduction did not reach the shift pattern; "
                                  "mismatched entries at %s" % (extra[:6],))
+    if n == 3:
+        canon = _canonicalize(A, S, d.assumptions, d.ops)
+        if canon is not None:
+            return canon
     g = NonautStatic(d.g, structure_preserving=True)
     G = NonautStatic(d.G, structure_preserving=True)
     product = g.mat.matmul(S.mat).matmul(G.mat)
     if not (product.entries == A.entries):
         raise StructureViolation("product of the factors does not reproduce the input")
-    fac = Factorization(g, S, G, d.assumptions, ops=d.ops)
-    if n == 3:
-        canon = _canonicalize(A, S, d.assumptions, d.ops)
-        if canon is not None:
-            return canon
-    return fac
+    return Factorization(g, S, G, d.assumptions, ops=d.ops)
 
 
 def _gnice_matrix(levels, sizes, p0, p1, q):
@@ -456,23 +476,29 @@ def _canonicalize(A, S, assumptions, ops=()):
                     ZERO - RatFn.const(k - 1) * nxt2)
         return (A.get(x, (k + 1, 2)), ZERO, ZERO, ZERO)
 
-    # each pair's form, built once: the system and g both read it, and
-    # the diagonal pairs are among these, as every level from 1 up has
-    # the rows (k, 1) and (k, 2)
-    aff = {(x, r): affine(x, r) for x in rows for r in rows}
+    # each pair's form, built the first time the system or g reads it: an
+    # inconsistent system stops before the lower pairs are formed
+    aff = {}
+
+    def form(x, r):
+        f = aff.get((x, r))
+        if f is None:
+            f = aff[x, r] = affine(x, r)
+        return f
+
     eqs = []
     for x in rows:
         for r in rows:
             if x[0] < r[0]:
-                af = aff[x, r]
+                af = form(x, r)
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
     maxrow = max(l for l in A.row_levels)
     for k in range(2, maxrow + 1):
         for a in (1, 2):
             for b in (1, 2):
-                hi = aff[(k, a), (k, b)]
-                lo = aff[(1, a), (1, b)]
+                hi = form((k, a), (k, b))
+                lo = form((1, a), (1, b))
                 af = tuple(h - l for h, l in zip(hi, lo))
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
@@ -493,7 +519,7 @@ def _canonicalize(A, S, assumptions, ops=()):
                        meta={"kind": "left-factor"})
     for x in rows:
         for r in rows:
-            base, c0, c1, c2 = aff[x, r]
+            base, c0, c1, c2 = form(x, r)
             val = base + c0 * p0 + c1 * p1 + c2 * q
             if not val.is_zero():
                 gmat.set(x, r, val)

@@ -337,10 +337,8 @@ def poly_gcd(a, b):
     (_gcd_prim) run.  Both give the same polynomial, since a primitive
     gcd over the integers is unique up to sign.
     """
-    if not a:
-        return _int_clear(b) if b else {}
-    if not b:
-        return _int_clear(a)
+    if not (a and b):
+        return _primitive(_int_clear(a or b))[1] if a or b else {}
     return _cofactors(_int_clear(a), _int_clear(b))[0]
 
 
@@ -797,13 +795,6 @@ class RatFn:
     def eval_at(self, point):
         """Exact evaluation as a Fraction; see eval_pair."""
         return Fraction(*self.eval_pair(point))
-
-    def eval_float(self, point):
-        """Float evaluation for numeric work; raises DenominatorZero at a
-        pole.  Compiles through compile_float on every call: numeric loops
-        compile once and call the function instead."""
-        args = sorted(self.vars())
-        return compile_float([self], args)(*[point[v] for v in args])[0]
 
     # -- text ------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Verification of the bundled equivalences and their pullback matrices."""
 
+import hashlib
+
 import pytest
 
 from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
@@ -10,6 +12,7 @@ from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
                        verify_inverse, verify_pair, verify_scalar_theorem)
 from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
                               StructureViolation)
+from jetfactor.sysio import serialize
 
 FIX = builtin_fixtures()
 PHI, PHI_INV = FIX[0]
@@ -24,6 +27,22 @@ u1, u2 = RatFn.var(U(1)), RatFn.var(U(2))
 
 def du(j, k):
     return RatFn.var(U(j, k))
+
+
+def is_static(m):
+    """States from (t, x) only and controls from (t, x, u) only."""
+    return m.order() == -1 and m.v_order() <= 0
+
+
+def equal_on_shared(a, b):
+    """Compare entries on the common row/col label range."""
+    rows = set(a.row_labels()) & set(b.row_labels())
+    cols = set(a.col_labels()) & set(b.col_labels())
+    for r in rows:
+        for c in cols:
+            if a.get(r, c) != b.get(r, c):
+                return False
+    return True
 
 
 # --- the map type itself ------------------------------------------------
@@ -45,8 +64,8 @@ def test_order_detection():
     assert PHI.order() == 0             # y touches u2 but no derivatives
     assert PHI.v_order() == 1           # v2 = u2'
     assert PRO_INV.order() == -1        # pure state relabeling
-    assert PRO_INV.is_static()
-    assert not PHI.is_static()
+    assert is_static(PRO_INV)
+    assert not is_static(PHI)
 
 
 # --- verification of the five bundled pairs -------------------------------
@@ -106,6 +125,90 @@ def test_inverse_must_connect_the_same_systems():
         verify_inverse(PHI, PSI_INV)
     with pytest.raises(DimensionMismatch):
         compose(PSI, PHI)  # psi starts where phi does not end
+
+
+def test_verify_pair_rejects_a_mismatched_inverse():
+    with pytest.raises(DimensionMismatch) as exc:
+        verify_pair(PHI, PSI)
+    assert str(exc.value) == "inverse candidate starts at the wrong system"
+    with pytest.raises(DimensionMismatch) as exc:
+        verify_pair(PHI, PSI_INV)
+    assert str(exc.value) == "inverse candidate ends at the wrong system"
+
+
+def _skewed(m):
+    """m with x1 added to its first control, so no longer an inverse."""
+    return EquivMap(m.src, m.tgt, m.y, (m.v[0] + x1, m.v[1]), name=m.name)
+
+
+# SHA-256 of serialize(verify_pair(m, minv, N)), which (minv, m) shares, and
+# of verify_pair(m, skewed minv, N), recorded with a pullback context of its
+# own for each of the four passes
+_PAIR_DIGESTS = {
+    ("phi", 4):
+        ("c5e3439af3e4f7a2cac86727a5719eb600aeb606f2213f4e4d790a74594fa8ac",
+         "b5dc55a26c367a6a8812dc4434a861d831397743007abbc7f30ec0bb95e47610"),
+    ("phi", 6):
+        ("bc415cc929380ffa0096bbd17180ca075e4969042cfcb90c0ef203b0615678df",
+         "2a69ab8d3700a439f7fa913ff3212d487f2c472dfed58d81d0c3fb2984415b10"),
+    ("phi", 8):
+        ("82120ea1a606bd42eaa64ea58cd625273c991863f53ad813e4d4382c37f6647c",
+         "e15b338d18b2268cea1b74833be6abc95aa9382b2610fe1c5904adba31b9c705"),
+    ("psi", 4):
+        ("c5e3439af3e4f7a2cac86727a5719eb600aeb606f2213f4e4d790a74594fa8ac",
+         "0abcce47007921308f28b890e5a9ecb154551d08b2034ab1af92e32aea352bca"),
+    ("psi", 6):
+        ("bc415cc929380ffa0096bbd17180ca075e4969042cfcb90c0ef203b0615678df",
+         "23c41a64990dcc4e24db7c2bbb6b86fa8bdfde469132d30cf7ce767a564e2d8f"),
+    ("psi", 8):
+        ("82120ea1a606bd42eaa64ea58cd625273c991863f53ad813e4d4382c37f6647c",
+         "f77cf1e285c6d04f2c78f71d464aafc832dc12837f9c357590305e7e773bbf50"),
+    ("theta", 4):
+        ("90e6347f93db567615aa8685818acfa3e269114c53a6e510b28b5d5d86dad251",
+         "a4ab00f527402e491e0dcc6b3cf52dadf10df6fa25f8eff6f51e9af41ce8a921"),
+    ("theta", 6):
+        ("c873e1e7231e783969e5db81df22dd2fc97a5ca306b2b12b7d6fa93997dfbfdf",
+         "2280f7f0fc7013a40b7c7e3c646bf431e20d9ad0b70340aef6b8453847a3870c"),
+    ("theta", 8):
+        ("f2f41a4995162d2eab51af56e6e4180fdd58b8e9cdef56badc157ca680e80b13",
+         "db4d60366d24ebfe4f36cead9edd9fb60c3db3e2d40b8d0010ecd309de6d6687"),
+}
+
+
+def test_verify_pair_reports_are_frozen():
+    def digest(a, b, N):
+        text = serialize(verify_pair(a, b, N))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {}
+    for m, minv in FIX[:3]:
+        for N in (4, 6, 8):
+            got[m.name, N] = (digest(m, minv, N), digest(m, _skewed(minv), N))
+            assert digest(minv, m, N) == got[m.name, N][0]
+    assert got == _PAIR_DIGESTS
+
+
+def test_reading_the_other_chain_notes_nothing():
+    # m's controls do not mention u, so the cotrip binds minv's chain only
+    # to level N - 1; the roundtrip's read of level N adds no assumption
+    x2, x3 = RatFn.var(X(2)), RatFn.var(X(3))
+    m = EquivMap(PHI.src, PHI.tgt, (x1, x2, x3), (x1, x2))
+    minv = EquivMap(PHI.tgt, PHI.src, (x1, x2, x3), (u1 / x2, u2))
+    assert verify_pair(m, minv, N=2).assumptions == ["x2", "x2^2"]
+
+
+@pytest.mark.parametrize("N", (4, 6, 8))
+def test_verify_pair_takes_each_chain_once(monkeypatch, N):
+    # 2n forward D_t of the states, and D_t^1..D_t^(N+1) of each map's
+    # two controls, shared by the roundtrip and the cotrip
+    calls = []
+    D = ControlSystem.D
+    monkeypatch.setattr(ControlSystem, "D",
+                        lambda self, e: calls.append(e) or D(self, e))
+    for m, minv in FIX[:3]:
+        calls.clear()
+        verify_pair(m, minv, N)
+        assert len(calls) == 4 * N + 10, m.name
 
 
 # --- composition and prolongation ------------------------------------------
@@ -318,7 +421,7 @@ def test_equality_ignores_meta():
 def test_equal_on_shared():
     A = pullback_matrix(PHI, N=3)
     B = pullback_matrix(PHI, N=4)
-    assert A.equal_on_shared(B)
+    assert equal_on_shared(A, B)
 
 
 # --- the single-control consequence -------------------------------------------

@@ -12,6 +12,7 @@ from jetfactor import (BlockMatrix, GnicePattern, NonautStatic, RatFn, U, X,
                        pullback_matrix, validate_nonaut_static)
 from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
                               PatternViolation, StructureViolation)
+from jetfactor import factorize
 from jetfactor.factorize import _Driver
 from jetfactor.sysio import serialize
 
@@ -229,6 +230,37 @@ def test_driver_keeps_g_W_G_equal_to_A(seed):
     # the carried factors are the inverses of the accumulated products
     assert d.g == L.full_inverse()
     assert d.G == R.full_inverse()
+
+
+@pytest.mark.parametrize("N", (4, 6, 8))
+def test_raw_path_passes_its_checks_on_every_fixture(monkeypatch, N):
+    # the canonical path returns before the raw factors are checked, so
+    # check them here with the narrow solve switched off
+    monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
+    for m in (PHI, PSI, THETA):
+        A = pullback_matrix(m, N=N)
+        fac = factor_JK0(A)
+        assert fac.edge_cols == () and not fac.ops[-1].startswith("solve")
+        assert fac.product().entries == A.entries
+        NonautStatic(fac.g.mat, structure_preserving=True)
+        NonautStatic(fac.G.mat, structure_preserving=True)
+
+
+def test_canonical_path_applies_no_carried_operation(monkeypatch):
+    applied = []
+    flush = _Driver._flush
+
+    def counting(d):
+        applied.append(len(d._pending))
+        flush(d)
+
+    monkeypatch.setattr(_Driver, "_flush", counting)
+    A = pullback_matrix(PHI, N=4)
+    assert factor_JK0(A).ops[-1].startswith("solve right factor")
+    assert sum(applied) == 0
+    monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
+    factor_JK0(A)
+    assert sum(applied) > 0
 
 
 # SHA-256 of serialize(factor_JK0(pullback_matrix(m, N=N))), recorded with

@@ -136,15 +136,22 @@ def test_eval_at_pole():
         (x1 / u2).eval_at({X(1): 1, U(2): 0})
 
 
+def eval_float(r, point):
+    """Float evaluation of one RatFn through compile_float; raises
+    DenominatorZero at a pole."""
+    args = sorted(r.vars())
+    return ratfn.compile_float([r], args)(*[point[v] for v in args])[0]
+
+
 def test_eval_float():
     e = x1 / u2
-    assert abs(e.eval_float({X(1): 1.0, U(2): 4.0}) - 0.25) < 1e-12
+    assert abs(eval_float(e, {X(1): 1.0, U(2): 4.0}) - 0.25) < 1e-12
     with pytest.raises(DenominatorZero):
-        e.eval_float({X(1): 1.0, U(2): 0.0})
+        eval_float(e, {X(1): 1.0, U(2): 0.0})
 
 
 def _term_by_term_float(r, point):
-    """RatFn.eval_float as it was before compile_float, the loop that the
+    """Float evaluation as it was before compile_float, the loop that the
     generated functions must match bit for bit."""
     def ev(a):
         out = 0.0
@@ -205,7 +212,7 @@ def test_compile_float_is_the_term_by_term_loop():
         point = {v: rng.choice([rng.uniform(-3, 3), float(rng.randint(-2, 2))])
                  for v in _JET_VARS}
         want = _compiled_is_the_loop(exprs, point)
-        assert [_outcome(r.eval_float, point) for r in exprs] == want
+        assert [_outcome(eval_float, r, point) for r in exprs] == want
 
 
 def test_compile_float_leaves_out_only_exact_steps():
@@ -454,6 +461,15 @@ def test_prs_fallback_when_the_heuristic_gives_up(monkeypatch):
     assert (got.num, got.den) == (quotient.num, quotient.den)
     assert list(got.num) == list(quotient.num)
     assert fallbacks
+
+
+def test_gcd_with_zero_is_the_primitive_part_with_positive_lead():
+    want = (x1 + 2).num
+    for a in ((-x1 - 2).num, (RatFn.const(Fraction(-2, 3)) * x1
+                              - RatFn.const(Fraction(4, 3))).num):
+        assert poly_gcd({}, a) == want
+        assert poly_gcd(a, {}) == want
+    assert poly_gcd({}, {}) == {}
 
 
 # ---------------------------------------------------------------------------
