@@ -45,6 +45,10 @@ def _load_system(path):
 
 
 def _load_map(path, src, tgt):
+    # the path names the map in reports, as a string without escapes
+    if any(c in path for c in '"\r\n'):
+        raise UsageError("map path %r holds a quote or a line break, which a "
+                         "report cannot name" % path)
     return sysio.parse_map(_read(path), src, tgt, name=path)
 
 

@@ -1,6 +1,7 @@
 """Deterministic text formats for systems, maps, and block matrices.
 
-Three brace-keyed document kinds, whitespace-insensitive, 7-bit clean:
+Three brace-keyed document kinds, whitespace-insensitive; outside string
+literals every character is ASCII:
 
     system { states = 3 controls = 2 f1 = u1 f2 = u2 f3 = x2*u1 }
 
@@ -79,9 +80,6 @@ class Document:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_SYMBOLS = set("{}()[]=,+-*/^")
-
-
 class _Tok:
     __slots__ = ("kind", "text", "line", "col", "primes")
 
@@ -96,66 +94,43 @@ class _Tok:
         return "%s(%r)@%d:%d" % (self.kind, self.text, self.line, self.col)
 
 
+# Blanks, then at most one token.  The token is optional so that trailing
+# blanks end the match instead of being backtracked into the error branch
+# (an atomic group would say so directly, but needs Python 3.11).
+_TOKEN = re.compile(r"""[ \t]*(?:
+      (?P<int>[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+    | (?P<str>"[^"]*")
+    | (?P<sym>[{}()\[\]=,+\-*/^])
+    | (?P<bad>.))?""", re.VERBOSE)
+
+
 def _tokenize(text):
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # split on "\n" only: str.splitlines also breaks at \x0b, \x85, ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t":
-            i += 1
-            col += 1
-            continue
-        if ord(c) > 127:
-            raise ParseError("non-ascii character %r" % c, line, col)
-        start = col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            primes = 0
-            while i < n and text[i] == "'":
-                primes += 1
-                i += 1
-                col += 1
-            toks.append(_Tok("ident", word, line, start, primes))
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string", line, start)
-            toks.append(_Tok("str", text[i + 1:j], line, start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c in _SYMBOLS:
-            toks.append(_Tok("sym", c, line, start))
-            i += 1
-            col += 1
-            continue
-        if c == "'":
-            raise ParseError("stray derivative mark", line, start)
-        raise ParseError("unexpected character %r" % c, line, start)
-    toks.append(_Tok("eof", "", line, col))
+    for line, s in enumerate(lines, 1):
+        for m in _TOKEN.finditer(s):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word, col = m.group(kind), m.start(kind) + 1
+            if kind == "ident":
+                name = word.rstrip("'")
+                toks.append(_Tok(kind, name, line, col, len(word) - len(name)))
+            elif kind == "str":
+                toks.append(_Tok(kind, word[1:-1], line, col))
+            elif kind != "bad":
+                toks.append(_Tok(kind, word, line, col))
+            elif ord(word) > 127:
+                raise ParseError("non-ascii character %r" % word, line, col)
+            elif word == '"':
+                raise ParseError("unterminated string", line, col)
+            elif word == "'":
+                raise ParseError("stray derivative mark", line, col)
+            else:
+                raise ParseError("unexpected character %r" % word, line, col)
+    toks.append(_Tok("eof", "", len(lines), len(lines[-1]) + 1))
     return toks
 
 

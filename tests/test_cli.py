@@ -125,6 +125,32 @@ def test_division_by_zero_in_input_exits_2(files, capsys, rhs, msg):
     assert (code, out, err) == (2, "", "error: line 4, %s\n" % msg)
 
 
+def test_non_ascii_inside_a_number_or_name_exits_2(files, capsys):
+    path = files["put"]("sq.sys", "system {\n  states = 1\n  controls = 1"
+                                  "\n  f1 = u1^2²\n}\n")
+    code, out, err = run(capsys, "classify", "--sys", path)
+    assert (code, out, err) == (
+        2, "", "error: line 4, col 12: non-ascii character '²'\n")
+    path = files["put"]("x13.map", serialize(PHI).replace(
+        "y1 = x1*", "y1 = x1٣*"))
+    code, out, err = run(capsys, "verify", "--src", files["src"],
+                         "--tgt", files["tgt"], "--map", path)
+    assert (code, out, err) == (
+        2, "", "error: line 2, col 10: non-ascii character '٣'\n")
+
+
+def test_map_path_a_report_cannot_name_exits_2(files, capsys):
+    for name in ['we"ird.map', "two\nlines.map", "cr\rpath.map"]:
+        path = files["put"](name, serialize(PHI))
+        code, out, err = run(capsys, "pullback", "--src", files["src"],
+                             "--tgt", files["tgt"], "--map", path,
+                             "--format", "machine")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: map path ") \
+            and err.endswith("holds a quote or a line break, which a "
+                             "report cannot name\n")
+
+
 def test_oversized_power_in_input_exits_2(files, capsys):
     path = files["put"]("pow.sys", "system {\n  states = 1\n  controls = 1"
                                    "\n  f1 = (x1 + u1)^1000\n}\n")
@@ -503,7 +529,8 @@ _Y = ["0", "1", "x1", "x2", "x3", "x1*x2 - x3", "u2", "x1 + x2", "1/x2",
       "u1'"]
 _V = ["0", "u1", "u2", "x1*u2", "u2'", "u1 - u2", "u1/x1"]
 _PIECES = ["/0", "^-1", "=", "{", "}", "(", ")", "'", " x9", " u3",
-           " f4 = u1", " y1 = x1", "\n", " states = 1", " controls = 3"]
+           " f4 = u1", " y1 = x1", "\n", " states = 1", " controls = 3",
+           "²", "٣"]
 _COMMANDS = [["verify"], ["verify", "--inv", "map"], ["pullback"],
              ["factor"], ["crosscheck", "--steps", "40"], ["classify"],
              ["structure-check"], ["prolong"], ["prolong", "--promote", "2"]]

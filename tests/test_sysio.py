@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from jetfactor import (ControlSystem, EquivMap, RatFn, T, U, X, ZERO,
                        verify_pair)
 from jetfactor.errors import (ArityMismatch, JetError, ParseError,
                               SemanticError)
+from jetfactor.sysio import _Tok, _tokenize
 
 x1, x2 = RatFn.var(X(1)), RatFn.var(X(2))
 u1, u2 = RatFn.var(U(1)), RatFn.var(U(2))
@@ -57,12 +59,16 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_expression("x1 x2")
     assert exc.value.line == 1 and exc.value.col == 4
-    with pytest.raises(ParseError):
-        parse_expression("x1 + ?")
-    with pytest.raises(ParseError):
-        parse_expression("' + x1")
-    with pytest.raises(ParseError):
-        parse_expression("x1 + α")  # non-ascii
+    for text, line, col, msg in [
+            ("x1 + ?", 1, 6, "unexpected character '?'"),
+            ("' + x1", 1, 1, "stray derivative mark"),
+            ("x1 + α", 1, 6, "non-ascii character 'α'"),
+            ('x1 +\n  "s"', 2, 3, "expected a value"),  # at the quote
+            ('x1 +\t"s', 1, 6, "unterminated string")]:
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == \
+            ("line %d, col %d: %s" % (line, col, msg), line, col)
 
 
 def test_division_by_zero_points_at_the_operator():
@@ -84,6 +90,126 @@ def test_time_and_state_derivatives_are_rejected():
         parse_expression("x1'")
     with pytest.raises(ParseError):
         parse_expression("D(x1, 1)")
+
+
+# -------------------------------------------------------------------
+# tokenizer: the character loop that the one pattern replaced is the
+# reference on ASCII text
+
+_SYMBOLS = set("{}()[]=,+-*/^")
+
+
+def _loop_tokenize(text):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t":
+            i += 1
+            col += 1
+            continue
+        if ord(c) > 127:
+            raise ParseError("non-ascii character %r" % c, line, col)
+        start = col
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(_Tok("int", text[i:j], line, start))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            col += j - i
+            i = j
+            primes = 0
+            while i < n and text[i] == "'":
+                primes += 1
+                i += 1
+                col += 1
+            toks.append(_Tok("ident", word, line, start, primes))
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise ParseError("unterminated string", line, start)
+            toks.append(_Tok("str", text[i + 1:j], line, start))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c in _SYMBOLS:
+            toks.append(_Tok("sym", c, line, start))
+            i += 1
+            col += 1
+            continue
+        if c == "'":
+            raise ParseError("stray derivative mark", line, start)
+        raise ParseError("unexpected character %r" % c, line, start)
+    toks.append(_Tok("eof", "", line, col))
+    return toks
+
+
+def _lex(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.primes)
+                for t in tokenize(text)]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+_LEX_PIECES = list("x1u2' \t\n\r\"{}()[]=,+-*/^?#_aZ09\\") + ["\r\n"]
+# non-ASCII characters, each with an ASCII stand-in that no piece above
+# holds and no token takes
+_STAND_INS = {"é": "$", "²": "&", "٣": "@", "\x85": ";", "\u2028": "|"}
+
+
+def _random_texts(seed, pieces, count):
+    rng = random.Random(seed)
+    return ["".join(rng.choice(pieces) for _ in range(rng.randrange(30)))
+            for _ in range(count)]
+
+
+def test_tokenizer_matches_the_character_loop():
+    for text in ["", " ", "x1 \t", "u1'' \r\n", "\n\r\n  "] \
+            + _random_texts(20, _LEX_PIECES, 20000):
+        assert _lex(_tokenize, text) == _lex(_loop_tokenize, text), text
+
+
+def test_tokenizer_rejects_non_ascii_outside_strings():
+    """Where the reference, reading each stand-in for its non-ASCII
+    character, stops at a stand-in, the lexer stops there with a
+    non-ascii error; everywhere else, strings included, they agree."""
+    to_ascii, back = str.maketrans(_STAND_INS), str.maketrans(
+        {a: c for c, a in _STAND_INS.items()})
+    stops = 0
+    for text in _random_texts(21, _LEX_PIECES + list(_STAND_INS), 5000):
+        want = _lex(_loop_tokenize, text.translate(to_ascii))
+        if isinstance(want, list):
+            want = [(kind, word.translate(back), line, col, primes)
+                    for kind, word, line, col, primes in want]
+        else:
+            msg, line, col = want
+            for c, a in _STAND_INS.items():
+                stand_in = "unexpected character %r" % a
+                if msg.endswith(stand_in):
+                    msg = msg.replace(stand_in, "non-ascii character %r" % c)
+                    stops += 1
+            want = (msg, line, col)
+        assert _lex(_tokenize, text) == want, text
+    assert stops > 1000
 
 
 # -------------------------------------------------------------------
