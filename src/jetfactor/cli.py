@@ -33,11 +33,20 @@ from .crosscheck import numeric_crosscheck
 # input loading (failures here exit 2)
 
 def _read(path):
+    """The file's text, decoded as strict UTF-8; a bad byte is a ParseError
+    at its line and column, counted as the tokenizer counts them."""
     try:
-        with open(path, "r") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        lines = head.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        raise ParseError("invalid UTF-8 byte 0x%02x" % data[exc.start],
+                         len(lines), len(lines[-1]) + 1)
 
 
 def _load_system(path):

@@ -183,21 +183,35 @@ def _forward_residuals(ctx, prefix=""):
     return residuals
 
 
-def _roundtrip_residuals(ctx, other, N, prefix=""):
+def _roundtrip_residuals(ctx, other, N, prefix="", forward_ok=False):
     """other's map composed with ctx's must fix x_i and u_j^(k) for k <= N.
 
     D_t^k of other's controls along its source, ctx's target, is other's
     chain: D_t depends only on the system.
+
+    forward_ok says that every forward residual of ctx's map is zero.  Then
+    pulling back along it commutes with D_t (see docs/decisions.md, "The
+    roundtrip by the chain rule"), so once the level-0 residual of u_j is
+    zero, so is every level above it, and those levels are not expanded.
+    _ensure still binds and notes what the pull would have, so the
+    assumptions are the same either way.
     """
     m, minv = ctx.m, other.m
     residuals = []
     for i in range(m.src.n):
         residuals.append(("%sx%d" % (prefix, i + 1),
                           ctx.pull(minv.y[i]) - RatFn.var(X(i + 1))))
+    level0 = []
     for k in range(N + 1):
         for j, e in enumerate(other.chain(k)):
-            residuals.append(("%su%d^(%d)" % (prefix, j + 1, k),
-                              ctx.pull(e) - RatFn.var(U(j + 1, k))))
+            if k and forward_ok and level0[j].is_zero():
+                ctx._ensure(e.max_jet_order())
+                r = ZERO
+            else:
+                r = ctx.pull(e) - RatFn.var(U(j + 1, k))
+                if not k:
+                    level0.append(r)
+            residuals.append(("%su%d^(%d)" % (prefix, j + 1, k), r))
     return residuals
 
 
@@ -233,14 +247,19 @@ def verify_pair(m, minv, N=4):
     """Forward and inverse checks in both directions, one combined report.
 
     One pullback context per map serves all four passes, so each D_t chain
-    is built once.
+    is built once.  The roundtrip is told whether the forward check holds
+    and the cotrip whether the backward one does: where it does, a control
+    whose level-0 residual is zero has zero residuals at every level k <= N
+    by the chain rule, and those levels are not expanded.
     """
     _check_inverse(m, minv)
     cm, ci = PullbackContext(m), PullbackContext(minv)
     fwd = _forward_residuals(cm, "forward ")
     bwd = _forward_residuals(ci, "backward ")
-    rt = _roundtrip_residuals(cm, ci, N, "roundtrip ")
-    ct = _roundtrip_residuals(ci, cm, N, "cotrip ")
+    rt = _roundtrip_residuals(cm, ci, N, "roundtrip ",
+                              all(r.is_zero() for _, r in fwd))
+    ct = _roundtrip_residuals(ci, cm, N, "cotrip ",
+                              all(r.is_zero() for _, r in bwd))
     residuals = fwd + bwd + rt + ct
     forward_ok = all(r.is_zero() for _, r in fwd + bwd)
     inverse_ok = all(r.is_zero() for _, r in rt + ct)

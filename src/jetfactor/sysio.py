@@ -32,6 +32,8 @@ each level once, with a size >= 0.  No key or meta name takes derivative
 marks.  A division by zero or a zero to a negative power written in the
 text is a SemanticError at the `/` or `^`, and so is a power of a sum whose
 expansion may pass 1,000 terms (powers of a single term are not bounded).
+An expression nests at most 100 levels, counting each open `(` and each
+unary `-`; the token that opens level 101 is a ParseError.
 Every zero block of a matrix is emitted explicitly as `block (r, c) = zero`
 so a reader can see the elision; absent blocks are treated as zero on input.
 
@@ -138,6 +140,7 @@ class _P:
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.depth = 0   # open `(` and unary `-` around the current atom
 
     def peek(self, ahead=0):
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -223,18 +226,27 @@ def _parse_var(p, spans):
     return RatFn.var(v)
 
 
+# each open `(` and each unary `-` is one level; the grammar recurses per level
+_MAX_DEPTH = 100
+
+
 def _parse_atom(p, spans):
     t = p.peek()
     if t.kind == "int":
         p.next()
         return RatFn.const(int(t.text))
-    if t.kind == "sym" and t.text == "-":
+    if t.kind == "sym" and t.text in "-(":
         p.next()
-        return ZERO - _parse_factor(p, spans)
-    if t.kind == "sym" and t.text == "(":
-        p.next()
-        e = _parse_expr(p, spans)
-        p.expect_sym(")")
+        p.depth += 1
+        if p.depth > _MAX_DEPTH:
+            raise ParseError("expression nests deeper than %d levels"
+                             % _MAX_DEPTH, t.line, t.col)
+        if t.text == "-":
+            e = ZERO - _parse_factor(p, spans)
+        else:
+            e = _parse_expr(p, spans)
+            p.expect_sym(")")
+        p.depth -= 1
         return e
     if t.kind == "ident":
         return _parse_var(p, spans)

@@ -159,6 +159,20 @@ def test_oversized_power_in_input_exits_2(files, capsys):
         2, "", "error: line 4, col 17: power may expand past 1000 terms\n")
 
 
+@pytest.mark.parametrize("rhs, msg", [
+    (b"u1 \xff", "col 11: invalid UTF-8 byte 0xff"),
+    (b"(" * 300 + b"u1" + b")" * 300,
+     "col 108: expression nests deeper than 100 levels"),
+    (b"-" * 600 + b"u1", "col 108: expression nests deeper than 100 levels"),
+], ids=["not-utf-8", "300-parentheses", "600-minus-signs"])
+def test_undecodable_or_deeply_nested_input_exits_2(files, capsys, rhs, msg):
+    path = Path(files["src"]).with_name("deep.sys")
+    path.write_bytes(b"system {\n  states = 1\n  controls = 1\n  f1 = %s\n}\n"
+                     % rhs)
+    code, out, err = run(capsys, "classify", "--sys", str(path))
+    assert (code, out, err) == (2, "", "error: line 4, %s\n" % msg)
+
+
 def test_bad_arguments_exit_2(files, capsys):
     assert run(capsys, "verify", "--src", files["src"])[0] == 2
     assert run(capsys)[0] == 2
@@ -565,10 +579,16 @@ def test_inputs_never_exit_3(doc_dir, fs, ys, vs, edits):
         at = len(text) * share // 100
         docs[name] = text[:at] + (piece if insert else "") \
             + text[at + (0 if insert else len(piece)):]
+    _every_command_exits_0_1_or_2(doc_dir, docs)
+
+
+def _every_command_exits_0_1_or_2(doc_dir, docs):
+    """Run every command on the documents src, tgt and map (text or bytes)."""
     paths = {}
     for name, text in docs.items():
         paths[name] = str(doc_dir / name)
-        (doc_dir / name).write_text(text)
+        (doc_dir / name).write_bytes(
+            text if isinstance(text, bytes) else text.encode())
     pair = ["--src", paths["src"], "--tgt", paths["tgt"], "--map", paths["map"]]
     for cmd in _COMMANDS:
         if cmd[0] in ("classify", "structure-check", "prolong"):
@@ -579,3 +599,40 @@ def test_inputs_never_exit_3(doc_dir, fs, ys, vs, edits):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv + ["-N", "2"])
         assert code in (0, 1, 2), (argv, docs, err.getvalue())
+
+
+_VALID = {"src": serialize(PHI.src), "tgt": serialize(PHI.tgt),
+          "map": serialize(PHI)}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_VALID)), st.booleans(), st.integers(0, 99),
+       st.binary(max_size=40))
+def test_byte_documents_never_exit_3(doc_dir, name, whole, share, junk):
+    """Raw bytes as a whole document, or spliced into a valid one."""
+    docs = {k: v.encode() for k, v in _VALID.items()}
+    at = len(docs[name]) * share // 100
+    docs[name] = junk if whole else docs[name][:at] + junk + docs[name][at:]
+    _every_command_exits_0_1_or_2(doc_dir, docs)
+
+
+# sums, products and quotients of small expressions under runs of up to
+# 1,000 parentheses or 2,000 unary minus signs: past the parser's 100 levels,
+# and past the depth at which a parser without that bound overflows the
+# stack even under hypothesis, which raises the recursion limit by 2,000
+_NESTED = st.recursive(
+    st.sampled_from(["u1", "u2", "x1", "x2", "2", "t"]),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from(["+", "-", "*", "/"]), e).map("".join),
+        st.tuples(st.integers(1, 1000), e).map(
+            lambda p: "(" * p[0] + p[1] + ")" * p[0]),
+        st.tuples(st.integers(1, 2000), e).map(lambda p: "-" * p[0] + p[1])),
+    max_leaves=4)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_NESTED, _NESTED)
+def test_nested_expressions_never_exit_3(doc_dir, f3, v1):
+    docs = dict(_VALID, src=_VALID["src"].replace("x2*u1", f3),
+                map=_VALID["map"].replace("x1*u2", v1))
+    _every_command_exits_0_1_or_2(doc_dir, docs)

@@ -5,11 +5,14 @@ import hashlib
 import pytest
 
 from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
-                       ZERO, ONE, block_rank, builtin_fixtures, check_arepeats,
-                       check_nonaut_static_pair, compose, prolong_map,
-                       pullback_matrix, random_nonaut_static_pair,
-                       random_static_transform, verify_forward,
-                       verify_inverse, verify_pair, verify_scalar_theorem)
+                       ZERO, ONE, VerificationReport, block_rank,
+                       builtin_fixtures, check_arepeats,
+                       check_nonaut_static_pair, compose, elkin_forms_32,
+                       parse_map, parse_system, prolong_map, pullback_matrix,
+                       random_nonaut_static_pair, random_static_transform,
+                       verify_forward, verify_inverse, verify_pair,
+                       verify_scalar_theorem)
+from jetfactor.equivalence import PullbackContext, _forward_residuals
 from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
                               StructureViolation)
 from jetfactor.sysio import serialize
@@ -209,6 +212,114 @@ def test_verify_pair_takes_each_chain_once(monkeypatch, N):
         calls.clear()
         verify_pair(m, minv, N)
         assert len(calls) == 4 * N + 10, m.name
+
+
+# --- the roundtrip by the chain rule ------------------------------------------
+# verify_pair expands a roundtrip or cotrip level k >= 1 only where the map's
+# forward check or the control's level-0 residual fails; these tests keep the
+# full expansion as the reference and compare whole reports.
+
+
+def _full_roundtrip(ctx, other, N, prefix):
+    """Every residual by substitution, with no level taken from the chain
+    rule: the reference for _roundtrip_residuals."""
+    m, minv = ctx.m, other.m
+    out = [("%sx%d" % (prefix, i + 1),
+            ctx.pull(minv.y[i]) - RatFn.var(X(i + 1))) for i in range(m.src.n)]
+    for k in range(N + 1):
+        for j, e in enumerate(other.chain(k)):
+            out.append(("%su%d^(%d)" % (prefix, j + 1, k),
+                        ctx.pull(e) - du(j + 1, k)))
+    return out
+
+
+def _full_verify_pair(m, minv, N):
+    cm, ci = PullbackContext(m), PullbackContext(minv)
+    fwd = _forward_residuals(cm, "forward ")
+    bwd = _forward_residuals(ci, "backward ")
+    rest = (_full_roundtrip(cm, ci, N, "roundtrip ")
+            + _full_roundtrip(ci, cm, N, "cotrip "))
+    return VerificationReport(all(r.is_zero() for _, r in fwd + bwd),
+                              all(r.is_zero() for _, r in rest),
+                              m.order(), minv.order(), fwd + bwd + rest,
+                              cm.assumptions | ci.assumptions)
+
+
+def _whole(rep):
+    return (rep.summary(), serialize(rep),
+            [(lab, r.to_text()) for lab, r in rep.residuals], rep.assumptions,
+            (rep.forward_ok, rep.inverse_ok, rep.detected_J, rep.detected_K))
+
+
+def _one_state(f):
+    return parse_system("system { states = 1 controls = 1 f1 = %s }" % f)
+
+
+def _one_state_pair(f_src, f_tgt, y, v, y_inv, v_inv):
+    a, b = _one_state(f_src), _one_state(f_tgt)
+    return (parse_map("map { y1 = %s v1 = %s }" % (y, v), a, b),
+            parse_map("map { y1 = %s v1 = %s }" % (y_inv, v_inv), b, a))
+
+
+# forward check fails, level 0 of the roundtrip and the cotrip holds, and
+# every level above it fails
+FALLBACK = _one_state_pair("u1", "2*u1", "x1", "u1 + x1", "x1", "u1 - x1")
+# forward check holds and backward fails; the cotrip holds at level 0 only
+BACKWARD_FAILS = _one_state_pair("u1", "u1 - x1", "x1", "u1 + x1",
+                                 "x1 + t", "u1 - x1 - t")
+RATIONAL = parse_system("system { states = 3 controls = 1 "
+                        "f1 = u1 f2 = x1/(x2 + 2) f3 = x2*x3 }")
+
+
+def _differential_cases():
+    cases = [("%s-N%d" % (m.name, N), N, m, minv) for m, minv in FIX
+             for N in (2, 4, 6)]
+    for i, form in enumerate(elkin_forms_32()):
+        for move, seed in ((random_static_transform, 0),
+                           (random_nonaut_static_pair, 1)):
+            m, minv, _ = move(form, seed)
+            cases.append(("elkin%d-%s-%d" % (i + 1, move.__name__, seed),
+                          4, m, minv))
+    for move in (random_static_transform, random_nonaut_static_pair):
+        m, minv, _ = move(RATIONAL, 1)
+        cases.append(("rational-%s-1" % move.__name__, 3, m, minv))
+    cases += [("phi-dec_inv", 4, PHI, DEC_INV),
+              ("phi-skewed_inv", 4, PHI, _skewed(PHI_INV)),
+              ("fallback", 3) + FALLBACK,
+              ("backward_fails", 3) + BACKWARD_FAILS,
+              ("forward_fails", 3) + BACKWARD_FAILS[::-1]]
+    return [pytest.param(*c[1:], id=c[0]) for c in cases]
+
+
+@pytest.mark.parametrize("N,m,minv", _differential_cases())
+def test_verify_pair_matches_the_full_expansion(N, m, minv):
+    assert _whole(verify_pair(m, minv, N)) == \
+        _whole(_full_verify_pair(m, minv, N))
+
+
+def test_a_failing_forward_check_expands_every_level():
+    """The fallback pin: both level-0 residuals are zero, but the forward
+    check fails, so no level above 0 may be taken from the chain rule."""
+    assert serialize(verify_pair(*FALLBACK, N=3)) == "\n".join([
+        "verification {",
+        "  forward_ok = false",
+        "  inverse_ok = false",
+        "  detected_J = -1",
+        "  detected_K = -1",
+        '  residual = ["forward y1", u1 + 2*x1]',
+        '  residual = ["backward y1", -u1 - x1]',
+        '  residual = ["roundtrip x1", 0]',
+        '  residual = ["roundtrip u1^(0)", 0]',
+        '  residual = ["roundtrip u1^(1)", -u1 - 2*x1]',
+        '  residual = ["roundtrip u1^(2)", -u1\' - 2*u1]',
+        '  residual = ["roundtrip u1^(3)", -u1\'\' - 2*u1\']',
+        '  residual = ["cotrip x1", 0]',
+        '  residual = ["cotrip u1^(0)", 0]',
+        '  residual = ["cotrip u1^(1)", -u1 - x1]',
+        '  residual = ["cotrip u1^(2)", -u1\' - 2*u1]',
+        '  residual = ["cotrip u1^(3)", -u1\'\' - 2*u1\']',
+        "  assumptions = []",
+        "}", ""])
 
 
 # --- composition and prolongation ------------------------------------------

@@ -663,6 +663,22 @@ def test_powers_are_bounded_by_their_expansion():
         assert str(exc.value).endswith(": power may expand past 1000 terms")
 
 
+def test_nesting_is_bounded():
+    """100 levels of `(` and unary `-` parse; the token that opens level
+    101 is a ParseError at its position."""
+    assert parse_expression("(" * 100 + "u1" + ")" * 100) == u1
+    assert parse_expression("-" * 100 + "u1") == u1
+    assert parse_expression("-(" * 50 + "u1" + ")" * 50) == u1
+    for text, col in [("(" * 101 + "u1" + ")" * 101, 101),
+                      ("-" * 101 + "u1", 101),
+                      ("-(" * 50 + "-u1" + ")" * 50, 101),
+                      ("x1 + " + "(" * 101, 106)]:
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == \
+            "line 1, col %d: expression nests deeper than 100 levels" % col
+
+
 # -------------------------------------------------------------------
 # document fuzz: seeded transforms of the (3, 2) normal forms round-trip,
 # and mutations of their text fail only with the input error classes
