@@ -254,6 +254,12 @@ def cmd_fixtures(a):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# Largest -N.  Memory grows with the level in every command: at 100,000
+# structure-check alone took 34 s and 645 MB, and at 10^9 it ran out of
+# memory (docs/decisions.md, "The -N bound").
+MAX_ORDER = 100
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first call and reused after."""
@@ -264,8 +270,9 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def level(text):
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError("truncation level must be >= 1")
+        if not 1 <= int(text) <= MAX_ORDER:
+            raise argparse.ArgumentTypeError(
+                "truncation level must be from 1 to %d" % MAX_ORDER)
         return int(text)
 
     def command(name, fn, summary, pair=False):
@@ -273,7 +280,8 @@ def _build_parser():
         it reads a map."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("-N", "--order", type=level, default=4,
-                       help="truncation level (default 4)")
+                       help="truncation level, 1 to %d (default 4)"
+                       % MAX_ORDER)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "machine"),
                        default="text")

@@ -12,7 +12,7 @@ source system.
 from .ratfn import RatFn, T, X, U, ZERO, ONE, gauss_jordan
 from .coframes import Coframe, CONTACT, ADAPTED, add_term
 from .errors import (DimensionMismatch, DtResidue, StructureViolation,
-                     RepeatViolation, ScalarContradiction, TruncationExceeded)
+                     RepeatViolation, ScalarContradiction)
 from .jets import generic_rank
 
 
@@ -496,14 +496,12 @@ def default_frame_kind(sys_):
     return CONTACT
 
 
-def pullback_matrix(m, frame_src=None, frame_tgt=None, N=4, strict=True):
+def pullback_matrix(m, N=4, strict=True):
     """Matrix of m* from the target's level-N coframe to the source's
     level-(N+J+1) coframe.  Rows are target labels, columns source labels.
 
-    The frames default to the adapted kind when a system is in the
-    normalized 3-state 2-control shape and the contact kind otherwise;
-    explicitly passed frames must be deep enough (N+J+1 on the source
-    side, N on the target side).
+    The frames are of the adapted kind when a system is in the normalized
+    3-state 2-control shape and of the contact kind otherwise.
 
     Raises DtResidue when a pulled-back contact form keeps a dt component
     (the map does not send solutions to solutions) and StructureViolation
@@ -511,19 +509,8 @@ def pullback_matrix(m, frame_src=None, frame_tgt=None, N=4, strict=True):
     """
     J = m.order()
     colN = N + J + 1
-    if frame_src is None:
-        frame_src = Coframe(m.src, colN, default_frame_kind(m.src))
-    if frame_tgt is None:
-        frame_tgt = Coframe(m.tgt, N, default_frame_kind(m.tgt))
-    if frame_src.sys != m.src:
-        raise DimensionMismatch("source frame belongs to a different system")
-    if frame_tgt.sys != m.tgt:
-        raise DimensionMismatch("target frame belongs to a different system")
-    if frame_src.N < colN:
-        raise TruncationExceeded("source frame level %d < N+J+1 = %d"
-                                 % (frame_src.N, colN))
-    if frame_tgt.N < N:
-        raise TruncationExceeded("target frame level %d < N = %d" % (frame_tgt.N, N))
+    frame_src = Coframe(m.src, colN, default_frame_kind(m.src))
+    frame_tgt = Coframe(m.tgt, N, default_frame_kind(m.tgt))
     ctx = PullbackContext(m)
 
     A = BlockMatrix(

@@ -64,27 +64,23 @@ def build_S(n, N):
 
 
 class NonautStatic:
-    """A square block-lower coframe change over one frame's labels.
-
-    structure_preserving asserts the extra invariant that all control-level
-    diagonal blocks are equal (checked here, DiagonalDrift otherwise).
+    """A square block-lower coframe change over one frame's labels whose
+    control-level diagonal blocks are all equal (DiagonalDrift otherwise).
     """
 
-    def __init__(self, mat, structure_preserving=False):
+    def __init__(self, mat):
         if not mat.is_block_lower():
             raise StructureViolation("matrix mixes a level into a higher one")
         if mat.row_levels != mat.col_levels or mat.row_sizes != mat.col_sizes:
             raise DimensionMismatch("coframe change must be square")
         self.mat = mat
-        self.structure_preserving = structure_preserving
-        if structure_preserving:
-            lev = [l for l in mat.row_levels if l >= 1]
-            if lev:
-                ref = mat.block(1, 1)
-                for l in lev[1:]:
-                    if mat.block(l, l) != ref:
-                        raise DiagonalDrift(
-                            "diagonal block at level %d differs from level 1" % l)
+        lev = [l for l in mat.row_levels if l >= 1]
+        if lev:
+            ref = mat.block(1, 1)
+            for l in lev[1:]:
+                if mat.block(l, l) != ref:
+                    raise DiagonalDrift(
+                        "diagonal block at level %d differs from level 1" % l)
 
     def __eq__(self, o):
         return isinstance(o, NonautStatic) and self.mat == o.mat
@@ -408,8 +404,8 @@ def factor_JK0(A, seed=0):
         canon = _canonicalize(A, S, d.assumptions, d.ops)
         if canon is not None:
             return canon
-    g = NonautStatic(d.g, structure_preserving=True)
-    G = NonautStatic(d.G, structure_preserving=True)
+    g = NonautStatic(d.g)
+    G = NonautStatic(d.G)
     product = g.mat.matmul(S.mat).matmul(G.mat)
     if not (product.entries == A.entries):
         raise StructureViolation("product of the factors does not reproduce the input")
@@ -526,8 +522,8 @@ def _canonicalize(A, S, assumptions, ops=()):
     top = max(A.col_levels)
     edge = ((top - 1, 1), (top, 1))
     try:
-        g = NonautStatic(gmat, structure_preserving=True)
-        G = NonautStatic(Gmat, structure_preserving=True)
+        g = NonautStatic(gmat)
+        G = NonautStatic(Gmat)
     except (StructureViolation, DiagonalDrift):
         return None
     fac = Factorization(g, S, G, assumptions, edge_cols=edge,
@@ -562,7 +558,7 @@ def validate_nonaut_static(ns, frame):
     from .jets import generic_rank
 
     mat = ns.mat if isinstance(ns, NonautStatic) else ns
-    NonautStatic(mat, structure_preserving=True)
+    NonautStatic(mat)
     if mat.get((-1, 1), (-1, 1)) != ONE:
         raise StructureViolation("the time row must stay untouched")
 

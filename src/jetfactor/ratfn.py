@@ -30,7 +30,8 @@ eval_at() return Fractions.
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
 them.  Elsewhere they take gcds of the factors, not of the product
-(Henrici).  Each method's docstring says why its result is canonical.
+(Henrici); diff and derivation end in one quotient rule, _quotient.
+Each docstring says why its result is canonical.
 Results are the canonical triples of the general path; only the insertion
 order of their terms can differ.  Float evaluation has one path,
 float_lines.
@@ -751,25 +752,9 @@ class RatFn:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v):
-        """Partial derivative with respect to variable v.  A polynomial's
-        is a polynomial: only the scale can cancel against its content.
-        Any other d takes h = gcd(d, d'), a = d/h and b = d'/h.  With
-        h = 1, (n'd - nd')/d^2 is reduced.  Else num = n'a - nb can share
-        with d*a only a factor g of h, one that does not contain v, and the
-        derivative is (num/g)/((d/g)*a), sorted as in _product."""
-        n, k, d = self._n, self._k, self._d
-        if _is_one(d):
-            return _make(*_rescale(p_diff(n, v), 1, 1, k), d)
-        dn, dd = p_diff(n, v), p_diff(d, v)
-        h, a, b = _cofactors(d, dd) if dd else (d, _UNIT, {})
-        num = p_sub(p_mul(dn, a), p_mul(n, b))
-        if _is_one(h):
-            return _make(*_rescale(num, 1, 1, k), p_mul(d, d))
-        if not num:
-            return ZERO
-        g, num, h = _cofactors(num, h)
-        den = p_mul(d if _is_one(g) else p_mul(a, h), a)
-        return _make(*_rescale(_descending(num), 1, 1, k), _descending(den))
+        """Partial derivative with respect to variable v (_quotient)."""
+        n, d = self._n, self._d
+        return _quotient(n, d, p_diff(n, v), p_diff(d, v), _UNIT, self._k)
 
     def substitute(self, binding):
         """Simultaneous substitution var -> RatFn; unmapped vars stay."""
@@ -938,30 +923,51 @@ def derivation(r, images):
     Write images[v] = N_v/(k_v*D_v), K for the lcm of the k_v and L for
     the lcm of the D_v.  K*L times the derivation sends an int polynomial
     p to the int polynomial sum over v of P_v * dp/dv (_p_derive), with
-    P_v = N_v*(K/k_v)*(L/D_v).  For r = N/(k*Q) the result is
-    (DN*Q - N*DQ)/(k*K*L*Q^2), canonicalized once; over L = Q = 1 only
-    the scale can cancel."""
-    n, k, d = r._n, r._k, r._d
+    P_v = N_v*(K/k_v)*(L/D_v), and _quotient takes r = N/(k*Q) to
+    (DN*Q - N*DQ)/(k*K*L*Q^2)."""
     K = lcm(*(img._k for img in images.values()))
     L, seen = _UNIT, []
     for img in images.values():
         if not _is_one(img._d) and img._d not in seen:
             seen.append(img._d)
-            L = p_mul(L, p_divexact(img._d, poly_gcd(L, img._d)))
+            L = p_mul(L, _cofactors(L, img._d)[2])
     pre = {}
     for v, img in images.items():
         if img._n:
             p = img._n if img._k == K else p_scale(img._n, K // img._k)
             pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
-    num = _p_derive(n, pre)
-    if _is_one(d):
-        den = L
+    n, d = r._n, r._d
+    return _quotient(n, d, _p_derive(n, pre), _p_derive(d, pre), L, K * r._k)
+
+
+def _quotient(n, d, dn, dd, L, q):
+    """The canonical (dn*d - n*dd)/(q*L*d^2): the derivative of a canonical
+    n/d under a derivation that q*L times sends n to dn and d to dd, for L
+    primitive with positive leading coefficient and an int q >= 1.
+
+    Take h = gcd(d, dd), a = d/h and b = dd/h (Henrici).  The numerator is
+    h*t with t = dn*a - n*b, so the quotient is t/(q*L*h*a^2).  A prime
+    factor of a divides neither n, which is prime to d, nor b, which is
+    prime to a, so it does not divide t: only a factor g of L*h can
+    cancel, and the result is (t/g)/((L*h/g)*a^2).  Over d = 1 this is
+    dn/(q*L), where only L and the scale can cancel.  With g = h = 1 the
+    general gcd is 1 and t and L*d^2 keep their term order; otherwise both
+    sides are sorted as in _product."""
+    if dd:
+        h, a, b = _cofactors(d, dd)
+        t = p_sub(p_mul(dn, a), p_mul(n, b))
     else:
-        num = p_sub(p_mul(num, d), p_mul(n, _p_derive(d, pre)))
-        den = p_mul(d, d) if _is_one(L) else p_mul(L, p_mul(d, d))
-    if _is_one(den):
-        return _make(*_rescale(num, 1, 1, K * k), _UNIT)
-    return _ratio(num, den, 1, K * k)
+        h, a, t = d, _UNIT, dn
+    if not t:
+        return ZERO
+    s = L if _is_one(h) else p_mul(L, h)
+    if _is_one(s):
+        return _make(*_rescale(t, 1, 1, q), p_mul(d, d) if dd else d)
+    g, t, s = _cofactors(t, s)
+    den = p_mul(s, p_mul(a, a))
+    if not (_is_one(g) and _is_one(h)):
+        t, den = _descending(t), _descending(den)
+    return _make(*_rescale(t, 1, 1, q), den)
 
 
 def _p_derive(p, images):

@@ -215,6 +215,7 @@ PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]
     ["fixtures", "-N", "0"],
     ["verify", "-N", "-1"] + PAIR,
     ["verify", "-N", "0"] + PAIR,
+    ["pullback", "-N", "101"] + PAIR,
     ["crosscheck", "--steps", "0"] + PAIR,
     ["crosscheck", "--steps", "-3"] + PAIR,
     ["crosscheck", "--T", "0"] + PAIR,
@@ -227,6 +228,17 @@ PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]
 def test_out_of_range_numbers_exit_2(files, capsys, argv):
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2, (out, err)
+
+
+def test_an_oversized_order_is_a_usage_error(files, capsys):
+    # -N 10^9 used to run structure-check out of memory (exit 3); 101, the
+    # smallest level refused, takes under a second where nothing refuses it
+    code, out, err = run(capsys, "structure-check", "-N", "101",
+                         "--sys", files["src"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: jetfactor structure-check")
+    assert err.endswith("argument -N/--order: truncation level must be "
+                        "from 1 to 100\n")
 
 
 def test_internal_errors_exit_3(files, capsys, monkeypatch):

@@ -110,7 +110,6 @@ def test_factor_phi():
 def test_factor_phi_left_factor_shape():
     fac = factor_JK0(pullback_matrix(PHI, N=4))
     g = fac.g
-    assert g.structure_preserving
     assert g.mat.is_block_lower()
     assert g.mat.row_levels == [-1, 0, 1, 2, 3, 4]
     # control-level diagonal blocks all agree (here: u2 on the first slot)
@@ -146,7 +145,8 @@ def test_factor_theta_right_factor_content():
         assert G.get((k, 2), (k - 1, 1)) == u2 ** 2
         assert G.get((k, 2), (k - 2, 1)) == 2 * (k - 1) * u2 * du(2, 1)
     # square, block-lower, equal diagonal control blocks
-    assert fac.G.structure_preserving
+    lev = [l for l in fac.G.mat.row_levels if l >= 1]
+    assert all(fac.G.block(l, l) == fac.G.block(1, 1) for l in lev)
 
 
 def test_factor_theta_escapes_the_narrow_pattern():
@@ -242,8 +242,8 @@ def test_raw_path_passes_its_checks_on_every_fixture(monkeypatch, N):
         fac = factor_JK0(A)
         assert fac.edge_cols == () and not fac.ops[-1].startswith("solve")
         assert fac.product().entries == A.entries
-        NonautStatic(fac.g.mat, structure_preserving=True)
-        NonautStatic(fac.G.mat, structure_preserving=True)
+        NonautStatic(fac.g.mat)
+        NonautStatic(fac.G.mat)
 
 
 def test_canonical_path_applies_no_carried_operation(monkeypatch):
@@ -316,9 +316,8 @@ def test_nonaut_static_wrapper_checks_shape():
     with pytest.raises(StructureViolation):
         NonautStatic(bad)
     with pytest.raises(DiagonalDrift):
-        NonautStatic(lower_change(drift=True), structure_preserving=True)
-    # without the flag the drifting matrix is accepted as merely lower
-    assert NonautStatic(lower_change(drift=True)).mat.is_block_lower()
+        NonautStatic(lower_change(drift=True))
+    assert NonautStatic(lower_change()).mat.is_block_lower()
 
 
 def test_validator_rejects_diagonal_drift():

@@ -788,8 +788,88 @@ def test_henrici_paths_match_one_gcd_of_the_product():
     assert min(seen.values()) >= 60, seen
 
 
+# ---------------------------------------------------------------------------
+# one quotient rule: derivation and diff both end in _quotient, which must
+# give what one gcd of (DN*Q - N*DQ) over k*K*L*Q^2 gives
+
+def _derivation_parts(r, images):
+    """(DN*Q - N*DQ, K, L, DQ) for r = N/(k*Q), with D the derivation
+    times K*L, as derivation defines K, L and D."""
+    n, d = r._n, r._d
+    K = lcm(*(img._k for img in images.values()))
+    L = p_const(1)
+    for img in images.values():
+        L = p_mul(L, p_divexact(img._d, poly_gcd(L, img._d)))
+    pre = {v: p_mul(p_scale(img._n, K // img._k), p_divexact(L, img._d))
+           for v, img in images.items() if img._n}
+    dd = ratfn._p_derive(d, pre)
+    return (p_add(p_mul(ratfn._p_derive(n, pre), d), p_neg(p_mul(n, dd))),
+            K, L, dd)
+
+
+def _derivation_over_one_gcd(r, images):
+    """derivation(r, images) as one _ratio over the whole k*K*L*Q^2."""
+    num, K, L, _ = _derivation_parts(r, images)
+    return ratfn._ratio(num, p_mul(L, p_mul(r._d, r._d)), 1, K * r._k)
+
+
+def _quotient_cases(rng):
+    """(r, images) with planted shared factors: f divides both x1's image's
+    denominator and dN/dx1, so t shares it with L; d = h*(h*x1^2 + c)
+    keeps h in gcd(d, dd); and a degree-0 r under the Euler field has
+    DQ != 0 but a zero derivative."""
+    rest = [X(2), U(1)]
+    pool = [RatFn(_factor(rng, rest), _factor(rng, rest)),
+            Fraction(2, 3) * x1 / (1 + x1**2), ZERO, None, ONE,
+            Fraction(1, 2) * x1 * u1 - x2]
+    for _ in range(24):
+        f, g, s, w, h, c = (_factor(rng, rest) for _ in range(6))
+        planted = p_add(p_mul(p_mul(f, w), {((X(1), 1),): 1}), s)
+        square = p_mul(h, p_add(p_mul(h, {((X(1), 2),): 1}), c))
+        for num, den in ((planted, None), (planted, _factor(rng, rest)),
+                         (_factor(rng), square), (_factor(rng), None),
+                         (_factor(rng), _factor(rng))):
+            picks = {X(1): RatFn(g, f), X(2): rng.choice(pool),
+                     U(1): rng.choice(pool)}
+            yield RatFn(num, den), {v: img for v, img in picks.items()
+                                    if img is not None}
+    euler = (x1 + 2 * x2) / (x1 - x2)
+    yield euler, {X(1): x1, X(2): x2}
+    yield euler, {U(1): u1 / (x2 + 1)}
+    yield RatFn.const(Fraction(3, 4)), {X(1): x1 / (x2 + 1)}
+
+
+def test_quotient_is_one_gcd_of_the_whole_quotient():
+    rng = random.Random(20261023)
+    one = p_const(1)
+    seen = dict.fromkeys(["Q = 1, L != 1", "DQ = 0", "h = 1", "h != 1",
+                          "t shares L", "zero image", "no image", "zero"], 0)
+    for r, images in _quotient_cases(rng):
+        got = ratfn.derivation(r, images)
+        want = _derivation_over_one_gcd(r, images)
+        assert (got._n, got._k, got._d) == (want._n, want._k, want._d), (
+            r, images)
+        for v in _FAST_VARS:
+            d1, d2 = r.diff(v), _derivation_over_one_gcd(r, {v: ONE})
+            assert (d1._n, d1._k, d1._d) == (d2._n, d2._k, d2._d), (r, v)
+        num, _, L, dd = _derivation_parts(r, images)
+        d = r._d
+        h = poly_gcd(d, dd)
+        seen["Q = 1, L != 1"] += d == one and L != one
+        seen["DQ = 0"] += d != one and not dd
+        seen["h = 1"] += d != one and h == one
+        seen["h != 1"] += d != one and h != one
+        seen["t shares L"] += bool(num) and poly_gcd(p_divexact(num, h),
+                                                     L) != one
+        seen["zero image"] += ZERO in images.values()
+        seen["no image"] += len(images) < len(_FAST_VARS)
+        seen["zero"] += got.is_zero() and d != one
+    assert min(seen.values()) >= 2, seen
+
+
 def test_henrici_paths_agree_with_sympy_cancel():
-    # sympy's rational function field reduces each result with its own gcd
+    # sympy's rational function field reduces each result with its own gcd;
+    # the derivation cases are those of the one-gcd test above
     sympy = pytest.importorskip("sympy")
     field, *gens = sympy.field(",".join(map(var_name, _FAST_VARS)), sympy.QQ)
     where = {v: i for i, v in enumerate(_FAST_VARS)}
@@ -817,6 +897,10 @@ def test_henrici_paths_agree_with_sympy_cancel():
                                "+": operator.add}[op](sym(a), sym(b)))
     for a, v in _planted_quotients(rng, 16):
         check(a.diff(v), sym(a).diff(gens[where[v]]))
+    for r, images in list(_quotient_cases(rng))[::16]:
+        check(ratfn.derivation(r, images),
+              sum((sym(img) * sym(r).diff(gens[where[v]])
+                   for v, img in images.items()), field(0)))
 
 
 def test_monomial_sums_keep_the_term_order_of_the_lcm_sum():
