@@ -5,8 +5,8 @@ small control-affine systems."""
 from .ratfn import RatFn, ZERO, ONE, T, X, U, var_name
 from .errors import JetError
 from .jets import (ControlSystem, VectorField, AffineForm, to_affine,
-                   lie_bracket, total_derivative, prolong_total,
-                   prolong_partial, generic_rank, sample_point)
+                   lie_bracket, prolong_total, prolong_partial,
+                   generic_rank, sample_point)
 from .coframes import (contact_coframe, adapted_coframe_3x2, Coframe,
                        exterior_d, wedge)
 from .equivalence import (EquivMap, compose, prolong_map,
@@ -14,9 +14,8 @@ from .equivalence import (EquivMap, compose, prolong_map,
                           verify_pair, verify_scalar_theorem, BlockMatrix,
                           pullback_matrix, check_arepeats, block_rank,
                           check_nonaut_static_pair, StaticPairReport)
-from .factorize import (StackpoleMatrix, build_S, NonautStatic, Factorization,
-                        GnicePattern, factor_JK0, validate_nonaut_static,
-                        check_gnice)
+from .factorize import (build_S, NonautStatic, Factorization, GnicePattern,
+                        factor_JK0, validate_nonaut_static, check_gnice)
 from .classify import (StaticClass, DynClass, CLASS1, CLASS2, CLASS3,
                        InvariantRecord, static_invariants, classify_static,
                        dynamic_class, builtin_fixtures, elkin_forms_32,
@@ -28,8 +27,7 @@ from .sysio import (Document, parse_system, parse_map, parse_matrix,
 __all__ = [
     "RatFn", "ZERO", "ONE", "T", "X", "U", "var_name", "JetError",
     "ControlSystem", "VectorField", "AffineForm", "to_affine", "lie_bracket",
-    "total_derivative", "prolong_total", "prolong_partial", "generic_rank",
-    "sample_point",
+    "prolong_total", "prolong_partial", "generic_rank", "sample_point",
     "contact_coframe", "adapted_coframe_3x2", "Coframe", "exterior_d",
     "wedge",
     "EquivMap", "compose", "prolong_map",
@@ -37,8 +35,8 @@ __all__ = [
     "verify_scalar_theorem", "BlockMatrix", "pullback_matrix",
     "check_arepeats", "block_rank", "check_nonaut_static_pair",
     "StaticPairReport",
-    "StackpoleMatrix", "build_S", "NonautStatic", "Factorization",
-    "GnicePattern", "factor_JK0", "validate_nonaut_static", "check_gnice",
+    "build_S", "NonautStatic", "Factorization", "GnicePattern",
+    "factor_JK0", "validate_nonaut_static", "check_gnice",
     "StaticClass", "DynClass", "CLASS1", "CLASS2", "CLASS3",
     "InvariantRecord", "static_invariants", "classify_static",
     "dynamic_class", "builtin_fixtures", "elkin_forms_32",

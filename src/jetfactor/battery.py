@@ -57,7 +57,7 @@ def static_pullback(base, transform_seed, N, seed=0):
 
 
 def shift_orthogonality(n, N):
-    S = build_S(n, N).mat
+    S = build_S(n, N)
     return S.matmul(S.transpose()).is_identity(), "S * S^T = Id on the rows"
 
 

@@ -427,17 +427,13 @@ def builtin_fixtures():
 # random static transforms (test support for the invariance properties)
 
 def _rand_invertible(rng, k):
+    """A random invertible k x k int matrix and its inverse, from one
+    Gauss-Jordan elimination of [m | I]; singular draws are redrawn."""
     while True:
         m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        if int_rank(m) == k:
-            return m
-
-
-def _inverse(m):
-    k = len(m)
-    a = [row + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
-    gauss_jordan(a, k)
-    return [row[k:] for row in a]
+        a = [row + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+        if len(gauss_jordan(a, k)) == k:
+            return m, [row[k:] for row in a]
 
 
 def _lincomb(coeffs, exprs, shift=None):
@@ -455,16 +451,14 @@ def _random_transform(sys_, seed, timed):
     rewritten in the new variables, which stays affine."""
     n, s = sys_.n, sys_.s
     rng = random.Random(seed)
-    P = _rand_invertible(rng, n)
-    Q = _rand_invertible(rng, s)
+    P, Pi = _rand_invertible(rng, n)
+    Q, Qi = _rand_invertible(rng, s)
     R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(s)]
     if timed:
         b = [rng.randint(-3, 3) for _ in range(n)]
         dd = [rng.randint(-3, 3) for _ in range(s)]
     else:
         b, dd = [0] * n, [0] * s
-    Pi = _inverse(P)
-    Qi = _inverse(Q)
     t = RatFn.var(T)
 
     xs = [_x(i + 1) for i in range(n)]

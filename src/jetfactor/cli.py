@@ -9,9 +9,9 @@ errors); 3 an internal invariant broke.
 
 All randomness flows through --seed, so identical invocations print
 identical bytes.  --format machine swaps the human summary for keyed
-blocks that re-parse through sysio.parse_document.  --strict escalates
-soft diagnostics: pullback raises on a nonzero dt-column instead of
-reporting it, and verification treats advisory notes as failures.
+blocks that re-parse through sysio.parse_document.  Every command takes
+--strict, but only pullback acts on it: it raises on a nonzero dt-column
+instead of reporting it.
 """
 
 import argparse
@@ -92,10 +92,6 @@ def cmd_verify(a):
         _out("; ".join(parts))
         if rep.assumptions:
             _out("assuming nonzero: " + ", ".join(rep.assumptions))
-        for note in rep.notes:
-            _out("note: " + note)
-    if a.strict and rep.notes and rep.ok:
-        return 1
     return 0 if rep.ok else 1
 
 
@@ -201,11 +197,14 @@ def cmd_structure(a):
 
 def cmd_prolong(a):
     s = _load_system(a.sys)
-    if a.promote:
+    if a.promote is not None:
         try:
             promote = {int(tok) for tok in a.promote.split(",") if tok}
         except ValueError:
-            raise UsageError("--promote wants a comma-separated index list")
+            promote = set()
+        if not promote or not promote <= set(range(1, s.s + 1)):
+            raise UsageError("--promote wants a comma-separated list of "
+                             "control indices from 1 to %d" % s.s)
         out = prolong_partial(s, promote)
     else:
         out = prolong_total(s)
@@ -286,7 +285,7 @@ def _build_parser():
         p.add_argument("--format", choices=("text", "machine"),
                        default="text")
         p.add_argument("--strict", action="store_true",
-                       help="escalate soft diagnostics to failures")
+                       help="pullback only: a nonzero dt-column is an error")
         for flag in ("--src", "--tgt", "--map") if pair else ():
             p.add_argument(flag, required=True)
         p.set_defaults(fn=fn)

@@ -7,15 +7,18 @@ independent floating-point check of the exact verification in
 equivalence.py, not a proof.
 
 The three loops are generated once per call as straight-line Python from
-ratfn.float_lines, the kernel's one float evaluator: the RK4 integrator
-with the source field inlined at each of its four stages and each control
-in unrolled Horner form, the image pass (the map's controls, the
-assumption checks, every y, then every v) and the residual loop.  They
-run the float operations of the Python loops they replace, and of
-term-by-term evaluation of each field, in the same order, except that each
-power is computed once per point and read back after (see
-ratfn.compile_float for why that changes no bit); so residuals, attempts
-and the first exception raised are bit-identical to them.  Only the
+float_lines, the package's one float emitter: the RK4 integrator with the
+source field inlined at each of its four stages and each control in
+unrolled Horner form, the image pass (the map's controls, the assumption
+checks, every y, then every v) and the residual loop.  They run the float
+operations of the Python loops they replace, and of term-by-term
+evaluation of each field, in the same order, except that each power is
+computed once per point and read back after.  That changes no bit: pow is
+deterministic, so a reused power is the value the loop recomputes, and
+at each point the lines that read powers branch only to raise, so a
+power's first textual use is also its first execution.  So residuals,
+attempts and the first exception raised (a pole, or an OverflowError from
+a power or a coefficient) are bit-identical to the loops'.  Only the
 control-derivative levels that the source field and the map read are
 evaluated.  The assumption checks evaluate the denominators that pulling
 the target field back along the map notes (forward_assumptions): the list
@@ -28,11 +31,80 @@ decides whether |g| < 1e-4, and no residual reads it.
 import math
 import random
 
-from .ratfn import X, U, T as TIME, float_functions, float_lines
+from .ratfn import X, U, T as TIME, _POLE
 from .equivalence import PullbackContext
 from .errors import SingularTrajectory, DenominatorZero, UsageError
 
 _VANISH = "assumption vanishes on the trajectory"
+
+# Most steps.  The trajectory is kept whole, about 570 B a step with three
+# states, so 10^9 steps would run out of memory; and past 10^4 steps the
+# five-point derivative's rounding error, which grows as 1/h, outweighs
+# RK4's (docs/decisions.md, "The -N bound").
+MAX_STEPS = 100_000
+
+
+def float_lines(exprs, names, outs, ns, pows, pad="    "):
+    """Straight-line source that sets the local outs[k] to the float value
+    of exprs[k], reading each variable v from the local names[v].
+
+    Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
+    * ... over the num dict in its term order, with c = float(coefficient);
+    the same for the denominator; DenominatorZero if it is 0.0; then n / d.
+    Two steps of that loop are left out, as they are exact in IEEE
+    arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), and
+    a denominator 1 (n / 1.0 is n, and 1.0 is never 0.0).  The sum still
+    starts from 0.0, since 0.0 + -0.0 is +0.0.
+    Each power a ** e is computed once per point: its first textual use is
+    (q := a ** e) and later uses read q.  pows maps (v, e) to q; pass one
+    fresh dict per point, shared by all the lines that point runs.  The
+    source holds only float literals (repr of float(c)), names from names,
+    outs and pows, and int exponents, never text from the expressions.  A
+    coefficient that overflows float() is bound in ns as big<i> and
+    converted when reached, so its OverflowError comes at the same moment.
+    The lines also assign n, d and q<i>.  A variable missing from names
+    raises KeyError.
+    """
+    def power(v, e):
+        q = pows.get((v, e))
+        if q is None:
+            q = pows[v, e] = "q%d" % len(pows)
+            return "(%s := %s ** %d)" % (q, names[v], e)
+        return q
+
+    lines = []
+    for r, out in zip(exprs, outs):
+        sums = [("n", r.num)] if r.is_poly() else [("n", r.num), ("d", r.den)]
+        for acc, poly in sums:
+            lines.append("%s%s = 0.0" % (pad, acc))
+            for m, c in poly.items():
+                factors = [power(v, e) for v, e in m]
+                if c != 1 or not factors:
+                    try:
+                        factors.insert(0, repr(float(c)))
+                    except OverflowError:
+                        name = "big%d" % len(ns)
+                        ns[name] = c
+                        factors.insert(0, "float(%s)" % name)
+                lines.append("%s%s += %s" % (pad, acc, " * ".join(factors)))
+        if r.is_poly():
+            lines.append("%s%s = n" % (pad, out))
+        else:
+            lines += [pad + "if d == 0.0:",
+                      pad + "    raise DenominatorZero(POLE)",
+                      "%s%s = n / d" % (pad, out)]
+    return lines
+
+
+def float_functions(lines, ns, *fnames):
+    """Define the generated source with ns as its globals, adding no
+    builtins but float, and DenominatorZero and POLE for float_lines; then
+    take the named functions out of ns, so nothing refers back to them
+    through their globals.  Nothing is cached: they are the caller's."""
+    ns.update({"__builtins__": {}, "float": float,
+               "DenominatorZero": DenominatorZero, "POLE": _POLE})
+    exec("\n".join(lines), ns)
+    return [ns.pop(f) for f in fnames]
 
 
 class CrosscheckResult:
@@ -211,12 +283,14 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
 
     The residual is max over interior grid points and target states of
     |dy_i/dt - f_i(t, y, v)| with the derivative taken by five-point
-    central differences on the dense grid, so it needs steps >= 4.  T is
+    central differences on the dense grid, so it needs steps >= 4, and at
+    most MAX_STEPS.  T is
     the time horizon and tol the pass bound, both finite and positive.
     A NaN residual fails.
     """
-    if steps < 4:
-        raise UsageError("steps must be >= 4, got %d" % steps)
+    if not 4 <= steps <= MAX_STEPS:
+        raise UsageError("steps must be from 4 to %d, got %d"
+                         % (MAX_STEPS, steps))
     if not (math.isfinite(T) and T > 0):
         raise UsageError("T must be finite and positive, got %r" % T)
     if not (math.isfinite(tol) and tol > 0):

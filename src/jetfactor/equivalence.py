@@ -9,7 +9,7 @@ expressions extends through jets: v_j^(k) binds to D_t^k v_j along the
 source system.
 """
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE, gauss_jordan
+from .ratfn import RatFn, T, X, U, ZERO, ONE
 from .coframes import Coframe, CONTACT, ADAPTED, add_term
 from .errors import (DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction)
@@ -406,27 +406,6 @@ class BlockMatrix:
     def dt_column_clean(self):
         """No row other than dt itself holds a dt-column entry."""
         return all(c != (-1, 1) or r == (-1, 1) for (r, c) in self.entries)
-
-    def full_inverse(self):
-        """Exact inverse via Gauss-Jordan; needs identical row/col layout."""
-        if self.row_levels != self.col_levels or self.row_sizes != self.col_sizes:
-            raise DimensionMismatch("inverse of a non-square block matrix")
-        labels = list(self.row_labels())
-        n = len(labels)
-        idx = {lab: i for i, lab in enumerate(labels)}
-        a = [[ZERO] * (2 * n) for _ in range(n)]   # [self | I]
-        for i in range(n):
-            a[i][n + i] = ONE
-        for (r, c), v in self.entries.items():
-            a[idx[r]][idx[c]] = v
-        if len(gauss_jordan(a, n)) < n:
-            raise StructureViolation("matrix is singular; cannot invert")
-        out = BlockMatrix(self.row_levels, self.col_levels,
-                          self.row_sizes, self.col_sizes, self.meta)
-        for i, r in enumerate(labels):
-            for j, c in enumerate(labels):
-                out.set(r, c, a[i][n + j])
-        return out
 
     # -- in-place elementary ops (used by the factorizer) ----------------
 

@@ -30,20 +30,11 @@ from .errors import (DimensionMismatch, RankMismatch, PivotVanishes,
 from .equivalence import BlockMatrix, block_rank
 
 
-class StackpoleMatrix:
-    """The fixed shift pattern for n states at truncation level N."""
-
-    def __init__(self, n, N, mat):
-        self.n = n
-        self.N = N
-        self.mat = mat
-
-    def __eq__(self, o):
-        return isinstance(o, StackpoleMatrix) and self.mat == o.mat
-
-
 def build_S(n, N):
-    """Rows -1..N, columns -1..N+1; unit entries at
+    """The fixed shift pattern for n states at truncation level N, a
+    BlockMatrix whose meta holds kind "shift", n and N.
+
+    Rows -1..N, columns -1..N+1; unit entries at
     (-1,1)->(-1,1), (0,1)->(1,2), (0,i)->(0,i) for i >= 2,
     (k,1)->(k-1,1) and (k,2)->(k+1,2) for 1 <= k <= N."""
     if n < 2 or N < 2:
@@ -60,7 +51,7 @@ def build_S(n, N):
     for k in range(1, N + 1):
         m.set((k, 1), (k - 1, 1), ONE)
         m.set((k, 2), (k + 1, 2), ONE)
-    return StackpoleMatrix(n, N, m)
+    return m
 
 
 class NonautStatic:
@@ -106,7 +97,7 @@ class Factorization:
         self.ops = list(ops)
 
     def product(self):
-        return self.g.mat.matmul(self.S.mat).matmul(self.G.mat)
+        return self.g.mat.matmul(self.S).matmul(self.G.mat)
 
     def matches(self, A):
         """Exact product reconstruction on the truncation interior."""
@@ -253,7 +244,8 @@ def factor_JK0(A, seed=0):
     if A.row_sizes.get(1) != 2 or A.col_sizes.get(1) != 2:
         raise DimensionMismatch("factorization is defined for two controls")
     if J != 0:
-        raise RankMismatch("matrix comes from an order-%d map, not a strict one" % J)
+        what = "a static map" if J < 0 else "an order-%d map" % J
+        raise RankMismatch("matrix comes from %s, not a strict one" % what)
     if N < 2 or max(A.col_levels) < N + 1:
         raise TruncationExceeded("need levels 0..N with N >= 2 and columns to N+1")
     if block_rank(A, 0, 1, seed=seed) != 1:
@@ -396,8 +388,8 @@ def factor_JK0(A, seed=0):
     # ---- wrap up -------------------------------------------------------
 
     S = build_S(n, N)
-    if not (W.entries == S.mat.entries):
-        extra = sorted(set(W.entries) ^ set(S.mat.entries))
+    if not (W.entries == S.entries):
+        extra = sorted(set(W.entries) ^ set(S.entries))
         raise StructureViolation("reduction did not reach the shift pattern; "
                                  "mismatched entries at %s" % (extra[:6],))
     if n == 3:
@@ -406,7 +398,7 @@ def factor_JK0(A, seed=0):
             return canon
     g = NonautStatic(d.g)
     G = NonautStatic(d.G)
-    product = g.mat.matmul(S.mat).matmul(G.mat)
+    product = g.mat.matmul(S).matmul(G.mat)
     if not (product.entries == A.entries):
         raise StructureViolation("product of the factors does not reproduce the input")
     return Factorization(g, S, G, d.assumptions, ops=d.ops)

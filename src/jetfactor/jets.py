@@ -73,16 +73,6 @@ class ControlSystem:
         return derivation(expr, images)
 
 
-def total_derivative(sys_, h, k=1):
-    """k-fold total time derivative of h along sys_ (k >= 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = h
-    for _ in range(k):
-        out = sys_.D(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vector fields and the affine decomposition
 

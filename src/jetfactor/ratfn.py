@@ -33,8 +33,8 @@ them.  Elsewhere they take gcds of the factors, not of the product
 (Henrici); diff and derivation end in one quotient rule, _quotient.
 Each docstring says why its result is canonical.
 Results are the canonical triples of the general path; only the insertion
-order of their terms can differ.  Float evaluation has one path,
-float_lines.
+order of their terms can differ.  The kernel is exact and generates no
+code: float evaluation lives in crosscheck.
 """
 
 from bisect import insort
@@ -995,93 +995,6 @@ def _p_eval(a, point):
             term *= point[v] ** e
         out += term
     return out
-
-
-def float_lines(exprs, names, outs, ns, pows, pad="    "):
-    """Straight-line source that sets the local outs[k] to the float value
-    of exprs[k], reading each variable v from the local names[v].
-
-    Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
-    * ... over the num dict in its term order, with c = float(coefficient);
-    the same for the denominator; DenominatorZero if it is 0.0; then n / d.
-    Two steps of that loop are left out, as they are exact in IEEE
-    arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), and
-    a denominator 1 (n / 1.0 is n, and 1.0 is never 0.0).  The sum still
-    starts from 0.0, since 0.0 + -0.0 is +0.0.
-    Each power a ** e is computed once per point: its first textual use is
-    (q := a ** e) and later uses read q.  pows maps (v, e) to q; pass one
-    fresh dict per point, shared by all the lines that point runs.  The
-    source holds only float literals (repr of float(c)), names from names,
-    outs and pows, and int exponents, never text from the expressions.  A
-    coefficient that overflows float() is bound in ns as big<i> and
-    converted when reached, so its OverflowError comes at the same moment.
-    The lines also assign n, d and q<i>.  A variable missing from names
-    raises KeyError.
-    """
-    def power(v, e):
-        q = pows.get((v, e))
-        if q is None:
-            q = pows[v, e] = "q%d" % len(pows)
-            return "(%s := %s ** %d)" % (q, names[v], e)
-        return q
-
-    lines = []
-    for r, out in zip(exprs, outs):
-        sums = [("n", r.num)] if r.is_poly() else [("n", r.num), ("d", r.den)]
-        for acc, poly in sums:
-            lines.append("%s%s = 0.0" % (pad, acc))
-            for m, c in poly.items():
-                factors = [power(v, e) for v, e in m]
-                if c != 1 or not factors:
-                    try:
-                        factors.insert(0, repr(float(c)))
-                    except OverflowError:
-                        name = "big%d" % len(ns)
-                        ns[name] = c
-                        factors.insert(0, "float(%s)" % name)
-                lines.append("%s%s += %s" % (pad, acc, " * ".join(factors)))
-        if r.is_poly():
-            lines.append("%s%s = n" % (pad, out))
-        else:
-            lines += [pad + "if d == 0.0:",
-                      pad + "    raise DenominatorZero(POLE)",
-                      "%s%s = n / d" % (pad, out)]
-    return lines
-
-
-def float_functions(lines, ns, *fnames):
-    """Define the generated source with ns as its globals, adding no
-    builtins but float, and DenominatorZero and POLE for float_lines; then
-    take the named functions out of ns, so nothing refers back to them
-    through their globals.  Nothing is cached: they are the caller's."""
-    ns.update({"__builtins__": {}, "float": float,
-               "DenominatorZero": DenominatorZero, "POLE": _POLE})
-    exec("\n".join(lines), ns)
-    return [ns.pop(f) for f in fnames]
-
-
-def compile_float(exprs, args):
-    """f(*values) -> [float value of e for e in exprs], values in args order.
-
-    The kernel's float evaluator: one generated function of the arguments
-    a0, a1, ... whose body is float_lines of the whole list, compiled once
-    and called per point.  It runs the term-by-term loop n += c * a ** e *
-    ... over each numerator and denominator, in their term order, but
-    computes each power a ** e once per call and reads it back at every
-    later use.  That is bit-identical to the loop: pow is deterministic, so
-    a reused power is the value the loop recomputes, and the body has no
-    branch but the raise that ends it, so a power's first textual use is
-    also its first execution and the first exception raised (a pole, or an
-    OverflowError from a power or a coefficient) is the loop's.  Nothing is
-    cached: the function is the caller's.
-    """
-    names = {v: "a%d" % i for i, v in enumerate(args)}
-    outs = ["r%d" % k for k in range(len(exprs))]
-    ns = {}
-    lines = (["def f(%s):" % ", ".join(names.values())]
-             + float_lines(exprs, names, outs, ns, {})
-             + ["    return [%s]" % ", ".join(outs)])
-    return float_functions(lines, ns, "f")[0]
 
 
 ZERO = RatFn.const(0)

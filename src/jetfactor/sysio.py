@@ -56,8 +56,7 @@ from .ratfn import RatFn, ZERO, T, X, U
 from .jets import ControlSystem
 from .equivalence import (EquivMap, BlockMatrix, VerificationReport,
                           StaticPairReport)
-from .factorize import (StackpoleMatrix, Factorization, NonautReport,
-                        NonautStatic)
+from .factorize import Factorization, NonautReport, NonautStatic
 from .errors import ParseError, SemanticError, ArityMismatch
 
 
@@ -667,8 +666,6 @@ def serialize(value):
         return _ser_map(value)
     if isinstance(value, BlockMatrix):
         return _ser_matrix(value)
-    if isinstance(value, StackpoleMatrix):
-        return _ser_matrix(value.mat)
     if isinstance(value, NonautStatic):
         return _ser_matrix(value.mat)
     if isinstance(value, VerificationReport):

@@ -76,7 +76,7 @@ def test_criterion_2_pullback_matrix_reproduction(capsys):
 def test_criterion_3_factorization_reproduction(capsys):
     A = pullback_matrix(PHI, N=4)
     fac = factor_JK0(A)
-    S_ok = fac.S.mat == build_S(3, 4).mat
+    S_ok = fac.S == build_S(3, 4)
     ident = {(lab, lab): ONE for lab in fac.G.mat.row_labels()}
     G_ok = fac.G.mat.entries == ident
     g_ok = fac.g.mat.entries == expected_g_phi()

@@ -71,6 +71,15 @@ def test_verify_forward_only(files, capsys):
     assert out.splitlines()[0] == "forward: 0 residuals"
 
 
+def test_verify_strict_changes_nothing(files, capsys):
+    # only pullback acts on --strict; verify reports carry no notes
+    args = ["verify", "--src", files["src"], "--tgt", files["tgt"],
+            "--map", files["map"], "--inv", files["inv"]]
+    for fmt in ("text", "machine"):
+        plain = run(capsys, *args, "--format", fmt)
+        assert run(capsys, *args, "--format", fmt, "--strict") == plain
+
+
 def test_verify_machine_format_reparses_and_repeats(files, capsys):
     args = ("verify", "--src", files["src"], "--tgt", files["tgt"],
             "--map", files["map"], "--inv", files["inv"],
@@ -218,6 +227,7 @@ PAIR = ["--src", "src", "--tgt", "tgt", "--map", "map"]
     ["pullback", "-N", "101"] + PAIR,
     ["crosscheck", "--steps", "0"] + PAIR,
     ["crosscheck", "--steps", "-3"] + PAIR,
+    ["crosscheck", "--steps", "100001"] + PAIR,
     ["crosscheck", "--T", "0"] + PAIR,
     ["crosscheck", "--T", "nan"] + PAIR,
     ["crosscheck", "--tol", "nan"] + PAIR,
@@ -307,6 +317,16 @@ def test_factor_machine_reparses(files, capsys):
     assert {"assumptions", "g", "S", "G"} <= set(keys)
 
 
+def test_factor_names_a_static_map(files, capsys):
+    fwd = random_static_transform(elkin_forms_32()[0], 0)[0]
+    put = files["put"]
+    code, out, err = run(capsys, "factor", "--src", put("a.sys", fwd.src),
+                         "--tgt", put("b.sys", fwd.tgt),
+                         "--map", put("static.map", fwd))
+    assert (code, out, err) == (1, "", "RankMismatch: matrix comes from a "
+                                       "static map, not a strict one\n")
+
+
 # -------------------------------------------------------------------
 # classify
 
@@ -392,6 +412,15 @@ def test_prolong_partial(files, capsys):
     assert (s.n, s.s) == (4, 2)
 
 
+@pytest.mark.parametrize("promote", ["3", "0", "-1", ",", "", "1,3"])
+def test_bad_promote_indices_exit_2(files, capsys, promote):
+    code, out, err = run(capsys, "prolong", "--sys", files["elkin5"],
+                         "--promote", promote)
+    assert (code, out, err) == (2, "", "error: --promote wants a "
+                                "comma-separated list of control indices "
+                                "from 1 to 2\n")
+
+
 # -------------------------------------------------------------------
 # crosscheck
 
@@ -412,7 +441,8 @@ def test_crosscheck_machine(files, capsys):
     assert got["passed"] == "true"
 
 
-@pytest.mark.parametrize("kw", [{"steps": 3}, {"T": float("nan")},
+@pytest.mark.parametrize("kw", [{"steps": 3}, {"steps": 100001},
+                                {"T": float("nan")},
                                 {"T": float("inf")}, {"T": -1.0},
                                 {"tol": float("nan")}, {"tol": 0.0},
                                 {"tol": -1e-6}, {"tol": float("inf")}])

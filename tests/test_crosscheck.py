@@ -21,10 +21,23 @@ from jetfactor import T as TIME
 from jetfactor.cli import numeric_crosscheck
 from jetfactor.equivalence import verify_forward
 from jetfactor.errors import DenominatorZero, JetError, UsageError
-from jetfactor.ratfn import compile_float
 from jetfactor.sysio import parse_expression
 
 PHI, THETA = builtin_fixtures()[0][0], builtin_fixtures()[2][0]
+
+
+def compile_float(exprs, args):
+    """f(*values) -> [float value of e for e in exprs], values in args order:
+    one generated function of the arguments a0, a1, ... whose body is
+    crosscheck.float_lines of the whole list, compiled once and called per
+    point."""
+    names = {v: "a%d" % i for i, v in enumerate(args)}
+    outs = ["r%d" % k for k in range(len(exprs))]
+    ns = {}
+    lines = (["def f(%s):" % ", ".join(names.values())]
+             + crosscheck.float_lines(exprs, names, outs, ns, {})
+             + ["    return [%s]" % ", ".join(outs)])
+    return crosscheck.float_functions(lines, ns, "f")[0]
 
 
 def _poly_eval(coeffs, t):

@@ -15,6 +15,7 @@ from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
 from jetfactor import factorize
 from jetfactor.factorize import _Driver
 from jetfactor.sysio import serialize
+from test_equivalence import full_inverse
 
 FIX = builtin_fixtures()
 PHI = FIX[0][0]
@@ -33,8 +34,8 @@ def du(j, k):
 
 
 def test_shift_pattern_layout():
-    S = build_S(3, 4)
-    m = S.mat
+    m = build_S(3, 4)
+    assert m.meta == {"kind": "shift", "n": 3, "N": 4}
     assert m.row_levels == [-1, 0, 1, 2, 3, 4]
     assert m.col_levels == [-1, 0, 1, 2, 3, 4, 5]
     assert m.get((-1, 1), (-1, 1)) == ONE
@@ -50,7 +51,7 @@ def test_shift_pattern_layout():
 
 
 def test_shift_times_its_transpose_is_identity():
-    S = build_S(3, 4).mat
+    S = build_S(3, 4)
     eye = BlockMatrix.identity(S.row_levels, S.row_sizes)
     assert S.matmul(S.transpose()) == eye
 
@@ -228,8 +229,8 @@ def test_driver_keeps_g_W_G_equal_to_A(seed):
     d, L, R = _replay(rng, A, 24)
     assert d.W == L.matmul(A).matmul(R)
     # the carried factors are the inverses of the accumulated products
-    assert d.g == L.full_inverse()
-    assert d.G == R.full_inverse()
+    assert d.g == full_inverse(L)
+    assert d.G == full_inverse(R)
 
 
 @pytest.mark.parametrize("N", (4, 6, 8))

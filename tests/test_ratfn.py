@@ -8,11 +8,13 @@ import pytest
 from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
-from jetfactor import ratfn
+from jetfactor import crosscheck, ratfn
 from jetfactor.ratfn import (cleared, gauss_jordan, int_rank, mono_mul,
                              p_add, p_const, p_divexact, p_lead, p_mul, p_neg,
                              p_pow, p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
+from test_crosscheck import compile_float
+from test_equivalence import full_inverse
 
 x1 = RatFn.var(X(1))
 x2 = RatFn.var(X(2))
@@ -140,7 +142,7 @@ def eval_float(r, point):
     """Float evaluation of one RatFn through compile_float; raises
     DenominatorZero at a pole."""
     args = sorted(r.vars())
-    return ratfn.compile_float([r], args)(*[point[v] for v in args])[0]
+    return compile_float([r], args)(*[point[v] for v in args])[0]
 
 
 def test_eval_float():
@@ -191,7 +193,7 @@ def _outcome(fn, *args):
 def _compiled_is_the_loop(exprs, point):
     """compile_float's values at point, or the first exception it raises,
     are the term-by-term loop's; returns the loop's outcome per expression."""
-    f = ratfn.compile_float(exprs, _JET_VARS)
+    f = compile_float(exprs, _JET_VARS)
     assert all(type(k) in (int, float) or k is None
                for k in f.__code__.co_consts)
     want = [_outcome(_term_by_term_float, r, point) for r in exprs]
@@ -228,8 +230,9 @@ def test_compile_float_leaves_out_only_exact_steps():
         point = {v: rng.choice([rng.uniform(-3, 3), -0.0, 0.0, 1.0])
                  for v in _JET_VARS}
         _compiled_is_the_loop(exprs, point)
-    lines = ratfn.float_lines([x1 * x2 + 3, x1 / x2], {X(1): "a", X(2): "b"},
-                              ["r0", "r1"], {}, {})
+    names = {X(1): "a", X(2): "b"}
+    lines = crosscheck.float_lines([x1 * x2 + 3, x1 / x2], names,
+                                   ["r0", "r1"], {}, {})
     assert lines == ["    n = 0.0", "    n += (q0 := a ** 1) * (q1 := b ** 1)",
                      "    n += 3.0", "    r0 = n",
                      "    n = 0.0", "    n += q0",
@@ -289,13 +292,13 @@ def test_compile_float_error_paths():
     pole = x1 / (x2 - 1)
     with pytest.raises(DenominatorZero,
                        match="denominator vanishes at the sample point"):
-        ratfn.compile_float([pole], [X(1), X(2)])(3.0, 1.0)
+        compile_float([pole], [X(1), X(2)])(3.0, 1.0)
     # an oversized coefficient fails when it is reached, not at compile time
     for big in (10 ** 400, Fraction(10 ** 400, 3)):
         huge = RatFn({((X(1), 1),): big})
         with pytest.raises(OverflowError) as want:
             _term_by_term_float(huge, {X(1): 2.0})
-        f = ratfn.compile_float([pole, huge], [X(1), X(2)])
+        f = compile_float([pole, huge], [X(1), X(2)])
         with pytest.raises(DenominatorZero):
             f(2.0, 1.0)
         with pytest.raises(OverflowError) as got:
@@ -1249,6 +1252,6 @@ def test_full_inverse_of_a_left_factor_multiplies_back_to_identity():
     g = factor_JK0(pullback_matrix(phi, N=4)).g.mat
     eye = BlockMatrix.identity(g.row_levels, g.row_sizes)
     assert any(not v.is_const() for v in g.entries.values())
-    ginv = g.full_inverse()
+    ginv = full_inverse(g)
     assert g.matmul(ginv).entries == eye.entries
     assert ginv.matmul(g).entries == eye.entries

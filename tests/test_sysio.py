@@ -404,7 +404,7 @@ def test_factorization_round_trips_to_its_product():
     fac = factor_JK0(A)
     items = dict(parse_document(serialize(fac)).body)
     g, S, G = (parse_matrix(items[k]) for k in "gSG")
-    assert (g, S, G) == (fac.g.mat, fac.S.mat, fac.G.mat)
+    assert (g, S, G) == (fac.g.mat, fac.S, fac.G.mat)
     # the product is exact except on the edge columns, as in matches()
     edge = {tuple(c) for c in json.loads(items["edge_cols"])}
     assert edge == set(fac.edge_cols)
