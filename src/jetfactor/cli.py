@@ -9,9 +9,8 @@ errors); 3 an internal invariant broke.
 
 All randomness flows through --seed, so identical invocations print
 identical bytes.  --format machine swaps the human summary for keyed
-blocks that re-parse through sysio.parse_document.  Every command takes
---strict, but only pullback acts on it: it raises on a nonzero dt-column
-instead of reporting it.
+blocks that re-parse through sysio.parse_document.  pullback alone takes
+--strict, which raises on a nonzero dt-column instead of reporting it.
 """
 
 import argparse
@@ -284,8 +283,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "machine"),
                        default="text")
-        p.add_argument("--strict", action="store_true",
-                       help="pullback only: a nonzero dt-column is an error")
         for flag in ("--src", "--tgt", "--map") if pair else ():
             p.add_argument(flag, required=True)
         p.set_defaults(fn=fn)
@@ -295,8 +292,10 @@ def _build_parser():
                 pair=True)
     p.add_argument("--inv")
 
-    command("pullback", cmd_pullback, "matrix of the pulled-back coframe",
-            pair=True)
+    p = command("pullback", cmd_pullback, "matrix of the pulled-back coframe",
+                pair=True)
+    p.add_argument("--strict", action="store_true",
+                   help="a nonzero dt-column is an error")
     command("factor", cmd_factor, "A = g*S*G factorization", pair=True)
 
     p = command("classify", cmd_classify, "normal form and dynamic class")

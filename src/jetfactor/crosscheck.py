@@ -286,7 +286,8 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     central differences on the dense grid, so it needs steps >= 4, and at
     most MAX_STEPS.  T is
     the time horizon and tol the pass bound, both finite and positive.
-    A NaN residual fails.
+    A NaN residual fails, and so does an OverflowError in the target
+    field while measuring: the residual is then inf.
     """
     if not 4 <= steps <= MAX_STEPS:
         raise UsageError("steps must be from 4 to %d, got %d"
@@ -328,5 +329,8 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
                     % (attempts, exc))
             continue
         break
-    worst = residual(ts, ys, vs, T / steps, steps)
+    try:
+        worst = residual(ts, ys, vs, T / steps, steps)
+    except OverflowError:  # the target field passed the float range
+        worst = math.inf
     return CrosscheckResult(worst, tol, T, seed, attempts)

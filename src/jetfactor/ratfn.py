@@ -30,7 +30,7 @@ eval_at() return Fractions.
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
 them.  Elsewhere they take gcds of the factors, not of the product
-(Henrici); diff and derivation end in one quotient rule, _quotient.
+(Henrici).  diff is the derivation with the one unit image.
 Each docstring says why its result is canonical.
 Results are the canonical triples of the general path; only the insertion
 order of their terms can differ.  The kernel is exact and generates no
@@ -179,21 +179,6 @@ def p_vars(a):
         for v, _ in m:
             s.add(v)
     return s
-
-
-def p_diff(a, v):
-    r = {}
-    for m, c in a.items():
-        for i, (w, e) in enumerate(m):
-            if w == v:
-                nm = m[:i] + ((w, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                s = r.get(nm, 0) + c * e
-                if s:
-                    r[nm] = s
-                elif nm in r:
-                    del r[nm]
-                break
-    return r
 
 
 def p_divexact(a, b):
@@ -752,9 +737,8 @@ class RatFn:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v):
-        """Partial derivative with respect to variable v (_quotient)."""
-        n, d = self._n, self._d
-        return _quotient(n, d, p_diff(n, v), p_diff(d, v), _UNIT, self._k)
+        """Partial derivative with respect to variable v."""
+        return derivation(self, {v: ONE})
 
     def substitute(self, binding):
         """Simultaneous substitution var -> RatFn; unmapped vars stay."""
@@ -919,31 +903,13 @@ def _p_subst(a, binding):
 def derivation(r, images):
     """The derivation that sends each variable v to the RatFn images[v],
     applied to r in one pass; a variable without an image goes to 0.
+    RatFn.diff is the derivation with the one image 1.
 
     Write images[v] = N_v/(k_v*D_v), K for the lcm of the k_v and L for
     the lcm of the D_v.  K*L times the derivation sends an int polynomial
     p to the int polynomial sum over v of P_v * dp/dv (_p_derive), with
-    P_v = N_v*(K/k_v)*(L/D_v), and _quotient takes r = N/(k*Q) to
-    (DN*Q - N*DQ)/(k*K*L*Q^2)."""
-    K = lcm(*(img._k for img in images.values()))
-    L, seen = _UNIT, []
-    for img in images.values():
-        if not _is_one(img._d) and img._d not in seen:
-            seen.append(img._d)
-            L = p_mul(L, _cofactors(L, img._d)[2])
-    pre = {}
-    for v, img in images.items():
-        if img._n:
-            p = img._n if img._k == K else p_scale(img._n, K // img._k)
-            pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
-    n, d = r._n, r._d
-    return _quotient(n, d, _p_derive(n, pre), _p_derive(d, pre), L, K * r._k)
-
-
-def _quotient(n, d, dn, dd, L, q):
-    """The canonical (dn*d - n*dd)/(q*L*d^2): the derivative of a canonical
-    n/d under a derivation that q*L times sends n to dn and d to dd, for L
-    primitive with positive leading coefficient and an int q >= 1.
+    P_v = N_v*(K/k_v)*(L/D_v).  So with q = k*K, r = n/(k*d) goes to the
+    canonical (dn*d - n*dd)/(q*L*d^2), dn and dd the images of n and d.
 
     Take h = gcd(d, dd), a = d/h and b = dd/h (Henrici).  The numerator is
     h*t with t = dn*a - n*b, so the quotient is t/(q*L*h*a^2).  A prime
@@ -953,6 +919,19 @@ def _quotient(n, d, dn, dd, L, q):
     dn/(q*L), where only L and the scale can cancel.  With g = h = 1 the
     general gcd is 1 and t and L*d^2 keep their term order; otherwise both
     sides are sorted as in _product."""
+    K, L, seen = 1, _UNIT, []
+    for img in images.values():
+        K = lcm(K, img._k)
+        if not _is_one(img._d) and img._d not in seen:
+            seen.append(img._d)
+            L = p_mul(L, _cofactors(L, img._d)[2])
+    pre = {}
+    for v, img in images.items():
+        if img._n:
+            p = img._n if img._k == K else p_scale(img._n, K // img._k)
+            pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
+    n, d, q = r._n, r._d, K * r._k
+    dn, dd = _p_derive(n, pre), _p_derive(d, pre)
     if dd:
         h, a, b = _cofactors(d, dd)
         t = p_sub(p_mul(dn, a), p_mul(n, b))
@@ -971,19 +950,23 @@ def _quotient(n, d, dn, dd, L, q):
 
 
 def _p_derive(p, images):
-    """sum over the variables v of p, in order, of images[v] * dp/dv for
-    an int polynomial p and int polynomial images."""
+    """sum over the variables v of p of images[v] * dp/dv for an int
+    polynomial p and int polynomial images, in one pass over the terms:
+    a term c*m adds c*e*images[w]*(m/w) for each w^e in m with an image."""
     out = {}
-    for v in sorted(p_vars(p)):
-        img = images.get(v)
-        if img is None:
-            continue
-        for m, c in p_mul(img, p_diff(p, v)).items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
+    for m, c in p.items():
+        for i, (w, e) in enumerate(m):
+            img = images.get(w)
+            if img is None:
+                continue
+            rest = m[:i] + (((w, e - 1),) if e > 1 else ()) + m[i + 1:]
+            for mi, ci in img.items():
+                nm = mono_mul(mi, rest)
+                k = out.get(nm, 0) + c * e * ci
+                if k:
+                    out[nm] = k
+                else:
+                    del out[nm]
     return out
 
 

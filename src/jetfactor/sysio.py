@@ -24,6 +24,8 @@ apostrophe form is what serialization emits.  Unary minus applies after
 exponentiation (-x1^2 is the negative of x1^2), matching the canonical
 printer so that parse(serialize(e)) is exactly e.
 
+A system declares from 1 to 32 states and from 1 to 32 controls
+(MAX_COUNT); a larger count is a semantic error at its key.
 Unknown keys, duplicate keys, out-of-range indices, and control derivatives
 inside a system right-hand side are semantic errors; token-level problems
 raise ParseError carrying the line and column of the offending token.  A
@@ -379,6 +381,12 @@ def _pairs(p, head):
     return _unique(pairs), spans
 
 
+# Most states, and most controls, a system may declare.  A count sizes the
+# work of every command, and a few bytes declare any count: 500 controls
+# kept classify busy past 300 s (docs/decisions.md, "The -N bound").
+MAX_COUNT = 32
+
+
 def _const_count(seen, name):
     if name not in seen:
         raise SemanticError("missing %r" % name)
@@ -388,6 +396,9 @@ def _const_count(seen, name):
     v = e.const_value()
     if v.denominator != 1 or v < 1:
         raise SemanticError("%s must be a positive integer" % name,
+                            key.line, key.col)
+    if v > MAX_COUNT:
+        raise SemanticError("%s must be at most %d" % (name, MAX_COUNT),
                             key.line, key.col)
     return int(v)
 

@@ -71,15 +71,6 @@ def test_verify_forward_only(files, capsys):
     assert out.splitlines()[0] == "forward: 0 residuals"
 
 
-def test_verify_strict_changes_nothing(files, capsys):
-    # only pullback acts on --strict; verify reports carry no notes
-    args = ["verify", "--src", files["src"], "--tgt", files["tgt"],
-            "--map", files["map"], "--inv", files["inv"]]
-    for fmt in ("text", "machine"):
-        plain = run(capsys, *args, "--format", fmt)
-        assert run(capsys, *args, "--format", fmt, "--strict") == plain
-
-
 def test_verify_machine_format_reparses_and_repeats(files, capsys):
     args = ("verify", "--src", files["src"], "--tgt", files["tgt"],
             "--map", files["map"], "--inv", files["inv"],
@@ -251,6 +242,44 @@ def test_an_oversized_order_is_a_usage_error(files, capsys):
                         "from 1 to 100\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"] + PAIR,
+    ["factor"] + PAIR,
+    ["crosscheck"] + PAIR,
+    ["classify", "--sys", "src"],
+    ["structure-check", "--sys", "src"],
+    ["prolong", "--sys", "src"],
+    ["fixtures"],
+], ids=lambda argv: argv[0])
+def test_only_pullback_takes_strict(files, capsys, argv):
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv], "--strict")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --strict\n")
+
+
+_WIDE = "system { states = 1 controls = 500 f1 = u1 }"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"] + PAIR,
+    ["pullback"] + PAIR,
+    ["factor"] + PAIR,
+    ["crosscheck"] + PAIR,
+    ["classify", "--sys", "src"],
+    ["structure-check", "--sys", "src"],
+    ["prolong", "--sys", "src"],
+], ids=lambda argv: argv[0])
+def test_a_count_past_the_bound_exits_2(files, capsys, argv):
+    # these 44 bytes kept classify busy past 300 s before counts were
+    # bounded; every command that reads a system refuses them (fixtures
+    # reads none)
+    wide = files["put"]("wide.sys", _WIDE)
+    code, out, err = run(capsys, *[wide if a in ("src", "tgt") else
+                                   files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: line 1, col 21: controls must be at most 32\n"
+
+
 def test_internal_errors_exit_3(files, capsys, monkeypatch):
     import jetfactor.cli as cli_mod
     monkeypatch.setattr(cli_mod, "classify_static",
@@ -278,6 +307,16 @@ def test_pullback_text_and_machine(files, capsys):
     doc = parse_document(out)
     assert doc.kind == "matrix-report"
     assert doc.body == pullback_matrix(PHI, N=4)
+
+
+def test_pullback_strict_keeps_its_bytes(files, capsys):
+    # phi's dt-columns are zero, so --strict has nothing to refuse
+    args = ["pullback", "--src", files["src"], "--tgt", files["tgt"],
+            "--map", files["map"]]
+    for fmt in ("text", "machine"):
+        plain = run(capsys, *args, "--format", fmt)
+        assert plain[0] == 0
+        assert run(capsys, *args, "--format", fmt, "--strict") == plain
 
 
 def test_pullback_imposter_nonstrict_vs_strict(files, capsys):
@@ -439,6 +478,24 @@ def test_crosscheck_machine(files, capsys):
     assert code == 0
     got = dict(parse_document(out).body)
     assert got["passed"] == "true"
+
+
+@pytest.mark.parametrize("field", ["u1 + x1^400", "u1 + 10^400*x1"])
+def test_crosscheck_overflow_in_the_target_field_fails(files, capsys, field):
+    # y1 = x1 + 100 is near 100, so y1^400 overflows a float, and so does
+    # the coefficient 10^400; the residual is then infinite and fails
+    args = ["crosscheck",
+            "--src", files["put"]("one.sys", "system { states = 1 controls = 1 "
+                                             "f1 = u1 }"),
+            "--tgt", files["put"]("big.sys", "system { states = 1 controls = 1 "
+                                             "f1 = %s }" % field),
+            "--map", files["put"]("shift.map", "map { y1 = x1 + 100 v1 = u1 }")]
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (1, "")
+    assert out == "max residual inf over T=1 (seed 0, 1 draw): FAIL\n"
+    code, out, _ = run(capsys, *args, "--format", "machine")
+    assert code == 1
+    assert dict(parse_document(out).body)["max_residual"] == '"inf"'
 
 
 @pytest.mark.parametrize("kw", [{"steps": 3}, {"steps": 100001},

@@ -178,6 +178,10 @@ _PAIR_DIGESTS = {
          "db4d60366d24ebfe4f36cead9edd9fb60c3db3e2d40b8d0010ecd309de6d6687"),
 }
 
+# and of verify_pair(phi, phi_inv, 20), whose chains run 21 levels deep
+_PHI_20_DIGEST = \
+    "9526a4bd0d92bfb3d61bc8b46ed12c0cb80248dc271b7a86c6f25a216c62216e"
+
 
 def test_verify_pair_reports_are_frozen():
     def digest(a, b, N):
@@ -190,6 +194,7 @@ def test_verify_pair_reports_are_frozen():
             got[m.name, N] = (digest(m, minv, N), digest(m, _skewed(minv), N))
             assert digest(minv, m, N) == got[m.name, N][0]
     assert got == _PAIR_DIGESTS
+    assert digest(PHI, PHI_INV, 20) == _PHI_20_DIGEST
 
 
 def test_reading_the_other_chain_notes_nothing():

@@ -24,6 +24,30 @@ u2 = RatFn.var(U(2))
 du2 = RatFn.var(U(2, 1))
 
 
+def p_diff(a, v):
+    r = {}
+    for m, c in a.items():
+        for i, (w, e) in enumerate(m):
+            if w == v:
+                nm = m[:i] + ((w, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                s = r.get(nm, 0) + c * e
+                if s:
+                    r[nm] = s
+                elif nm in r:
+                    del r[nm]
+                break
+    return r
+
+
+def _derive_by_partials(p, images):
+    """The reference for ratfn._p_derive: the sum over v of
+    images[v] * dp/dv, one p_diff scan of p per variable."""
+    out = {}
+    for v, img in images.items():
+        out = p_add(out, p_mul(img, p_diff(p, v)))
+    return out
+
+
 def test_variable_tags_order():
     # t sorts before states, states before controls
     assert T < X(1) < U(1)
@@ -610,8 +634,8 @@ def test_fast_paths_in_diff_and_substitute():
         a = _operand(rng, rng.choice(["poly", "monomial", "general"]))
         for v in _FAST_VARS:
             n, d = a.num, a.den
-            want = RatFn(p_add(p_mul(ratfn.p_diff(n, v), d),
-                               p_neg(p_mul(n, ratfn.p_diff(d, v)))),
+            want = RatFn(p_add(p_mul(p_diff(n, v), d),
+                               p_neg(p_mul(n, p_diff(d, v)))),
                          p_mul(d, d))
             assert a.diff(v) == want, (a, v)
         binding = {v: _operand(rng, rng.choice(["int", "poly", "monomial",
@@ -647,6 +671,46 @@ def test_derivation_is_the_sum_of_image_times_partial():
         seen["no image"] += None in values
         seen["rational"] += not r.is_poly()
     assert min(seen.values()) > 8, seen
+
+
+_JET_VARS = [T, X(1), X(2), X(3), U(1), U(2), U(1, 1), U(2, 1), U(1, 2)]
+
+
+def _jet_poly(rng, terms, size=4):
+    """A seeded int polynomial of up to `terms` terms, each over up to
+    `size` of _JET_VARS with exponents from 1 to 3."""
+    p = {}
+    for _ in range(terms):
+        vs = rng.sample(_JET_VARS, rng.randint(0, size))
+        m = tuple(sorted((v, rng.randint(1, 3)) for v in vs))
+        p = p_add(p, {m: rng.choice([-4, -1, 1, 2, 3, 7])})
+    return p
+
+
+def test_one_pass_derive_matches_one_partial_per_variable():
+    rng = random.Random(20261024)
+    seen = {"cube": 0, "multi-term image": 0, "unit image": 0, "no image": 0}
+    for _ in range(300):
+        p = _jet_poly(rng, rng.randint(1, 8))
+        images = {}
+        for v in _JET_VARS:
+            kind = rng.choice(["none", "unit", "term", "poly"])
+            if kind != "none":
+                images[v] = ({(): 1} if kind == "unit" else
+                             _jet_poly(rng, 1 if kind == "term" else 4, 2)
+                             or {(): -2})
+        got = ratfn._p_derive(p, images)
+        assert got == _derive_by_partials(p, images), (p, images)
+        seen["cube"] += any(e == 3 for m in p for _, e in m)
+        seen["multi-term image"] += any(len(i) > 1 for i in images.values())
+        seen["unit image"] += {(): 1} in images.values()
+        seen["no image"] += len(images) < len(_JET_VARS)
+    # under the rotation x1 -> x2, x2 -> -x1, x1^2 + x2^2 is a constant
+    # and the two partials' terms cancel
+    circle = {((X(1), 2),): 1, ((X(2), 2),): 1, ((U(1), 3),): 5}
+    rotation = {X(1): {((X(2), 1),): 1}, X(2): {((X(1), 1),): -1}}
+    assert ratfn._p_derive(circle, rotation) == {}
+    assert min(seen.values()) > 200, seen
 
 
 def test_arithmetic_skips_canonicalization(monkeypatch):
@@ -712,8 +776,8 @@ def _general_formula(op, a, b=None):
     general formula over the int parts N/(k*D) of a and b."""
     n1, k1, d1 = a._n, a._k, a._d
     if op == "d":
-        num = p_add(p_mul(ratfn.p_diff(n1, b), d1),
-                    p_neg(p_mul(n1, ratfn.p_diff(d1, b))))
+        num = p_add(p_mul(p_diff(n1, b), d1),
+                    p_neg(p_mul(n1, p_diff(d1, b))))
         return _one_gcd(num, p_scale(p_mul(d1, d1), k1))
     n2, k2, d2 = b._n, b._k, b._d
     if op == "*":
@@ -783,17 +847,18 @@ def test_henrici_paths_match_one_gcd_of_the_product():
         for w in (v, U(1), U(2)):
             assert _triple(a.diff(w)) == _general_formula("d", a, w), (a, w)
         n, d = a._n, a._d
-        dd = ratfn.p_diff(d, v)
+        dd = p_diff(d, v)
         h = poly_gcd(d, dd)
         seen["diff h"] += h != p_const(1)
-        hit("diff g'", p_add(p_mul(ratfn.p_diff(n, v), p_divexact(d, h)),
+        hit("diff g'", p_add(p_mul(p_diff(n, v), p_divexact(d, h)),
                              p_neg(p_mul(n, p_divexact(dd, h)))), h)
     assert min(seen.values()) >= 60, seen
 
 
 # ---------------------------------------------------------------------------
-# one quotient rule: derivation and diff both end in _quotient, which must
-# give what one gcd of (DN*Q - N*DQ) over k*K*L*Q^2 gives
+# one derivative: diff is derivation with the one image 1, and derivation
+# must give what one gcd of (DN*Q - N*DQ) over k*K*L*Q^2 gives, with D taken
+# one partial derivative at a time
 
 def _derivation_parts(r, images):
     """(DN*Q - N*DQ, K, L, DQ) for r = N/(k*Q), with D the derivation
@@ -805,8 +870,8 @@ def _derivation_parts(r, images):
         L = p_mul(L, p_divexact(img._d, poly_gcd(L, img._d)))
     pre = {v: p_mul(p_scale(img._n, K // img._k), p_divexact(L, img._d))
            for v, img in images.items() if img._n}
-    dd = ratfn._p_derive(d, pre)
-    return (p_add(p_mul(ratfn._p_derive(n, pre), d), p_neg(p_mul(n, dd))),
+    dd = _derive_by_partials(d, pre)
+    return (p_add(p_mul(_derive_by_partials(n, pre), d), p_neg(p_mul(n, dd))),
             K, L, dd)
 
 

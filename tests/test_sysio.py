@@ -241,6 +241,14 @@ def test_system_key_errors():
         parse_system("system { states = 0 controls = 1 }")
 
 
+def test_declared_counts_are_bounded():
+    wide = parse_system("system { states = 1 controls = 32 f1 = u32 }")
+    assert (wide.n, wide.s) == (1, 32)
+    with pytest.raises(SemanticError) as exc:
+        parse_system("system {\n  states = 33 controls = 1 }")
+    assert str(exc.value) == "line 2, col 3: states must be at most 32"
+
+
 def test_system_range_errors_point_at_the_variable():
     with pytest.raises(SemanticError) as exc:
         parse_system("system { states = 2 controls = 1\n"
