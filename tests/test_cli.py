@@ -257,9 +257,6 @@ def test_only_pullback_takes_strict(files, capsys, argv):
     assert err.endswith("error: unrecognized arguments: --strict\n")
 
 
-_WIDE = "system { states = 1 controls = 500 f1 = u1 }"
-
-
 @pytest.mark.parametrize("argv", [
     ["verify"] + PAIR,
     ["pullback"] + PAIR,
@@ -273,7 +270,8 @@ def test_a_count_past_the_bound_exits_2(files, capsys, argv):
     # these 44 bytes kept classify busy past 300 s before counts were
     # bounded; every command that reads a system refuses them (fixtures
     # reads none)
-    wide = files["put"]("wide.sys", _WIDE)
+    wide = files["put"]("wide.sys",
+                        "system { states = 1 controls = 500 f1 = u1 }")
     code, out, err = run(capsys, *[wide if a in ("src", "tgt") else
                                    files.get(a, a) for a in argv])
     assert (code, out) == (2, "")
