@@ -27,12 +27,14 @@ integer, and every bracket value is integer arithmetic on those jets.
 Level two brackets every pair of the drift and the control fields, level
 three brackets those with each of them again, and the closure of D2
 brackets its own generators, up to the first bracket that leaves D2.
-Ranks are taken by ratfn.int_rank, fraction-free elimination over the
-integers.  A span that holds a sub-span of rank n (the state count) at a
-point has rank n there, so it is not ranked again at that point; level
-three is bracketed only at the points where the controls and level two
-fall short of n, and each D2-closure bracket only where D2 does.  Every
-rank, and so the witness, is the one full elimination gives.
+Each span keeps one integer echelon basis per point (ratfn.int_echelon),
+grown from a sub-span's basis by the rows it adds, so the rows of the
+sub-span are not reduced again.  A basis of n rows (the state count) stands for every span that
+contains it, so no row is built or reduced there: level three is
+bracketed only at the points where the controls and level two fall
+short of n, each D2-closure bracket only where D2 does, and a level-two
+bracket's Jacobian only where one of those reads it.  Every rank is the
+exact rank over Q at its point, and so is the witness.
 
 builtin_fixtures returns the five explicit equivalence pairs used across the
 test-suite: three strict order-(0,0) pairs among the x2*u1 / x2 / 1+x2*u1
@@ -41,7 +43,7 @@ forms, the decoupling variant, and a two-state/four-state prolongation pair.
 
 import random
 
-from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, int_rank,
+from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, int_echelon,
                     gauss_jordan)
 from .jets import ControlSystem, to_affine, sample_points
 from .errors import UnclassifiedSignature, OutOfTable, DimensionMismatch
@@ -154,22 +156,22 @@ def _scaled_jet(vals, n):
 
 
 def _bracket(a, b):
-    """[a, b] at one point from jets a, b there: (value,), or (value,
-    Jacobian) when both jets carry second partials.
-
-    [a, b]_i = sum_k Jb_ik a_k - Ja_ik b_k, and its partial in x_m is
-    sum_k Hb_ikm a_k + Jb_ik Ja_km - Ha_ikm b_k - Ja_ik Jb_km.
-    """
+    """The value of [a, b] at one point, from the values and Jacobians of
+    jets a, b there: [a, b]_i = sum_k Jb_ik a_k - Ja_ik b_k."""
     av, aj, bv, bj = a[0], a[1], b[0], b[1]
     r = range(len(av))
-    value = [sum(bj[i][k] * av[k] - aj[i][k] * bv[k] for k in r) for i in r]
-    if len(a) < 3 or len(b) < 3:
-        return (value,)
-    ah, bh = a[2], b[2]
-    jac = [[sum(bh[i][k][m] * av[k] + bj[i][k] * aj[k][m]
-                - ah[i][k][m] * bv[k] - aj[i][k] * bj[k][m] for k in r)
-            for m in r] for i in r]
-    return value, jac
+    return [sum(bj[i][k] * av[k] - aj[i][k] * bv[k] for k in r) for i in r]
+
+
+def _bracket_jacobian(a, b):
+    """The Jacobian of [a, b] at one point, from 2-jets a, b there: the
+    partial of [a, b]_i in x_m is
+    sum_k Hb_ikm a_k + Jb_ik Ja_km - Ha_ikm b_k - Ja_ik Jb_km."""
+    (av, aj, ah), (bv, bj, bh) = a, b
+    r = range(len(av))
+    return [[sum(bh[i][k][m] * av[k] + bj[i][k] * aj[k][m]
+                 - ah[i][k][m] * bv[k] - aj[i][k] * bj[k][m] for k in r)
+             for m in r] for i in r]
 
 
 def static_invariants(a, seed=0):
@@ -180,20 +182,24 @@ def static_invariants(a, seed=0):
     field's value, Jacobian and Hessian (its 2-jet) are evaluated exactly
     and scaled by one integer, the lcm of their denominators.  Every
     bracket value needed is then integer arithmetic on those jets: level
-    two from the 2-jets, with its Jacobian, and level three and the D2
-    closure from the values and Jacobians.  For constants L and M,
-    [L a, M b] = L M [a, b], so each value is an exact nonzero multiple of
-    the bracket's value at that point, and ranks are unchanged.
+    two from the values and Jacobians, and level three and the D2 closure
+    from those and the Jacobians of level two, which are built from the
+    2-jets.  For constants L and M, [L a, M b] = L M [a, b], so each value
+    is an exact nonzero multiple of the bracket's value at that point,
+    and ranks are unchanged.
 
-    A span's rank is at least that of any sub-span and at most n, so at a
-    point where a sub-span already reads n the span reads n without an
-    elimination: gens + [f0], gens + [b] and D2 given gens, c0 + [f0]
-    given c0 and D2 + [bracket] given D2.  c0 is given gens + level two,
-    whose rank is read for that only and is not an invariant.  Level three
-    is built only at the points where gens + level two fall short of n,
-    and a D2-closure bracket only where D2 does: no other point reads
-    them.  Each rank at each point is the one full elimination gives, and
-    so are the maxima and the witness.
+    Each span holds one echelon basis per point (ratfn.int_echelon),
+    extended from the basis of a sub-span by the rows the span adds:
+    gens + [f0], gens + [b], gens + level two and D2 from gens, c0 from
+    gens + level two by level three, c0 + [f0] from c0 and D2 + [bracket]
+    from D2.  The rank of gens + level two is read for that only and is
+    not an invariant.  A span's rank is at least that of any sub-span and
+    at most n, so a basis of n rows stands for every span that contains
+    it: no row is built or reduced there.  So level three is built only
+    at the points where gens + level two fall short of n, a D2-closure
+    bracket only where D2 does, and a level-two Jacobian only at a point
+    where one of those reads it.  Each rank at each point is the exact
+    rank over Q, and so are the maxima and the witness.
 
     Every rank is the largest over one seeded sample of 5 points, so it is
     a lower bound on the rank over the rational functions, exact once it
@@ -220,46 +226,55 @@ def static_invariants(a, seed=0):
             for i in range(s + 1)]
     taken = []      # each rank at every point, for the witness
 
-    def bracket(p, q, known=None):
-        # only at the points where the known ranks fall short of n; no
-        # other point reads it
-        return [_bracket(x, y) if not known or known[k] < n else None
-                for k, (x, y) in enumerate(zip(p, q))]
+    def extend(bases, rows):
+        # rows(k) is built and reduced only where the basis is short of n
+        return [b if len(b) == n else int_echelon(b, rows(k))
+                for k, b in enumerate(bases)]
 
-    def ranks(span, known=None):
-        # a span holding a sub-span of rank n at a point has rank n there
-        return [n if known and known[k] == n
-                else int_rank([e[k][0] for e in span])
-                for k in range(len(points))]
-
-    def rank(span, known=None):
-        at = ranks(span, known)
+    def rank(bases):
+        at = [len(b) for b in bases]
         taken.append(at)
         return max(at)
 
-    # level 2 is [f0, g_j] for each j, then [g_i, g_j] for i < j; a zero
-    # [f0, g_j] in D2 has zero jets and moves no rank
+    # level 2 is [f0, g_j] for each j, then [g_i, g_j] for i < j, as
+    # values at every point; a zero [f0, g_j] in D2 moves no rank.  Its
+    # Jacobian is built once, at a point where level 3 or the D2 closure
+    # reads it
     f0, gens = pool[0], pool[1:]
-    level2 = [bracket(pool[i], pool[j])
-              for i in range(s + 1) for j in range(i + 1, s + 1)]
-    d2 = gens + level2[:s]
+    pairs = [(i, j) for i in range(s + 1) for j in range(i + 1, s + 1)]
+    level2 = [[_bracket(x, y) for x, y in zip(pool[i], pool[j])]
+              for i, j in pairs]
+    jets2 = {}
 
-    rank_fu = rank(gens)
-    at_gens = taken[-1]
-    drift_in_D = rank(gens + [f0], at_gens) == rank_fu
-    involutive_D = all(rank(gens + [b], at_gens) == rank_fu
+    def jet2(m, k):
+        if (m, k) not in jets2:
+            i, j = pairs[m]
+            jets2[m, k] = (level2[m][k],
+                           _bracket_jacobian(pool[i][k], pool[j][k]))
+        return jets2[m, k]
+
+    ech_gens = extend([[]] * len(points), lambda k: [g[k][0] for g in gens])
+    rank_fu = rank(ech_gens)
+    drift_in_D = rank(extend(ech_gens, lambda k: [f0[k][0]])) == rank_fu
+    involutive_D = all(rank(extend(ech_gens, lambda k: [b[k]])) == rank_fu
                        for b in level2[s:])
     # level 3 only where gens and level 2 fall short of n; their rank is
     # not an invariant, so it is not taken
-    at_low = ranks(gens + level2, at_gens)
-    c0 = gens + level2 + [bracket(b, p, at_low) for b in level2 for p in pool]
-    dim_C0 = rank(c0, at_low)
-    drift_in_C0 = rank(c0 + [f0], taken[-1]) == dim_C0
-    rank_D2 = rank(d2, at_gens)
-    at_d2 = taken[-1]
+    ech_low = extend(ech_gens, lambda k: [b[k] for b in level2])
+    ech_c0 = extend(ech_low, lambda k: [_bracket(jet2(m, k), p[k])
+                                        for m in range(len(pairs))
+                                        for p in pool])
+    dim_C0 = rank(ech_c0)
+    drift_in_C0 = rank(extend(ech_c0, lambda k: [f0[k][0]])) == dim_C0
+    ech_d2 = extend(ech_gens, lambda k: [b[k] for b in level2[:s]])
+    rank_D2 = rank(ech_d2)
+
+    def d2(i, k):
+        return gens[i][k] if i < s else jet2(i - s, k)
+
     involutive_D2 = all(
-        rank(d2 + [bracket(d2[i], d2[j], at_d2)], at_d2) == rank_D2
-        for i in range(len(d2)) for j in range(i + 1, len(d2)))
+        rank(extend(ech_d2, lambda k: [_bracket(d2(i, k), d2(j, k))]))
+        == rank_D2 for i in range(2 * s) for j in range(i + 1, 2 * s))
 
     witness = next((pt for k, pt in enumerate(points)
                     if all(at[k] == max(at) for at in taken)), None)

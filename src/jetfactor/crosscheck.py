@@ -288,6 +288,12 @@ def numeric_crosscheck(m, seed=0, T=1.0, tol=1e-6, steps=1000,
     the time horizon and tol the pass bound, both finite and positive.
     A NaN residual fails, and so does an OverflowError in the target
     field while measuring: the residual is then inf.
+
+    The residual and tol are absolute.  The five-point error grows with
+    the size of the field, so a correct map can fail at the default grid:
+    the identity map of a 3-state, 32-control system whose every f_i is a
+    sum of 32 terms x_k*u_j reads 1.551e-05 at 1,000 steps and passes at
+    4,000 (6.275e-08).
     """
     if not 4 <= steps <= MAX_STEPS:
         raise UsageError("steps must be from 4 to %d, got %d"

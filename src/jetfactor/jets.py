@@ -10,7 +10,8 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE, cleared, derivation, int_rank
+from .ratfn import (RatFn, T, X, U, ZERO, ONE, cleared, derivation,
+                    int_echelon)
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -272,7 +273,7 @@ def generic_rank(rows, seed=0, trials=5):
     best = 0
     for _, vals in sample_points([e for r in rows for e in r], seed, trials):
         m = [cleared(vals[i:i + width]) for i in range(0, len(vals), width)]
-        best = max(best, int_rank(m))
+        best = max(best, len(int_echelon([], m)))
         if best == min(len(rows), width):
             break
     return best

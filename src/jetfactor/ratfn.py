@@ -1030,26 +1030,25 @@ def cleared(pairs):
     return [n * (l // d) for n, d in pairs]
 
 
-def int_rank(rows):
-    """Rank over Q of equal-length rows of ints, fraction-free (Bareiss
-    1968): every update p*row - f*pivot_row is divided exactly by the
-    previous pivot, so the entries stay integer minors and never swell
-    past them.  A column with no nonzero entry at or below the current
-    row is skipped."""
-    m = [row for row in rows if any(row)]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        if rank == len(m):
-            break
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[c]
-        for r in range(rank + 1, len(m)):
-            row, f = m[r], m[r][c]
-            m[r] = [(p * e - f * g) // prev for e, g in zip(row, top)]
-        prev = p
-        rank += 1
-    return rank
+def int_echelon(basis, rows):
+    """An echelon basis over Q of the rows of basis, then rows: a new list
+    of (pivot column, int row) pairs, whose length is the rank.  basis is
+    such a list and is not changed.  Each row is reduced, fraction-free,
+    against the pairs in insertion order, p*row - f*b zeroing column c
+    for each (c, b) with p = b[c], f = row[c]; a nonzero remainder is
+    kept divided by its content, with its first nonzero column.  Every
+    kept row is zero at the pivots before its own, so the kept rows at
+    their pivot columns form a triangular minor with a nonzero diagonal:
+    they are independent, and they span what the rows span."""
+    out = list(basis)
+    for row in rows:
+        for c, b in out:
+            f = row[c]
+            if f:
+                p = b[c]
+                row = [p * e - f * g for e, g in zip(row, b)]
+        c = next((c for c, e in enumerate(row) if e), None)
+        if c is not None:
+            g = igcd(*row)
+            out.append((c, [e // g for e in row] if g > 1 else row))
+    return out

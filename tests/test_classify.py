@@ -212,23 +212,43 @@ def test_no_symbolic_bracket_is_taken(monkeypatch):
 
 
 def test_known_ranks_and_unneeded_brackets_are_skipped(monkeypatch):
-    # no span is ranked at a point where a sub-span already ranked there
-    # reads n (its rows are a proper prefix of the span's, the same row
-    # objects), and level three is bracketed only at the points where the
+    # every span extends a basis built before it (the controls' from
+    # the empty one), and no row is reduced into a basis that already
+    # has n rows; level three is bracketed only at the points where the
     # controls and level two fall short of n, found from the symbolic
-    # brackets; level-three calls are the only ones of a level-two jet
-    # (value, Jacobian) with a field's 2-jet
-    real_rank, real_bracket = classify_mod.int_rank, classify_mod._bracket
-    ranked, level3 = [], [0]
+    # brackets, and its calls are the only ones of a level-two jet
+    # (value, Jacobian) with a field's 2-jet; a level-two Jacobian is
+    # built once per point, and only where a bracket reads it, which is
+    # level three or the closure of D2
+    real_echelon = classify_mod.int_echelon
+    real_bracket = classify_mod._bracket
+    real_jacobian = classify_mod._bracket_jacobian
+    made, level3, built, read = [], [0], [], set()
 
-    def counting_rank(rows):
-        r = real_rank(rows)
-        ranked.append((list(rows), r))
-        return r
+    def counting_echelon(basis, rows):
+        assert len(basis) < 3
+        assert not basis or any(basis is b for b in made)
+        made.append(real_echelon(basis, rows))
+        return made[-1]
 
     def counting_bracket(a, b):
         level3[0] += len(a) == 2 and len(b) == 3
+        read.update(id(x[1]) for x in (a, b) if len(x) == 2)
         return real_bracket(a, b)
+
+    def counting_jacobian(a, b):
+        built.append(((id(a), id(b)), real_jacobian(a, b)))
+        return built[-1][1]
+
+    def run(form):
+        made.clear()
+        built.clear()
+        read.clear()
+        level3[0] = 0
+        rec = static_invariants(form)
+        assert len({at for at, _ in built}) == len(built)
+        assert {id(jac) for _, jac in built} == read
+        return rec
 
     moved = [to_affine(random_static_transform(s, 3)[2])
              for s in elkin_forms_32()]
@@ -240,20 +260,36 @@ def test_known_ranks_and_unneeded_brackets_are_skipped(monkeypatch):
         short.append(sum(
             len(gauss_jordan([[e.eval_at(pt) for e in v] for v in low], 3)) < 3
             for pt, _ in jets_mod.sample_points([e for v in fields for e in v])))
-    monkeypatch.setattr(classify_mod, "int_rank", counting_rank)
+    monkeypatch.setattr(classify_mod, "int_echelon", counting_echelon)
     monkeypatch.setattr(classify_mod, "_bracket", counting_bracket)
+    monkeypatch.setattr(classify_mod, "_bracket_jacobian", counting_jacobian)
     for form, k in zip(moved, short):
-        ranked.clear()
-        level3[0] = 0
-        static_invariants(form)
-        for i, (rows, _) in enumerate(ranked):
-            for sub, r in ranked[:i]:
-                if len(sub) < len(rows) and all(
-                        x is y for x, y in zip(sub, rows)):
-                    assert r < 3
+        run(form)
         assert level3[0] == k * 3 * 3
+        # three Jacobians at each short point, for level three; on these
+        # moves the D2 closure reads none that level three did not build
+        assert len(built) == 3 * k
     # the saving is real: three forms span at level two everywhere
     assert short.count(0) == 3 and short.count(5) == 2
+
+    # x3' = 2*x3 + x1*x2 + x1*u2 spans with the controls and level two
+    # everywhere, and D2 falls short of n only where x1 = x2 = 0: at the
+    # first point below, the D2 closure alone reads level-two Jacobians,
+    # and the record is the symbolic algorithm's
+    form = ControlSystem(3, 2, (x1 + u1, x2 + u2, 2 * x3 + x1 * x2 + x1 * u2))
+    pts = itertools.cycle([(0, 0, 5), (7, -3, 11), (2, 9, -4), (-6, 5, 3),
+                           (8, 1, -2)])
+
+    def sampler(vars_, rng):
+        c = next(pts)
+        return {v: c[v[2] - 1] for v in vars_}
+
+    monkeypatch.setattr(jets_mod, "sample_point", sampler)
+    rec = run(form)
+    assert level3[0] == 0 and len(built) == 2
+    assert (rec.rank_fu, rec.involutive_D, rec.drift_in_D, rec.dim_C0,
+            rec.point, rec.drift_in_C0, rec.involutive_D2) == \
+        _symbolic_invariants(form)
 
 
 # -------------------------------------------------------------------
@@ -296,7 +332,8 @@ def test_jet_brackets_are_scaled_symbolic_brackets(n, s, rational):
         per = [vals[i * w:(i + 1) * w] for i in range(s + 1)]
         jet = [classify_mod._scaled_jet(v, n) for v in per]
         scale = [lcm(*(Fraction(*q).denominator for q in v)) for v in per]
-        got = {(i, j): classify_mod._bracket(jet[i], jet[j])
+        got = {(i, j): (classify_mod._bracket(jet[i], jet[j]),
+                        classify_mod._bracket_jacobian(jet[i], jet[j]))
                for i, j in pairs}
 
         def want(b, c):
@@ -308,13 +345,13 @@ def test_jet_brackets_are_scaled_symbolic_brackets(n, s, rational):
             assert got[i, j][1] == [want(row, c) for row in sym_jac[i, j]]
             for k in range(s + 1):
                 b3 = sym3[(i, j), k]
-                assert classify_mod._bracket(got[i, j], jet[k])[0] == \
+                assert classify_mod._bracket(got[i, j], jet[k]) == \
                     want(b3, c * scale[k])
-                assert classify_mod._bracket(jet[k], got[i, j])[0] == \
+                assert classify_mod._bracket(jet[k], got[i, j]) == \
                     want(b3, -c * scale[k])
             for (k, l) in pairs:
                 if (i, j) < (k, l):
-                    assert classify_mod._bracket(got[i, j], got[k, l])[0] \
+                    assert classify_mod._bracket(got[i, j], got[k, l]) \
                         == want(sym22[(i, j), (k, l)], c * scale[k] * scale[l])
             checked += 1
     assert checked == 5 * len(pairs)

@@ -9,7 +9,7 @@ from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, pullback_matrix, var_name)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
 from jetfactor import crosscheck, ratfn
-from jetfactor.ratfn import (cleared, gauss_jordan, int_rank, mono_mul,
+from jetfactor.ratfn import (cleared, gauss_jordan, int_echelon, mono_mul,
                              p_add, p_const, p_divexact, p_lead, p_mul, p_neg,
                              p_pow, p_scale, poly_gcd)
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
@@ -1277,6 +1277,97 @@ def test_gauss_jordan_solves_augmented_systems():
                 x[c] = row[cols]
             assert [sum(e * xi for e, xi in zip(row, x)) for row in a] == b
     assert min(seen.values()) > 20
+
+
+def int_rank(rows):
+    """Rank over Q of equal-length rows of ints, fraction-free (Bareiss
+    1968): every update p*row - f*pivot_row is divided exactly by the
+    previous pivot, so the entries stay integer minors and never swell
+    past them.  A column with no nonzero entry at or below the current
+    row is skipped."""
+    m = [row for row in rows if any(row)]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[c]
+        for r in range(rank + 1, len(m)):
+            row, f = m[r], m[r][c]
+            m[r] = [(p * e - f * g) // prev for e, g in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _echelon_cases(rng):
+    """Seeded int matrices of 0-8 rows and 1-6 columns, entries up to
+    2^70 in size, some rows zero, repeated, proportional to an earlier
+    row or a combination of earlier rows."""
+    for _ in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(1, 6)
+        m = []
+        for _ in range(rows):
+            kind = rng.choice(("new", "new", "zero", "dup", "prop", "comb"))
+            if kind == "zero" or not m and kind != "new":
+                m.append([0] * cols)
+            elif kind == "dup":
+                m.append(list(rng.choice(m)))
+            elif kind == "prop":
+                c = rng.choice((-1, 1)) * rng.randint(2, 1 << 20)
+                m.append([c * e for e in rng.choice(m)])
+            elif kind == "comb":
+                cs = [rng.randint(-3, 3) for _ in m]
+                m.append([sum(c * row[j] for c, row in zip(cs, m))
+                          for j in range(cols)])
+            else:
+                bits = rng.randint(0, 70)
+                m.append([rng.randint(-(1 << bits), 1 << bits) * (
+                    rng.random() < 0.8) for _ in range(cols)])
+        yield m, cols
+
+
+def test_int_echelon_is_the_bareiss_rank():
+    rng = random.Random(25)
+    seen = {"empty": 0, "zero row": 0, "repeated row": 0, "deficient": 0,
+            "past 2^64": 0}
+    for m, cols in _echelon_cases(rng):
+        frozen = [list(row) for row in m]
+        whole = int_echelon([], m)
+        assert m == frozen                      # the rows are not changed
+        want = int_rank([list(row) for row in m])
+        assert len(whole) == want, m
+        seen["empty"] += not m
+        seen["zero row"] += any(not any(row) for row in m)
+        seen["repeated row"] += any(m[i] == m[j] for i in range(len(m))
+                                    for j in range(i))
+        seen["deficient"] += want < min(len(m), cols)
+        seen["past 2^64"] += any(abs(e) >> 64 for row in m for e in row)
+        # each kept row is primitive, nonzero at its pivot and zero at
+        # every earlier pivot: the pivots certify the rank by a
+        # triangular minor
+        for i, (c, row) in enumerate(whole):
+            assert len(row) == cols and row[c] != 0 and gcd(*row) == 1
+            assert all(row[p] == 0 for p, _ in whole[:i])
+        # extending row by row, or from any split, is one call; the
+        # basis handed in is never changed
+        basis = []
+        for row in m:
+            before = [(c, list(r)) for c, r in basis]
+            grown = int_echelon(basis, [row])
+            assert basis == before
+            basis = grown
+        assert basis == whole
+        cut = rng.randint(0, len(m))
+        head = int_echelon([], m[:cut])
+        before = [(c, list(r)) for c, r in head]
+        assert int_echelon(head, m[cut:]) == whole
+        assert head == before
+    assert min(seen.values()) > 20, seen
 
 
 def exact_rank(rows):
