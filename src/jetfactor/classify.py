@@ -127,16 +127,17 @@ def _jet_exprs(v):
     """A field's components, their first partials d v_i/d x_k and their
     second partials d2 v_i/d x_k d x_m for k <= m, flattened in that
     order; a partial in a state the expression does not mention is ZERO
-    without a kernel call."""
+    without a kernel call, and each expression's variables are read once."""
     v = list(v)
     xs = [X(k + 1) for k in range(len(v))]
 
-    def d(e, x):
-        return e.diff(x) if x in e.vars() else ZERO
+    def partials(e, xs):
+        mentioned = e.vars()
+        return [e.diff(x) if x in mentioned else ZERO for x in xs]
 
-    jac = [[d(c, x) for x in xs] for c in v]
-    hess = [d(row[k], xs[m]) for row in jac
-            for k in range(len(xs)) for m in range(k, len(xs))]
+    jac = [partials(c, xs) for c in v]
+    hess = [e for row in jac for k in range(len(xs))
+            for e in partials(row[k], xs[k:])]
     return v + [e for row in jac for e in row] + hess
 
 

@@ -10,8 +10,8 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import (RatFn, T, X, U, ZERO, ONE, cleared, derivation,
-                    int_echelon)
+from .ratfn import (RatFn, T, X, U, ZERO, ONE, affine_parts, cleared,
+                    derivation, int_echelon)
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -137,24 +137,21 @@ class AffineForm:
 
 
 def to_affine(sys_):
-    """Affine decomposition of the rhs; raises NotAffine otherwise."""
-    zero_u = {U(j + 1): ZERO for j in range(sys_.s)}
-    f0 = tuple(fi.substitute(zero_u) for fi in sys_.f)
-    cols = []
-    for j in range(1, sys_.s + 1):
-        fj = tuple(fi.diff(U(j)) for fi in sys_.f)
-        for g in fj:
-            for v in g.vars():
-                if v[0] == 2:
-                    raise NotAffine("rhs is not affine in u%d" % j)
-        cols.append(VectorField(fj))
-    # rebuild and compare to catch mixed nonlinearities (e.g. u1*u2)
-    form = AffineForm(VectorField(f0), cols)
-    rebuilt = form.rebuild()
-    for i in range(sys_.n):
-        if rebuilt[i] != sys_.f[i]:
-            raise NotAffine("rhs component %d is not affine in the controls" % (i + 1))
-    return form
+    """The affine decomposition f = f0 + sum_j u_j f_j of the rhs, each
+    field split in one pass over its numerator's terms (affine_parts).
+    Raises NotAffine otherwise, naming the smallest j whose partial
+    df/du_j still mentions a control."""
+    us = [U(j + 1) for j in range(sys_.s)]
+    parts = [affine_parts(fi, us) for fi in sys_.f]
+    if None in parts:
+        for u in us:
+            for fi in sys_.f:
+                if any(v[0] == 2 for v in fi.diff(u).vars()):
+                    raise NotAffine("rhs is not affine in u%d" % u[2])
+        raise NotAffine("rhs component %d is not affine in the controls"
+                        % (parts.index(None) + 1))
+    cols = [VectorField(c) for c in zip(*parts)]
+    return AffineForm(cols[0], cols[1:])
 
 
 def lie_bracket(a, b):

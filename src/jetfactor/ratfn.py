@@ -30,7 +30,9 @@ eval_at() return Fractions.
 The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
 them.  Elsewhere they take gcds of the factors, not of the product
-(Henrici).  diff is the derivation with the one unit image.
+(Henrici).  diff is the derivation with the one unit image, and skips
+derivation's image front end.  affine_parts splits a field affine in
+some variables in one pass over its numerator's terms.
 Each docstring says why its result is canonical.
 Results are the canonical triples of the general path; only the insertion
 order of their terms can differ.  The kernel is exact and generates no
@@ -591,7 +593,8 @@ class RatFn:
         return not self._n
 
     def is_const(self):
-        return not p_vars(self._n) and not p_vars(self._d)
+        """Read off the canonical triple: D is 1 and N is 0 or constant."""
+        return _is_one(self._d) and (not self._n or _is_constant(self._n))
 
     def is_poly(self):
         return _is_one(self._d)
@@ -737,8 +740,9 @@ class RatFn:
     # -- calculus ------------------------------------------------------
 
     def diff(self, v):
-        """Partial derivative with respect to variable v."""
-        return derivation(self, {v: ONE})
+        """Partial derivative with respect to variable v: the derivation
+        with the one image 1, whose K, L and P_v are all 1."""
+        return _henrici(self, {v: _UNIT}, 1, _UNIT)
 
     def substitute(self, binding):
         """Simultaneous substitution var -> RatFn; unmapped vars stay."""
@@ -903,22 +907,13 @@ def _p_subst(a, binding):
 def derivation(r, images):
     """The derivation that sends each variable v to the RatFn images[v],
     applied to r in one pass; a variable without an image goes to 0.
-    RatFn.diff is the derivation with the one image 1.
 
     Write images[v] = N_v/(k_v*D_v), K for the lcm of the k_v and L for
     the lcm of the D_v.  K*L times the derivation sends an int polynomial
     p to the int polynomial sum over v of P_v * dp/dv (_p_derive), with
-    P_v = N_v*(K/k_v)*(L/D_v).  So with q = k*K, r = n/(k*d) goes to the
-    canonical (dn*d - n*dd)/(q*L*d^2), dn and dd the images of n and d.
-
-    Take h = gcd(d, dd), a = d/h and b = dd/h (Henrici).  The numerator is
-    h*t with t = dn*a - n*b, so the quotient is t/(q*L*h*a^2).  A prime
-    factor of a divides neither n, which is prime to d, nor b, which is
-    prime to a, so it does not divide t: only a factor g of L*h can
-    cancel, and the result is (t/g)/((L*h/g)*a^2).  Over d = 1 this is
-    dn/(q*L), where only L and the scale can cancel.  With g = h = 1 the
-    general gcd is 1 and t and L*d^2 keep their term order; otherwise both
-    sides are sorted as in _product."""
+    P_v = N_v*(K/k_v)*(L/D_v).  This front end forms K, L and the P_v;
+    _henrici applies them.  RatFn.diff calls _henrici directly with
+    P_v = 1 and K = L = 1, the values this front end would give it."""
     K, L, seen = 1, _UNIT, []
     for img in images.values():
         K = lcm(K, img._k)
@@ -930,6 +925,22 @@ def derivation(r, images):
         if img._n:
             p = img._n if img._k == K else p_scale(img._n, K // img._k)
             pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
+    return _henrici(r, pre, K, L)
+
+
+def _henrici(r, pre, K, L):
+    """The derivation of derivation's docstring applied to r = n/(k*d),
+    given its int images pre = {v: P_v}, K and L.  With q = k*K, r goes to
+    the canonical (dn*d - n*dd)/(q*L*d^2), dn and dd the images of n and d.
+
+    Take h = gcd(d, dd), a = d/h and b = dd/h (Henrici).  The numerator is
+    h*t with t = dn*a - n*b, so the quotient is t/(q*L*h*a^2).  A prime
+    factor of a divides neither n, which is prime to d, nor b, which is
+    prime to a, so it does not divide t: only a factor g of L*h can
+    cancel, and the result is (t/g)/((L*h/g)*a^2).  Over d = 1 this is
+    dn/(q*L), where only L and the scale can cancel.  With g = h = 1 the
+    general gcd is 1 and t and L*d^2 keep their term order; otherwise both
+    sides are sorted as in _product."""
     n, d, q = r._n, r._d, K * r._k
     dn, dd = _p_derive(n, pre), _p_derive(d, pre)
     if dd:
@@ -947,6 +958,35 @@ def derivation(r, images):
     if not (_is_one(g) and _is_one(h)):
         t, den = _descending(t), _descending(den)
     return _make(*_rescale(t, 1, 1, q), den)
+
+
+def affine_parts(r, vs):
+    """[r0, r1, ..., rs] with r = r0 + sum_j vs[j-1]*rj and no part
+    mentioning a variable of vs, or None when r = N/(k*D) is not affine in
+    vs: a term of N has degree 2 or more in them, or D mentions one.
+
+    One pass over the terms of N sorts each by its factor in vs, none or
+    one v^1, which is divided out.  So each part over k*D is r at vs = 0
+    or a partial of r, and its canonical triple is unique: over D = 1 only
+    the content of the part and k can cancel, and over any other D one
+    _ratio finds it."""
+    at = {v: j for j, v in enumerate(vs, 1)}
+    d = r._d
+    if any(w in at for m in d for w, _ in m):
+        return None
+    parts = [{} for _ in range(len(vs) + 1)]
+    for m, c in r._n.items():
+        j, rest = 0, m
+        for i, (w, e) in enumerate(m):
+            if w in at:
+                if j or e > 1:
+                    return None
+                j, rest = at[w], m[:i] + m[i + 1:]
+        parts[j][rest] = c
+    k = r._k
+    if _is_one(d):
+        return [_make(*_rescale(p, 1, 1, k), _UNIT) for p in parts]
+    return [_ratio(p, d, 1, k) for p in parts]
 
 
 def _p_derive(p, images):

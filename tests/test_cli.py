@@ -391,6 +391,14 @@ def test_classify_no_dynamic_outside_32(files, capsys):
     assert out.rstrip() == "static: u1, x1"
 
 
+def test_classify_names_the_control_of_a_non_affine_rhs(files, capsys):
+    path = files["put"]("bilinear.sys",
+                        "system { states = 2 controls = 2"
+                        " f1 = u1*u2 f2 = u2 }")
+    code, out, err = run(capsys, "classify", "--sys", path)
+    assert (code, out, err) == (1, "", "NotAffine: rhs is not affine in u1\n")
+
+
 def test_classify_rational_nonautonomous_move(files, capsys):
     # the nonautonomous seed-0 move of (u1*x1, u2, x3*u1/(x2-3)); the
     # oracle, `python3 tests/oracles/oracle_invariants.py rational.sys`,

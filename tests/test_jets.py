@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from jetfactor import (AffineForm, ControlSystem, ONE, RatFn, T, U,
-                       VectorField, X, ZERO, generic_rank, lie_bracket, prolong_partial,
-                       prolong_total, sample_point, to_affine)
+                       VectorField, X, ZERO, elkin_forms_32, generic_rank,
+                       lie_bracket, prolong_partial, prolong_total,
+                       random_nonaut_static_pair, random_static_transform,
+                       sample_point, to_affine)
 from jetfactor.errors import (DegenerateSystem, DenominatorZero,
                               DimensionMismatch, EmptyPromotionSet, NotAffine)
 from jetfactor.jets import sample_points
+from test_classify import RATIONAL_SIGNATURES, SIGNATURES, sysn
 
 
 def rv(v):
@@ -192,6 +195,85 @@ class TestAffine:
         sys_ = ControlSystem(1, 1, (u1 * u1 + u1,))
         with pytest.raises(NotAffine):
             to_affine(sys_)
+
+    @pytest.mark.parametrize("f, j", [
+        ((u1 * u2, u2), 1),
+        ((u1 ** 2 + u1,), 1),
+        ((x1 / (1 + u2), u1), 2),
+        ((u1, u2, x2 * u1 * u2), 1),
+        ((u1, u2 / (1 + x1), u2 ** 2), 2),
+        ((u1 * (1 + u2) / (1 + u2 * x1), u2), 1),
+        ((u2 ** 2, u1 ** 2 + u2), 1),
+    ], ids=["u1*u2", "u1^2", "den-u2", "x2*u1*u2", "u2^2", "den-u2-x1",
+            "controls-before-fields"])
+    def test_not_affine_names_the_first_control(self, f, j):
+        # the smallest j whose partial in u_j still mentions a control
+        sys_ = ControlSystem(len(f), 2 if len(f) > 1 else 1, f)
+        with pytest.raises(NotAffine) as info:
+            to_affine(sys_)
+        assert str(info.value) == "rhs is not affine in u%d" % j
+
+    def test_a_pole_at_zero_controls_is_not_affine(self):
+        # the substituting split raised SubstitutionPole on these
+        for f, j in (((x1 / u1, u2), 1), ((u1, x1 / (u2 + x1 * u1)), 1)):
+            with pytest.raises(NotAffine) as info:
+                to_affine(ControlSystem(2, 2, f, check=False))
+            assert str(info.value) == "rhs is not affine in u%d" % j
+
+
+def _to_affine_by_substitution(sys_):
+    """The split to_affine made before its one pass over the numerator's
+    terms: the drift by substituting 0 for every control, each column by
+    a partial, and the rebuilt rhs compared with f.  The reference of
+    test_one_pass_split_matches_substitution."""
+    zero_u = {U(j + 1): ZERO for j in range(sys_.s)}
+    f0 = tuple(fi.substitute(zero_u) for fi in sys_.f)
+    cols = []
+    for j in range(1, sys_.s + 1):
+        fj = tuple(fi.diff(U(j)) for fi in sys_.f)
+        for g in fj:
+            for v in g.vars():
+                if v[0] == 2:
+                    raise NotAffine("rhs is not affine in u%d" % j)
+        cols.append(VectorField(fj))
+    form = AffineForm(VectorField(f0), cols)
+    rebuilt = form.rebuild()
+    for i in range(sys_.n):
+        if rebuilt[i] != sys_.f[i]:
+            raise NotAffine("rhs component %d is not affine in the controls"
+                            % (i + 1))
+    return form
+
+
+def _affine_inputs():
+    """Static and nonautonomous moves, seeds 0-63, of the Elkin forms and
+    of the classifier's signature forms, and fields whose split cancels
+    against k or a control-free denominator."""
+    t = rv(T)
+    forms = list(elkin_forms_32()) + [
+        sysn(len(f), *f) for f, _, _ in SIGNATURES + RATIONAL_SIGNATURES]
+    for form in forms:
+        for move in (random_static_transform, random_nonaut_static_pair):
+            for seed in range(64):
+                yield move(form, seed)[2]
+    yield ControlSystem(3, 1, (u1 + x2 / (x3 + 2), x1, x3))
+    yield ControlSystem(1, 1, ((u1 + 2 * x1) / 2,))
+    yield ControlSystem(3, 2, ((t * u1 + x1 * t ** 2) / 3,
+                               u2 * (1 + t) / (x1 - t) + t / (x1 - t),
+                               (x2 * u1 - 6 * x3) / (2 * x2 + 4)))
+
+
+def test_one_pass_split_matches_substitution():
+    def triples(form):
+        return [(c._n, c._k, c._d) for vf in (form.f0,) + form.fvecs
+                for c in vf]
+
+    splits = 0
+    for sys_ in _affine_inputs():
+        assert triples(to_affine(sys_)) == \
+            triples(_to_affine_by_substitution(sys_)), sys_
+        splits += 1
+    assert splits == 21 * 2 * 64 + 3
 
 
 class TestBracket:

@@ -1182,6 +1182,17 @@ def test_stored_triple_invariants():
         assert hash(RatFn(r.num, r.den)) == hash(r)
 
 
+def test_is_const_is_mentioning_no_variable():
+    consts = [ZERO, ONE, RatFn.const(Fraction(-6, 4)), (x1 + 1) / (x1 + 1),
+              (x1 + u1) - u1 - x1 + 5, (x2 / 2).diff(X(2))]
+    others = [1 / x1, RatFn.const(7) / (x1 - 2), x1 - 5, (u1 + 1) / 3]
+    forms = list(_suite_forms(seed=41)) + _triple_forms() + consts + others
+    for r in forms:
+        assert r.is_const() == (not r.vars()), r
+    assert all(r.is_const() for r in consts)
+    assert not any(r.is_const() for r in others)
+
+
 # --- exact elimination ------------------------------------------------------
 
 
