@@ -10,26 +10,33 @@ The three loops are generated once per call as straight-line Python from
 float_lines, the package's one float emitter: the RK4 integrator with the
 source field inlined at each of its four stages and each control in
 unrolled Horner form, the image pass (the map's controls, the assumption
-checks, every y, then every v) and the residual loop.  They run the float
-operations of the Python loops they replace, and of term-by-term
-evaluation of each field, in the same order, except that each power is
-computed once per point and read back after.  That changes no bit: pow is
-deterministic, so a reused power is the value the loop recomputes, and
-at each point the lines that read powers branch only to raise, so a
-power's first textual use is also its first execution.  So residuals,
-attempts and the first exception raised (a pole, or an OverflowError from
-a power or a coefficient) are bit-identical to the loops'.  Only the
-control-derivative levels that the source field and the map read are
-evaluated.  The assumption checks evaluate the denominators that pulling
-the target field back along the map notes (forward_assumptions): the list
-that verify_forward reports, kept as RatFns rather than read back from
-their text.  A denominator's terms can come in another order than the
-parsed text's, so a check's value can differ in its last bits; it only
-decides whether |g| < 1e-4, and no residual reads it.
+checks, every y, then every v) and the residual loop over a five-point
+window of the image.  They run the float operations of the Python loops
+they replace, and of term-by-term evaluation of each field, in the same
+order, except for work that cannot change a bit (docs/decisions.md, "The
+float emitter does no dead work").  Each power of exponent 2 or more is
+computed once per point and read back after: pow is deterministic, so a
+reused power is the value the loop recomputes, and at each point the
+lines that read powers branch only to raise, so a power's first textual
+use is also its first execution.  A power of exponent 1 is the variable
+itself, and each sum is one expression that adds from the left as the
+loop's n += did.  The integrator computes a stage state only where the
+source field reads it, since float + and * never raise, and h / 2,
+h / 6 and 12 * h are computed once per call.  So residuals, attempts and the first exception
+raised (a pole, or an OverflowError from a power or a coefficient) are
+bit-identical to the loops'.  Only the control-derivative levels that the
+source field and the map read are evaluated.  The assumption checks
+evaluate the denominators that pulling the target field back along the
+map notes (forward_assumptions): the list that verify_forward reports,
+kept as RatFns rather than read back from their text.  A denominator's
+terms can come in another order than the parsed text's, so a check's
+value can differ in its last bits; it only decides whether |g| < 1e-4,
+and no residual reads it.
 """
 
 import math
 import random
+from itertools import islice
 
 from .ratfn import X, U, T as TIME, _POLE
 from .equivalence import PullbackContext
@@ -37,11 +44,15 @@ from .errors import SingularTrajectory, DenominatorZero, UsageError
 
 _VANISH = "assumption vanishes on the trajectory"
 
-# Most steps.  The trajectory is kept whole, about 570 B a step with three
-# states, so 10^9 steps would run out of memory; and past 10^4 steps the
-# five-point derivative's rounding error, which grows as 1/h, outweighs
-# RK4's (docs/decisions.md, "The -N bound").
+# Most steps.  The trajectory is kept whole, about 575 B a step with three
+# states (tracemalloc's peak on phi: 0.54, 5.52 and 57.49 MB at 10^3, 10^4
+# and 10^5 steps), so 10^9 steps would run out of memory; and past 10^4
+# steps the five-point derivative's rounding error, which grows as 1/h,
+# outweighs RK4's (docs/decisions.md, "The -N bound").
 MAX_STEPS = 100_000
+
+# Most terms in one generated sum statement; see float_lines.
+_SUM_TERMS = 100
 
 
 def float_lines(exprs, names, outs, ns, pows, pad="    "):
@@ -51,45 +62,56 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
     Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
     * ... over the num dict in its term order, with c = float(coefficient);
     the same for the denominator; DenominatorZero if it is 0.0; then n / d.
-    Two steps of that loop are left out, as they are exact in IEEE
-    arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), and
-    a denominator 1 (n / 1.0 is n, and 1.0 is never 0.0).  The sum still
-    starts from 0.0, since 0.0 + -0.0 is +0.0.
-    Each power a ** e is computed once per point: its first textual use is
-    (q := a ** e) and later uses read q.  pows maps (v, e) to q; pass one
-    fresh dict per point, shared by all the lines that point runs.  The
-    source holds only float literals (repr of float(c)), names from names,
-    outs and pows, and int exponents, never text from the expressions.  A
-    coefficient that overflows float() is bound in ns as big<i> and
-    converted when reached, so its OverflowError comes at the same moment.
-    The lines also assign n, d and q<i>.  A variable missing from names
-    raises KeyError.
+    Three steps of that loop are left out, as they are exact in IEEE
+    arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), a
+    denominator 1 (n / 1.0 is n, and 1.0 is never 0.0), and a power with
+    exponent 1 (x ** 1 is x, and float pow returns an infinity or a NaN
+    unchanged, without raising).  The sum still starts from 0.0, since
+    0.0 + -0.0 is +0.0, and it is one expression 0.0 + t1 + t2 + ..., which
+    adds from the left as the loop does; past _SUM_TERMS terms it goes on
+    in a new statement n = n + ..., as longer sums pass the compiler's
+    recursion limit.
+    Each power a ** e with e >= 2 is computed once per point: its first
+    textual use is (q := a ** e) and later uses read q.  pows maps (v, e)
+    to q; pass one fresh dict per point, shared by all the lines that point
+    runs.  The source holds only float literals (repr of float(c)), names
+    from names, outs and pows, and int exponents, never text from the
+    expressions.  A coefficient that overflows float() is bound in ns as
+    big<i> and converted when reached, so its OverflowError comes at the
+    same moment.  The lines also assign n, d and q<i>.  A variable missing
+    from names raises KeyError.
     """
     def power(v, e):
+        if e == 1:
+            return names[v]
         q = pows.get((v, e))
         if q is None:
             q = pows[v, e] = "q%d" % len(pows)
             return "(%s := %s ** %d)" % (q, names[v], e)
         return q
 
+    def term(m, c):
+        factors = [power(v, e) for v, e in m]
+        if c != 1 or not factors:
+            try:
+                factors.insert(0, repr(float(c)))
+            except OverflowError:
+                name = "big%d" % len(ns)
+                ns[name] = c
+                factors.insert(0, "float(%s)" % name)
+        return " * ".join(factors)
+
     lines = []
     for r, out in zip(exprs, outs):
-        sums = [("n", r.num)] if r.is_poly() else [("n", r.num), ("d", r.den)]
+        sums = [(out, r.num)] if r.is_poly() else [("n", r.num), ("d", r.den)]
         for acc, poly in sums:
-            lines.append("%s%s = 0.0" % (pad, acc))
-            for m, c in poly.items():
-                factors = [power(v, e) for v, e in m]
-                if c != 1 or not factors:
-                    try:
-                        factors.insert(0, repr(float(c)))
-                    except OverflowError:
-                        name = "big%d" % len(ns)
-                        ns[name] = c
-                        factors.insert(0, "float(%s)" % name)
-                lines.append("%s%s += %s" % (pad, acc, " * ".join(factors)))
-        if r.is_poly():
-            lines.append("%s%s = n" % (pad, out))
-        else:
+            terms = [term(m, c) for m, c in poly.items()]
+            first = "0.0"
+            for i in range(0, max(len(terms), 1), _SUM_TERMS):
+                lines.append("%s%s = %s" % (pad, acc, " + ".join(
+                    [first] + terms[i:i + _SUM_TERMS])))
+                first = acc
+        if not r.is_poly():
             lines += [pad + "if d == 0.0:",
                       pad + "    raise DenominatorZero(POLE)",
                       "%s%s = n / d" % (pad, out)]
@@ -98,7 +120,8 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
 
 def float_functions(lines, ns, *fnames):
     """Define the generated source with ns as its globals, adding no
-    builtins but float, and DenominatorZero and POLE for float_lines; then
+    builtins but float, and DenominatorZero and POLE for float_lines (the
+    crosscheck's ns also holds range, zip, islice, abs and VANISH); then
     take the named functions out of ns, so nothing refers back to them
     through their globals.  Nothing is cached: they are the caller's."""
     ns.update({"__builtins__": {}, "float": float,
@@ -186,22 +209,29 @@ def _loops(m, assumptions, src_us, map_us, lens):
     for controls whose coefficient lists have the lengths lens."""
     src, tgt = m.src, m.tgt
     shape = [[0.0] * k for k in lens]
-    ns = {"range": range, "zip": zip, "abs": abs, "VANISH": _VANISH}
+    ns = {"range": range, "zip": zip, "islice": islice, "abs": abs,
+          "VANISH": _VANISH}
     xs = ["x%d" % (i + 1) for i in range(src.n)]
+    # a stage state the source field does not read is not computed: float
+    # + and * never raise, so leaving it out drops no exception
+    reads = set().union(*(f.vars() for f in src.f))
+    staged = [i for i in range(1, src.n + 1) if X(i) in reads]
     p = _controls(src_us, shape)
     lines = ["def rk4(T, steps, x0, cf):",
              "    %s = x0" % _tuple(xs),
              "    %s = cf" % _tuple(c for cs in p for c in cs),
              "    t0 = 0.0",
              "    h = (T - t0) / steps",
+             "    h2 = h / 2",
+             "    h6 = h / 6",
              "    ts = [t0]",
              "    xs = [%s]" % _tuple(xs),
              "    for k in range(steps):"]
     pad = " " * 8
     # (time, its value if new, step from x to the stage's states): stages 2
     # and 3 share t + h/2 and its controls
-    stages = [("t", "t0 + k * h", None), ("tm", "t + h / 2", "h / 2"),
-              ("tm", None, "h / 2"), ("te", "t + h", "h")]
+    stages = [("t", "t0 + k * h", None), ("tm", "t + h2", "h2"),
+              ("tm", None, "h2"), ("te", "t + h", "h")]
     for s, (t, at, step) in enumerate(stages, 1):
         if at:
             lines.append("%s%s = %s" % (pad, t, at))
@@ -209,11 +239,11 @@ def _loops(m, assumptions, src_us, map_us, lens):
                       for j, cs in enumerate(p)]
         if step:
             lines += ["%ss%d = x%d + %s * k%d_%d" % (pad, i, i, step, s - 1, i)
-                      for i in range(1, src.n + 1)]
+                      for i in staged]
         names = _names(src.n, "s" if step else "x", src_us, "w", t)
         outs = ["k%d_%d" % (s, i) for i in range(1, src.n + 1)]
         lines += float_lines(src.f, names, outs, ns, {}, pad)
-    lines += ["%sx%d = x%d + h / 6 * (k1_%d + 2 * k2_%d + 2 * k3_%d + k4_%d)"
+    lines += ["%sx%d = x%d + h6 * (k1_%d + 2 * k2_%d + 2 * k3_%d + k4_%d)"
               % ((pad,) + (i,) * 6) for i in range(1, src.n + 1)]
     lines += [pad + "ts.append(t0 + (k + 1) * h)",
               pad + "xs.append(%s)" % _tuple(xs),
@@ -243,21 +273,22 @@ def _loops(m, assumptions, src_us, map_us, lens):
         lines.append("%s%s.append(%s)" % (pad, acc, _tuple(outs)))
     lines.append("    return ts, ys, vs")
 
-    # the residual: five-point dy/dt against the target field, NaN-sticky max
+    # the residual: five-point dy/dt against the target field, NaN-sticky
+    # max, over the window ys[idx - 2:idx + 3] of each interior idx
     ys = ["y%d" % (i + 1) for i in range(tgt.n)]
     names = _names(tgt.n, "y", [U(j + 1) for j in range(tgt.s)], "v")
+    window = [_tuple(y + tag for y in ys)
+              for tag in ("m2", "m1", "", "p1", "p2")]
+    views = ["ys"] + ["islice(ys, %d, None)" % k for k in range(1, 5)]
     lines += ["def residual(ts, ys, vs, h, steps):",
               "    worst = 0.0",
-              "    for idx in range(2, steps - 1):",
-              pad + "t = ts[idx]"]
-    for tag, off in (("m2", " - 2"), ("m1", " - 1"), ("", ""),
-                     ("p1", " + 1"), ("p2", " + 2")):
-        lines.append("%s%s = ys[idx%s]" % (
-            pad, _tuple(y + tag for y in ys), off))
-    lines += ["%sdy%d = (-y%dp2 + 8 * y%dp1 - 8 * y%dm1 + y%dm2) / (12 * h)"
+              "    h12 = 12 * h",
+              "    for t, %s, %s in zip(islice(ts, 2, steps - 1), %s, "
+              "islice(vs, 2, None)):" % (
+                  ", ".join(window), _tuple("v%d" % j for j in range(tgt.s)),
+                  ", ".join(views))]
+    lines += ["%sdy%d = (-y%dp2 + 8 * y%dp1 - 8 * y%dm1 + y%dm2) / h12"
               % ((pad,) + (i,) * 5) for i in range(1, tgt.n + 1)]
-    lines.append("%s%s = vs[idx]" % (
-        pad, _tuple("v%d" % j for j in range(tgt.s))))
     outs = ["f%d" % i for i in range(1, tgt.n + 1)]
     lines += float_lines(tgt.f, names, outs, ns, {}, pad)
     for i in range(1, tgt.n + 1):  # r != r: max() would drop a NaN

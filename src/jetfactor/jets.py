@@ -231,12 +231,14 @@ def sample_points(exprs, seed=0, trials=5):
     points over the variables of exprs, skipping the poles of any of them;
     raises DegenerateSystem after 20 * trials draws without enough.  Each
     value is the exact pair (n, d) of RatFn.eval_pair.  A constant has no
-    pole and one value, so its pair is computed once, before the draws;
-    each draw evaluates only the other expressions."""
+    pole, no variables and one value, so its pair is computed once, before
+    the draws ((0, 1) for zero, without evaluating), and the points range
+    over the other expressions' variables, which each draw evaluates."""
     exprs = list(exprs)
-    vars_ = set().union(*(e.vars() for e in exprs))
-    fixed = [e.eval_pair({}) if e.is_const() else None for e in exprs]
+    fixed = [None if not e.is_const() else (0, 1) if e.is_zero()
+             else e.eval_pair({}) for e in exprs]
     live = [(i, e) for i, e in enumerate(exprs) if fixed[i] is None]
+    vars_ = set().union(*(e.vars() for _, e in live))
     rng = random.Random(seed)
     got = 0
     for _ in range(20 * trials):

@@ -246,6 +246,21 @@ _CASES = [
      {"T": 3.0, "steps": 20}),
     (_map(_SQUARE, _system(2, 1, "u1*x1^2 + x1^2 + t^750", "x1"),
           ["x1", "x2"], ["u1"]), {"T": 3.0, "steps": 20}),
+    # explicit controls with -0.0 coefficients, which Horner's leading
+    # 0.0 * t keeps from changing the sign of a control's value
+    (PHI, {"steps": 12, "controls": [[-0.0, -0.0, 0.5, -0.0], [-0.0]]}),
+    (_map(_SQUARE, _SQUARE, ["x1", "x2"], ["u1"]),
+     {"steps": 8, "controls": [[-0.0, -0.0]]}),
+    # source fields that read only some states, or none: the other stage
+    # states are not computed
+    (_map(_system(3, 1, "u1", "x1^2 + t", "x1*u1"),
+          _system(3, 1, "u1", "x1^2 + t", "x1*u1"),
+          ["x1", "x2", "x3"], ["u1"]), {"seed": 2, "steps": 20}),
+    (_map(_system(2, 1, "u1", "t*u1"), _system(2, 1, "u1", "t*u1"),
+          ["x1", "x2"], ["u1"]), {"steps": 20}),
+    # a target field that does not read t, where the source and map do
+    (_map(_system(2, 1, "u1", "x1 + t"), _system(2, 1, "u1", "x1"),
+          ["x1", "x2 - t^2/2"], ["u1"]), {"steps": 30}),
 ]
 
 
@@ -277,10 +292,11 @@ def test_assumptions_come_from_the_forward_pulls():
 
 
 def test_generated_functions_hold_only_numbers(monkeypatch):
-    made = []
+    made, sources = [], []
     real = crosscheck.float_functions
 
     def record(lines, ns, *names):
+        sources.extend(lines)
         made.extend(real(lines, ns, *names))
         return made[-len(names):]
 
@@ -288,9 +304,21 @@ def test_generated_functions_hold_only_numbers(monkeypatch):
     for m, kw in _CASES:
         _outcome(numeric_crosscheck, m, **kw)
     assert len(made) == 3 * len(_CASES)
+    assert not any(" ** 1)" in line for line in sources)
     for f in made:
         assert all(type(k) in (int, float) or k is None
                    for k in f.__code__.co_consts), f.__name__
+
+
+def test_long_sums_compile():
+    # one sum expression of 3,000 terms passes the compiler's recursion
+    # limit; float_lines splits it into statements of _SUM_TERMS terms
+    f = RatFn.var(U(1)) + RatFn({((TIME, i),): 1 for i in range(1, 3000)})
+    sys_ = ControlSystem(1, 1, [f], check=False)
+    m = EquivMap(sys_, sys_, [RatFn.var(X(1))], [RatFn.var(U(1))])
+    got = _outcome(numeric_crosscheck, m, steps=4)
+    assert got == _outcome(_reference, m, steps=4)
+    assert got[1] == 1
 
 
 @pytest.mark.parametrize("controls", [[[0.5]], [[0.5], [0.2], [0.1]], []])
