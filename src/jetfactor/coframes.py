@@ -22,10 +22,6 @@ from .errors import NotNormalizedForm, TruncationExceeded, StructureViolation
 # ---------------------------------------------------------------------------
 # coordinate-basis forms
 
-def d_var(v):
-    return {v: ONE}
-
-
 # The form helpers take any dict of RatFn values: one-forms over
 # differentials, frame vectors over labels, two-forms over label pairs.
 # Such a dict holds no zero value; add_term is the one place that keeps it so.
@@ -43,19 +39,6 @@ def add_scaled(r, a, c):
     """r += a * c in place, term by term."""
     for k, v in a.items():
         add_term(r, k, v * c)
-
-
-def form_add(a, b):
-    r = dict(a)
-    for k, c in b.items():
-        add_term(r, k, c)
-    return r
-
-
-def form_scale(a, c):
-    if c.is_zero() if isinstance(c, RatFn) else c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 def _pair(a, b):
@@ -115,6 +98,19 @@ CONTACT = "contact"
 ADAPTED = "adapted3x2"
 
 
+def frame_sizes(n, s, N):
+    """The frame layout {level: size}, in level order: dt, the n states at
+    level 0 and the s controls at each level 1..N."""
+    return {-1: 1, 0: n, **{k: s for k in range(1, N + 1)}}
+
+
+def _contact(v, rate):
+    """The contact form dv - rate dt."""
+    w = {v: ONE}
+    add_term(w, T, -rate)
+    return w
+
+
 class Coframe:
     """Truncated coframe of a control system at jet level N."""
 
@@ -124,50 +120,42 @@ class Coframe:
         self.sys = sys_
         self.N = N
         self.kind = kind
-        self.labels = [(-1, 1)]
-        self.elements = {(-1, 1): d_var(T)}
+        self.labels = [(l, i) for l, m in frame_sizes(sys_.n, sys_.s, N).items()
+                       for i in range(1, m + 1)]
+        self.elements = {(-1, 1): {T: ONE}}
         f = sys_.f
         if kind == CONTACT:
             for i in range(1, sys_.n + 1):
-                self.labels.append((0, i))
-                self.elements[(0, i)] = form_add(d_var(X(i)), form_scale(d_var(T), -f[i - 1]))
+                self.elements[(0, i)] = _contact(X(i), f[i - 1])
         elif kind == ADAPTED:
             if sys_.n != 3 or sys_.s != 2:
                 raise NotNormalizedForm("adapted frame needs 3 states, 2 controls")
             if f[0] != RatFn.var(U(1)) or f[1] != RatFn.var(U(2)):
                 raise NotNormalizedForm("adapted frame needs f1 = u1 and f2 = u2")
-            for i in (1, 2):
-                self.labels.append((0, i))
-                self.elements[(0, i)] = form_add(d_var(X(i)), form_scale(d_var(T), -f[i - 1]))
-            w = form_add(d_var(X(3)), form_scale(d_var(T), -f[2]))
+            w = _contact(X(3), f[2])
             for j in (1, 2):
-                fu = f[2].diff(U(j))
-                corr = form_add(d_var(X(j)), form_scale(d_var(T), -RatFn.var(U(j))))
-                w = form_add(w, form_scale(corr, -fu))
-            self.labels.append((0, 3))
+                self.elements[(0, j)] = _contact(X(j), f[j - 1])
+                add_scaled(w, self.elements[(0, j)], -f[2].diff(U(j)))
             self.elements[(0, 3)] = w
         else:
             raise ValueError("unknown frame kind %r" % kind)
         for k in range(1, N + 1):
             for j in range(1, sys_.s + 1):
-                self.labels.append((k, j))
-                self.elements[(k, j)] = form_add(
-                    d_var(U(j, k - 1)), form_scale(d_var(T), -RatFn.var(U(j, k))))
-        # invert by forward substitution: coordinate differential -> frame vector
+                self.elements[(k, j)] = _contact(U(j, k - 1), RatFn.var(U(j, k)))
+        # invert by forward substitution: coordinate differential -> frame
+        # vector; every element's principal differential has coefficient 1
         self._back = {}
         for lab in self.labels:
-            w = self.elements[lab]
-            new_v, new_c = None, None
+            new_v = None
             acc = {lab: ONE}
-            for v, c in w.items():
+            for v, c in self.elements[lab].items():
                 if v in self._back:
                     add_scaled(acc, self._back[v], -c)
                 elif new_v is None:
-                    new_v, new_c = v, c
+                    new_v = v
                 else:
                     raise StructureViolation("frame element %r is not triangular" % (lab,))
-            assert new_v is not None and not new_c.is_zero()
-            self._back[new_v] = form_scale(acc, ONE / new_c)
+            self._back[new_v] = acc
 
     # -- basis conversion ------------------------------------------------
 
@@ -214,26 +202,19 @@ class Coframe:
         failures = []
         wm1 = (-1, 1)
         for i in range(1, self.sys.n + 1):
-            got = self.to_frame2(exterior_d(self.elements[(0, i)]))
-            got = _drop_blocks(got, {0})
-            want = {}
+            diff = _drop_blocks(self.to_frame2(exterior_d(self.elements[(0, i)])), {0})
             if self.kind == CONTACT:
                 for j in range(1, self.sys.s + 1):
-                    c = self.sys.f[i - 1].diff(U(j))
-                    if not c.is_zero():
-                        # -c * w1_j ^ w-1 = +c * w-1 ^ w1_j
-                        want[(wm1, (1, j))] = c
-            else:
-                if i in (1, 2):
-                    want[(wm1, (1, i))] = ONE
-            diff = form_add(got, form_scale(want, -ONE))
+                    # want -c * w1_j ^ w-1 = +c * w-1 ^ w1_j
+                    add_term(diff, (wm1, (1, j)), -self.sys.f[i - 1].diff(U(j)))
+            elif i in (1, 2):
+                add_term(diff, (wm1, (1, i)), -ONE)
             if diff:
                 failures.append(((0, i), _fv2_text(diff)))
         for k in range(1, self.N):
             for j in range(1, self.sys.s + 1):
-                got = self.to_frame2(exterior_d(self.elements[(k, j)]))
-                want = {(wm1, (k + 1, j)): ONE}
-                diff = form_add(got, form_scale(want, -ONE))
+                diff = self.to_frame2(exterior_d(self.elements[(k, j)]))
+                add_term(diff, (wm1, (k + 1, j)), -ONE)
                 if diff:
                     failures.append(((k, j), _fv2_text(diff)))
         return StructureReport(self, failures)

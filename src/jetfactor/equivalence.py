@@ -10,8 +10,8 @@ source system.
 """
 
 from .ratfn import RatFn, T, X, U, ZERO, ONE
-from .coframes import Coframe, CONTACT, ADAPTED, add_term
-from .errors import (DimensionMismatch, DtResidue, StructureViolation,
+from .coframes import Coframe, CONTACT, ADAPTED, add_term, frame_sizes
+from .errors import (JetError, DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction)
 from .jets import generic_rank
 
@@ -300,7 +300,7 @@ def verify_scalar_theorem(m, minv, N=3):
         right = a.block(J + 1, K + J + 2)
         product = [[sum((lv * rv for lv, rv in zip(lr, rc)), ZERO)
                     for rc in zip(*right)] for lr in left]
-    except Exception:
+    except JetError:
         pass
     msg = "s=1 pair verified with orders (%d, %d)" % (J, K)
     if product is not None:
@@ -314,11 +314,12 @@ def verify_scalar_theorem(m, minv, N=3):
 # block matrices
 
 class BlockMatrix:
-    """Sparse matrix over frame labels (level, index), stored per entry."""
+    """Sparse matrix over frame labels (level, index), stored per entry.
 
-    def __init__(self, row_levels, col_levels, row_sizes, col_sizes, meta=None):
-        self.row_levels = list(row_levels)
-        self.col_levels = list(col_levels)
+    Its shape is two ordered {level: size} dicts, rows and columns; the
+    levels are their keys, in order."""
+
+    def __init__(self, row_sizes, col_sizes, meta=None):
         self.row_sizes = dict(row_sizes)
         self.col_sizes = dict(col_sizes)
         self.entries = {}
@@ -326,13 +327,21 @@ class BlockMatrix:
 
     # -- label plumbing ------------------------------------------------
 
+    @property
+    def row_levels(self):
+        return list(self.row_sizes)
+
+    @property
+    def col_levels(self):
+        return list(self.col_sizes)
+
     def row_labels(self):
-        return [(l, i) for l in self.row_levels
-                for i in range(1, self.row_sizes[l] + 1)]
+        return [(l, i) for l, m in self.row_sizes.items()
+                for i in range(1, m + 1)]
 
     def col_labels(self):
-        return [(l, i) for l in self.col_levels
-                for i in range(1, self.col_sizes[l] + 1)]
+        return [(l, i) for l, m in self.col_sizes.items()
+                for i in range(1, m + 1)]
 
     def get(self, r, c):
         return self.entries.get((r, c), ZERO)
@@ -351,25 +360,23 @@ class BlockMatrix:
                 for i in range(1, self.row_sizes[rl] + 1)]
 
     def copy(self):
-        m = BlockMatrix(self.row_levels, self.col_levels, self.row_sizes,
-                        self.col_sizes, self.meta)
+        m = BlockMatrix(self.row_sizes, self.col_sizes, self.meta)
         m.entries = dict(self.entries)
         return m
 
     @staticmethod
-    def identity(levels, sizes):
-        m = BlockMatrix(levels, levels, sizes, sizes)
-        for lab in list(m.row_labels()):
+    def identity(sizes):
+        m = BlockMatrix(sizes, sizes)
+        for lab in m.row_labels():
             m.set(lab, lab, ONE)
         return m
 
     # -- algebra ---------------------------------------------------------
 
     def matmul(self, other):
-        if self.col_levels != other.row_levels or self.col_sizes != other.row_sizes:
+        if list(self.col_sizes.items()) != list(other.row_sizes.items()):
             raise DimensionMismatch("block shapes do not compose")
-        out = BlockMatrix(self.row_levels, other.col_levels,
-                          self.row_sizes, other.col_sizes, self.meta)
+        out = BlockMatrix(self.row_sizes, other.col_sizes, self.meta)
         by_row = {}
         for (r, c), v in self.entries.items():
             by_row.setdefault(r, []).append((c, v))
@@ -383,16 +390,16 @@ class BlockMatrix:
         return out
 
     def transpose(self):
-        out = BlockMatrix(self.col_levels, self.row_levels,
-                          self.col_sizes, self.row_sizes, self.meta)
+        out = BlockMatrix(self.col_sizes, self.row_sizes, self.meta)
         for (r, c), v in self.entries.items():
             out.set(c, r, v)
         return out
 
     def __eq__(self, o):
-        return (isinstance(o, BlockMatrix) and self.row_levels == o.row_levels
-                and self.col_levels == o.col_levels and self.row_sizes == o.row_sizes
-                and self.col_sizes == o.col_sizes and self.entries == o.entries)
+        return (isinstance(o, BlockMatrix)
+                and list(self.row_sizes.items()) == list(o.row_sizes.items())
+                and list(self.col_sizes.items()) == list(o.col_sizes.items())
+                and self.entries == o.entries)
 
     def is_block_lower(self):
         """No nonzero entry strictly above the block diagonal."""
@@ -421,12 +428,6 @@ class BlockMatrix:
             if not v.is_zero():
                 self.set(r, col, c * v)
 
-    def row_swap(self, r1, r2):
-        for col in list(self.col_labels()):
-            a, b = self.get(r1, col), self.get(r2, col)
-            self.set(r1, col, b)
-            self.set(r2, col, a)
-
     def col_add(self, dst, src, c):
         for row in list(self.row_labels()):
             v = self.get(row, src)
@@ -439,29 +440,13 @@ class BlockMatrix:
             if not v.is_zero():
                 self.set(row, c, s * v)
 
-    def col_swap(self, c1, c2):
-        for row in list(self.row_labels()):
-            a, b = self.get(row, c1), self.get(row, c2)
-            self.set(row, c1, b)
-            self.set(row, c2, a)
+    def relabel_rows(self, to):
+        """Row r moves to row to[r] for each key r; to permutes its keys."""
+        self.entries = {(to.get(r, r), c): v for (r, c), v in self.entries.items()}
 
-    def permute_rows(self, level, perm):
-        """perm maps old index -> new index within one row level."""
-        moved = {}
-        for (r, c), v in list(self.entries.items()):
-            if r[0] == level:
-                del self.entries[(r, c)]
-                moved[((level, perm[r[1]]), c)] = v
-        self.entries.update(moved)
-
-    def permute_cols(self, level, perm):
-        """perm maps old index -> new index within one column level."""
-        moved = {}
-        for (r, c), v in list(self.entries.items()):
-            if c[0] == level:
-                del self.entries[(r, c)]
-                moved[(r, (level, perm[c[1]]))] = v
-        self.entries.update(moved)
+    def relabel_cols(self, to):
+        """Column c moves to column to[c] for each key c; to permutes its keys."""
+        self.entries = {(r, to.get(c, c)): v for (r, c), v in self.entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +478,11 @@ def pullback_matrix(m, N=4, strict=True):
     ctx = PullbackContext(m)
 
     A = BlockMatrix(
-        [-1] + list(range(0, N + 1)), [-1] + list(range(0, colN + 1)),
-        {-1: 1, 0: m.tgt.n, **{k: m.tgt.s for k in range(1, N + 1)}},
-        {-1: 1, 0: m.src.n, **{k: m.src.s for k in range(1, colN + 1)}},
+        frame_sizes(m.tgt.n, m.tgt.s, N), frame_sizes(m.src.n, m.src.s, colN),
         meta={"J": J, "N": N, "map": m.name,
               "kind_src": frame_src.kind, "kind_tgt": frame_tgt.kind})
 
     for lab in frame_tgt.labels:
-        if lab[0] > N:
-            continue
         pulled = {}
         for v, c in frame_tgt.elements[lab].items():
             cc = ctx.pull(c) if not c.is_const() else c

@@ -27,7 +27,9 @@ from .ratfn import RatFn, ZERO, ONE, gauss_jordan
 from .errors import (DimensionMismatch, RankMismatch, PivotVanishes,
                      DiagonalDrift, StructureViolation, PatternViolation,
                      TruncationExceeded)
+from .coframes import exterior_d, frame_sizes
 from .equivalence import BlockMatrix, block_rank
+from .jets import generic_rank
 
 
 def build_S(n, N):
@@ -39,11 +41,8 @@ def build_S(n, N):
     (k,1)->(k-1,1) and (k,2)->(k+1,2) for 1 <= k <= N."""
     if n < 2 or N < 2:
         raise DimensionMismatch("shift pattern needs n >= 2 and N >= 2")
-    rows = [-1] + list(range(0, N + 1))
-    cols = [-1] + list(range(0, N + 2))
-    rsz = {-1: 1, 0: n, **{k: 2 for k in range(1, N + 1)}}
-    csz = {-1: 1, 0: n, **{k: 2 for k in range(1, N + 2)}}
-    m = BlockMatrix(rows, cols, rsz, csz, meta={"kind": "shift", "n": n, "N": N})
+    m = BlockMatrix(frame_sizes(n, 2, N), frame_sizes(n, 2, N + 1),
+                    meta={"kind": "shift", "n": n, "N": N})
     m.set((-1, 1), (-1, 1), ONE)
     m.set((0, 1), (1, 2), ONE)
     for i in range(2, n + 1):
@@ -62,7 +61,7 @@ class NonautStatic:
     def __init__(self, mat):
         if not mat.is_block_lower():
             raise StructureViolation("matrix mixes a level into a higher one")
-        if mat.row_levels != mat.col_levels or mat.row_sizes != mat.col_sizes:
+        if list(mat.row_sizes.items()) != list(mat.col_sizes.items()):
             raise DimensionMismatch("coframe change must be square")
         self.mat = mat
         lev = [l for l in mat.row_levels if l >= 1]
@@ -146,8 +145,8 @@ class _Driver:
 
     def __init__(self, A):
         self.W = A.copy()
-        self._g = BlockMatrix.identity(A.row_levels, A.row_sizes)
-        self._G = BlockMatrix.identity(A.col_levels, A.col_sizes)
+        self._g = BlockMatrix.identity(A.row_sizes)
+        self._G = BlockMatrix.identity(A.col_sizes)
         self._pending = []
         self.assumptions = []
         self.ops = []
@@ -183,10 +182,15 @@ class _Driver:
         self.W.row_scale(r, c)
         self._pending.append(lambda: self._g.col_scale(r, ONE / c))
 
+    def _relabel_rows(self, to, text):
+        """Rows r of W move to to[r] (W -> P*W), so g's columns move
+        alike (g -> g*P^-1)."""
+        self.ops.append(text)
+        self.W.relabel_rows(to)
+        self._pending.append(lambda: self._g.relabel_cols(to))
+
     def row_swap(self, a, b):
-        self.ops.append("swap rows %s, %s" % (a, b))
-        self.W.row_swap(a, b)
-        self._pending.append(lambda: self._g.col_swap(a, b))
+        self._relabel_rows({a: b, b: a}, "swap rows %s, %s" % (a, b))
 
     def col_add(self, dst, src, c):
         self.ops.append("col %s += (%s) * col %s" % (dst, c.to_text(), src))
@@ -194,9 +198,12 @@ class _Driver:
         self._pending.append(lambda: self._G.row_add(src, dst, -c))
 
     def col_swap(self, a, b):
+        """Columns a and b of W swap (W -> W*P), and so do G's rows
+        (G -> P^-1*G)."""
+        to = {a: b, b: a}
         self.ops.append("swap cols %s, %s" % (a, b))
-        self.W.col_swap(a, b)
-        self._pending.append(lambda: self._G.row_swap(a, b))
+        self.W.relabel_cols(to)
+        self._pending.append(lambda: self._G.relabel_rows(to))
 
     def clear_by_row(self, r, c, src):
         """Clear W[r, c] by adding a multiple of row src to row r."""
@@ -222,10 +229,9 @@ class _Driver:
             self.clear_by_row(r, (0, j), (0, j))
 
     def permute_block0_rows(self, perm):
-        self.ops.append("permute level-0 rows by %s" %
-                        sorted(perm.items()))
-        self.W.permute_rows(0, perm)
-        self._pending.append(lambda: self._g.permute_cols(0, perm))
+        """perm maps old index -> new index within the level-0 rows."""
+        self._relabel_rows({(0, i): (0, j) for i, j in perm.items()},
+                           "permute level-0 rows by %s" % sorted(perm.items()))
 
 
 def factor_JK0(A, seed=0):
@@ -404,16 +410,15 @@ def factor_JK0(A, seed=0):
     return Factorization(g, S, G, d.assumptions, ops=d.ops)
 
 
-def _gnice_matrix(levels, sizes, p0, p1, q):
-    m = BlockMatrix(list(levels), list(levels), dict(sizes), dict(sizes),
-                    meta={"kind": "gnice"})
+def _gnice_matrix(sizes, p0, p1, q):
+    m = BlockMatrix(sizes, sizes, meta={"kind": "gnice"})
     m.set((-1, 1), (-1, 1), ONE)
     n = sizes[0]
     for i in range(1, n + 1):
         m.set((0, i), (0, i), ONE)
     if not p0.is_zero():
         m.set((0, 2), (0, 1), p0)
-    top = max(levels)
+    top = max(sizes)
     for k in range(1, top + 1):
         m.set((k, 1), (k, 1), ONE)
         m.set((k, 2), (k, 2), ONE)
@@ -481,8 +486,7 @@ def _canonicalize(A, S, assumptions, ops=()):
                 af = form(x, r)
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
-    maxrow = max(l for l in A.row_levels)
-    for k in range(2, maxrow + 1):
+    for k in range(2, max(A.row_sizes) + 1):
         for a in (1, 2):
             for b in (1, 2):
                 hi = form((k, a), (k, b))
@@ -501,10 +505,8 @@ def _canonicalize(A, S, assumptions, ops=()):
         vals[col] = row[3]
     p0, p1, q = vals
 
-    Gmat = _gnice_matrix(A.col_levels, A.col_sizes, p0, p1, q)
-    gmat = BlockMatrix(list(A.row_levels), list(A.row_levels),
-                       dict(A.row_sizes), dict(A.row_sizes),
-                       meta={"kind": "left-factor"})
+    Gmat = _gnice_matrix(A.col_sizes, p0, p1, q)
+    gmat = BlockMatrix(A.row_sizes, A.row_sizes, meta={"kind": "left-factor"})
     for x in rows:
         for r in rows:
             base, c0, c1, c2 = form(x, r)
@@ -546,9 +548,6 @@ def validate_nonaut_static(ns, frame):
     invariant fails, StructureViolation when the shape is not block-lower,
     DimensionMismatch when it is not square (the NonautStatic checks).
     """
-    from .coframes import exterior_d
-    from .jets import generic_rank
-
     mat = ns.mat if isinstance(ns, NonautStatic) else ns
     NonautStatic(mat)
     if mat.get((-1, 1), (-1, 1)) != ONE:
@@ -621,7 +620,7 @@ def check_gnice(G):
     p1 = mat.get((1, 2), (0, 1))
     q = (mat.get((2, 2), (1, 1)) - p1) if M >= 2 else ZERO
 
-    want = _gnice_matrix(mat.row_levels, mat.row_sizes, p0, p1, q).entries
+    want = _gnice_matrix(mat.row_sizes, p0, p1, q).entries
     for key in sorted(set(mat.entries) | set(want)):
         a = mat.entries.get(key, ZERO)
         b = want.get(key, ZERO)

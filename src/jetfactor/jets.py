@@ -215,6 +215,9 @@ def prolong_partial(sys_, promote):
 # ---------------------------------------------------------------------------
 # generic-point sampling
 
+TRIALS = 5    # sample points per generic evaluation
+
+
 def sample_point(vars_, rng):
     """Random integer point in [-99, 99] avoiding 0 (poles love 0)."""
     pt = {}
@@ -226,10 +229,10 @@ def sample_point(vars_, rng):
     return pt
 
 
-def sample_points(exprs, seed=0, trials=5):
-    """Yield (point, values of exprs there) for `trials` seeded integer
+def sample_points(exprs, seed=0):
+    """Yield (point, values of exprs there) for TRIALS seeded integer
     points over the variables of exprs, skipping the poles of any of them;
-    raises DegenerateSystem after 20 * trials draws without enough.  Each
+    raises DegenerateSystem after 20 * TRIALS draws without enough.  Each
     value is the exact pair (n, d) of RatFn.eval_pair.  A constant has no
     pole, no variables and one value, so its pair is computed once, before
     the draws ((0, 1) for zero, without evaluating), and the points range
@@ -241,7 +244,7 @@ def sample_points(exprs, seed=0, trials=5):
     vars_ = set().union(*(e.vars() for _, e in live))
     rng = random.Random(seed)
     got = 0
-    for _ in range(20 * trials):
+    for _ in range(20 * TRIALS):
         pt = sample_point(vars_, rng)
         vals = fixed[:]
         try:
@@ -251,13 +254,13 @@ def sample_points(exprs, seed=0, trials=5):
             continue
         yield pt, vals
         got += 1
-        if got == trials:
+        if got == TRIALS:
             return
-    raise DegenerateSystem("could not find %d valid sample points" % trials)
+    raise DegenerateSystem("could not find %d valid sample points" % TRIALS)
 
 
-def generic_rank(rows, seed=0, trials=5):
-    """Max rank of a RatFn matrix over `trials` random integer points.
+def generic_rank(rows, seed=0):
+    """Max rank of a RatFn matrix over TRIALS random integer points.
 
     The result is a lower bound on the rank over the rational functions,
     exact once it reaches min(rows, cols).  A point reads a lower rank only
@@ -270,7 +273,7 @@ def generic_rank(rows, seed=0, trials=5):
         return 0
     width = len(rows[0])
     best = 0
-    for _, vals in sample_points([e for r in rows for e in r], seed, trials):
+    for _, vals in sample_points([e for r in rows for e in r], seed):
         m = [cleared(vals[i:i + width]) for i in range(0, len(vals), width)]
         best = max(best, len(int_echelon([], m)))
         if best == min(len(rows), width):

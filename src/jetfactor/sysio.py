@@ -581,7 +581,7 @@ def _matrix(p):
     if "rows" not in sizes or "cols" not in sizes:
         raise SemanticError("matrix needs rows and cols declarations")
     rows, cols = sizes["rows"], sizes["cols"]
-    m = BlockMatrix(list(rows), list(cols), rows, cols, meta=meta)
+    m = BlockMatrix(rows, cols, meta=meta)
     declared = set()
     for key, rl, cl, data in blocks:
         if (rl, cl) in declared:
@@ -696,23 +696,13 @@ def serialize(value):
 
 
 def _ser_system(s):
-    lines = ["system {",
-             "  states = %d" % s.n,
-             "  controls = %d" % s.s]
-    for i, f in enumerate(s.f):
-        lines.append("  f%d = %s" % (i + 1, f.to_text()))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return serialize_report("system", [("states", s.n), ("controls", s.s)] + [
+        ("f%d" % (i + 1), f) for i, f in enumerate(s.f)])
 
 
 def _ser_map(m):
-    lines = ["map {"]
-    for i, e in enumerate(m.y):
-        lines.append("  y%d = %s" % (i + 1, e.to_text()))
-    for j, e in enumerate(m.v):
-        lines.append("  v%d = %s" % (j + 1, e.to_text()))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return serialize_report("map", [("y%d" % (i + 1), e) for i, e in enumerate(m.y)]
+                            + [("v%d" % (j + 1), e) for j, e in enumerate(m.v)])
 
 
 def _meta_text(v):
@@ -731,9 +721,9 @@ def _meta_text(v):
 def _ser_matrix(m):
     lines = ["matrix {"]
     lines.append("  rows = (%s)" % ", ".join(
-        "(%d, %d)" % (l, m.row_sizes[l]) for l in m.row_levels))
+        "(%d, %d)" % lm for lm in m.row_sizes.items()))
     lines.append("  cols = (%s)" % ", ".join(
-        "(%d, %d)" % (l, m.col_sizes[l]) for l in m.col_levels))
+        "(%d, %d)" % lm for lm in m.col_sizes.items()))
     for k in sorted(m.meta):
         lines.append("  meta %s = %s" % (k, _meta_text(m.meta[k])))
     for rl in m.row_levels:

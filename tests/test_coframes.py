@@ -7,7 +7,7 @@ import pytest
 from jetfactor import (Coframe, ControlSystem, RatFn, T, U, X, ZERO, ONE,
                        adapted_coframe_3x2, contact_coframe, elkin_forms_32,
                        exterior_d, wedge)
-from jetfactor.coframes import d_var, exterior_d2, form_add, form_scale
+from jetfactor.coframes import add_term, exterior_d2
 from jetfactor.errors import (NotNormalizedForm, StructureViolation,
                               TruncationExceeded)
 
@@ -22,6 +22,21 @@ def sigma():
 def d_of(h):
     """The exact one-form dh of a function h."""
     return {v: h.diff(v) for v in h.vars()}
+
+
+def d_var(v):
+    return {v: ONE}
+
+
+def form_add(a, b):
+    r = dict(a)
+    for k, c in b.items():
+        add_term(r, k, c)
+    return r
+
+
+def form_scale(a, c):
+    return {k: v * c for k, v in a.items()}
 
 
 # --- raw form arithmetic ----------------------------------------------------

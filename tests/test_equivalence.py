@@ -12,9 +12,10 @@ from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
                        random_nonaut_static_pair, random_static_transform,
                        verify_forward, verify_inverse, verify_pair,
                        verify_scalar_theorem)
+from jetfactor import equivalence
 from jetfactor.equivalence import PullbackContext, _forward_residuals
 from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
-                              StructureViolation)
+                              ScalarContradiction, StructureViolation)
 from jetfactor.ratfn import gauss_jordan
 from jetfactor.sysio import serialize
 
@@ -507,8 +508,7 @@ def full_inverse(m):
         a[idx[r]][idx[c]] = v
     if len(gauss_jordan(a, n)) < n:
         raise StructureViolation("matrix is singular; cannot invert")
-    out = BlockMatrix(m.row_levels, m.col_levels,
-                      m.row_sizes, m.col_sizes, m.meta)
+    out = BlockMatrix(m.row_sizes, m.col_sizes, m.meta)
     for i, r in enumerate(labels):
         for j, c in enumerate(labels):
             out.set(r, c, a[i][n + j])
@@ -516,7 +516,7 @@ def full_inverse(m):
 
 
 def square(vals):
-    m = BlockMatrix([0], [0], {0: 2}, {0: 2})
+    m = BlockMatrix({0: 2}, {0: 2})
     for i in (1, 2):
         for j in (1, 2):
             m.set((0, i), (0, j), vals[i - 1][j - 1])
@@ -526,7 +526,7 @@ def square(vals):
 def test_block_matrix_algebra():
     a = square([[ONE, x1], [ZERO, ONE]])
     b = square([[ONE, -x1], [ZERO, ONE]])
-    eye = BlockMatrix.identity([0], {0: 2})
+    eye = BlockMatrix.identity({0: 2})
     assert a.matmul(b) == eye
     assert full_inverse(a) == b
     assert a.transpose().get((0, 2), (0, 1)) == x1
@@ -542,7 +542,7 @@ def test_block_matrix_singular_inverse():
 
 def test_block_matrix_shape_errors():
     a = square([[ONE, ZERO], [ZERO, ONE]])
-    tall = BlockMatrix([0], [-1, 0], {0: 2}, {-1: 1, 0: 2})
+    tall = BlockMatrix({0: 2}, {-1: 1, 0: 2})
     with pytest.raises(DimensionMismatch):
         tall.matmul(a)
     with pytest.raises(DimensionMismatch):
@@ -593,3 +593,38 @@ def test_scalar_check_on_a_non_pair_says_so():
     rep = verify_scalar_theorem(broken, back, N=3)
     assert not rep.ok
     assert any("nothing to conclude" in n for n in rep.notes)
+
+
+def _passing_order_zero_pair(monkeypatch):
+    """A single-control map of order J = 0 and a static one back, with
+    verify_pair stubbed to pass them: no such pair verifies, so this is
+    the only way to reach the contradiction product."""
+    sys_ = chain2()
+    x2 = RatFn.var(X(2))
+    monkeypatch.setattr(equivalence, "verify_pair", lambda m, minv, N: (
+        VerificationReport(True, True, m.order(), minv.order(), [], {})))
+    return (EquivMap(sys_, sys_, (x1 + u1, x2), (u1,)),
+            EquivMap(sys_, sys_, (x1, x2), (u1,)))
+
+
+def test_scalar_check_lets_a_programming_error_through(monkeypatch):
+    m, minv = _passing_order_zero_pair(monkeypatch)
+
+    def broken(m, N=4, strict=True):
+        raise TypeError("a bug in the pullback")
+
+    monkeypatch.setattr(equivalence, "pullback_matrix", broken)
+    with pytest.raises(TypeError, match="a bug in the pullback"):
+        verify_scalar_theorem(m, minv)
+
+
+def test_scalar_check_without_a_product_still_contradicts(monkeypatch):
+    m, minv = _passing_order_zero_pair(monkeypatch)
+
+    def refused(m, N=4, strict=True):
+        raise DtResidue("pullback keeps a dt component")
+
+    monkeypatch.setattr(equivalence, "pullback_matrix", refused)
+    with pytest.raises(ScalarContradiction) as err:
+        verify_scalar_theorem(m, minv)
+    assert str(err.value) == "s=1 pair verified with orders (0, -1)"

@@ -52,7 +52,7 @@ def test_shift_pattern_layout():
 
 def test_shift_times_its_transpose_is_identity():
     S = build_S(3, 4)
-    eye = BlockMatrix.identity(S.row_levels, S.row_sizes)
+    eye = BlockMatrix.identity(S.row_sizes)
     assert S.matmul(S.transpose()) == eye
 
 
@@ -116,6 +116,31 @@ def test_factor_phi_left_factor_shape():
     # control-level diagonal blocks all agree (here: u2 on the first slot)
     assert g.block(1, 1) == [[u2, ZERO], [ZERO, ONE]]
     assert g.block(3, 3) == g.block(1, 1)
+
+
+def test_phi_right_factor_reaching_the_display_entry():
+    # a right factor outside the narrow pattern whose left factor holds
+    # the displayed entry -x1*u2' - u1 at (2,1) -> (0,1); G = I + E with
+    # E^2 = 0, so G^-1 = 2I - G, and g = A * G^-1 * S^T
+    A = pullback_matrix(PHI, N=4)
+    S = build_S(3, 4)
+    G = BlockMatrix.identity(A.col_sizes)
+    G.set((2, 2), (1, 2), (x1 * du(2, 1) + 2 * u1) / x1)
+    Ginv = BlockMatrix.identity(A.col_sizes)
+    Ginv.set((2, 2), (1, 2), ZERO - G.get((2, 2), (1, 2)))
+    assert G.matmul(Ginv) == BlockMatrix.identity(A.col_sizes)
+    g = A.matmul(Ginv).matmul(S.transpose())
+    assert g.matmul(S).matmul(G) == A
+    NonautStatic(g)
+    NonautStatic(G)
+    assert g.get((2, 1), (0, 1)) == ZERO - x1 * du(2, 1) - u1
+    with pytest.raises(PatternViolation, match=r"entry \(2, 2\) -> \(1, 2\)"):
+        check_gnice(G)
+    frozen = factor_JK0(A).g.mat
+    moved = {k for k in set(g.entries) | set(frozen.entries)
+             if g.get(*k) != frozen.get(*k)}
+    assert moved == {((1, 2), (0, 1)), ((2, 1), (0, 1)), ((3, 1), (0, 1)),
+                     ((4, 1), (0, 1))}
 
 
 def test_factor_psi():
@@ -185,8 +210,8 @@ def _replay(rng, A, steps):
     """Random elementary operations through _Driver, each also applied to
     L (rows) or R (columns); asserts g * W * G == A after every step."""
     d = _Driver(A)
-    L = BlockMatrix.identity(A.row_levels, A.row_sizes)
-    R = BlockMatrix.identity(A.col_levels, A.col_sizes)
+    L = BlockMatrix.identity(A.row_sizes)
+    R = BlockMatrix.identity(A.col_sizes)
     rows, cols = A.row_labels(), A.col_labels()
     n = A.row_sizes[0]
     for _ in range(steps):
@@ -204,12 +229,12 @@ def _replay(rng, A, steps):
         elif op == "row_swap":
             a, b = rng.sample(rows, 2)
             d.row_swap(a, b)
-            L.row_swap(a, b)
+            L.relabel_rows({a: b, b: a})
         elif op == "permute":
             new = rng.sample(range(1, n + 1), n)
             perm = {i + 1: j for i, j in enumerate(new)}
             d.permute_block0_rows(perm)
-            L.permute_rows(0, perm)
+            L.relabel_rows({(0, i): (0, j) for i, j in perm.items()})
         elif op == "col_add":
             dst, src = rng.sample(cols, 2)
             d.col_add(dst, src, c)
@@ -217,9 +242,52 @@ def _replay(rng, A, steps):
         else:
             a, b = rng.sample(cols, 2)
             d.col_swap(a, b)
-            R.col_swap(a, b)
+            R.relabel_cols({a: b, b: a})
         assert d.g.matmul(d.W).matmul(d.G) == A, d.ops[-1]
     return d, L, R
+
+
+def _permutation(to, sizes):
+    """The permutation matrix P with P[to[r], r] = 1, set entry by entry."""
+    P = BlockMatrix(sizes, sizes)
+    for lab in P.row_labels():
+        P.set(to.get(lab, lab), lab, ONE)
+    return P
+
+
+def _relabelings(rng, labels, empty):
+    """Label permutations: a cross-level swap, one that moves the line
+    with no entries, the level-0 rotation and a shuffle of every label."""
+    a, b = rng.sample(labels, 2)
+    while a[0] == b[0]:
+        a, b = rng.sample(labels, 2)
+    c = rng.choice([lab for lab in labels if lab[0] != empty[0]])
+    n = sum(lab[0] == 0 for lab in labels)
+    p = rng.randint(2, n)
+    return [{a: b, b: a}, {empty: c, c: empty},
+            {(0, i): (0, (i - p) % n + 1) for i in range(1, n + 1)},
+            dict(zip(labels, rng.sample(labels, len(labels))))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabeling_multiplies_by_a_permutation(seed):
+    rng = random.Random(seed)
+    M = pullback_matrix(PHI, N=2)
+    rows, cols = M.row_labels(), M.col_labels()
+    empty_row, empty_col = rng.choice(rows), rng.choice(cols)
+    for c in cols:
+        M.set(empty_row, c, ZERO)
+    for r in rows:
+        M.set(r, empty_col, ZERO)
+    assert all(empty_row != r and empty_col != c for r, c in M.entries)
+    for to in _relabelings(rng, rows, empty_row):
+        got = M.copy()
+        got.relabel_rows(to)
+        assert got == _permutation(to, M.row_sizes).matmul(M), to
+    for to in _relabelings(rng, cols, empty_col):
+        got = M.copy()
+        got.relabel_cols(to)
+        assert got == M.matmul(_permutation(to, M.col_sizes).transpose()), to
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -302,9 +370,7 @@ def test_factorizations_are_frozen():
 
 def lower_change(drift=False):
     """A small hand-made block-lower change over levels -1..2."""
-    levels = [-1, 0, 1, 2]
-    sizes = {-1: 1, 0: 3, 1: 2, 2: 2}
-    m = BlockMatrix.identity(levels, sizes)
+    m = BlockMatrix.identity({-1: 1, 0: 3, 1: 2, 2: 2})
     m.set((0, 2), (0, 1), x1)
     if drift:
         m.set((2, 1), (2, 1), RatFn.const(5))  # breaks diagonal equality
@@ -366,9 +432,7 @@ def test_validator_flags_an_unabsorbable_residue():
 
 
 def gnice_matrix(p0, p1, q, M=3):
-    levels = [-1] + list(range(0, M + 1))
-    sizes = {-1: 1, 0: 3, **{k: 2 for k in range(1, M + 1)}}
-    m = BlockMatrix.identity(levels, sizes)
+    m = BlockMatrix.identity({-1: 1, 0: 3, **{k: 2 for k in range(1, M + 1)}})
     m.set((0, 2), (0, 1), p0)
     m.set((1, 2), (0, 1), p1)
     for k in range(1, M + 1):
@@ -386,7 +450,7 @@ def test_gnice_round_trip():
 
 
 def test_gnice_identity():
-    eye = BlockMatrix.identity([-1, 0, 1, 2], {-1: 1, 0: 3, 1: 2, 2: 2})
+    eye = BlockMatrix.identity({-1: 1, 0: 3, 1: 2, 2: 2})
     assert check_gnice(eye) == GnicePattern(ZERO, ZERO, ZERO)
 
 
@@ -406,4 +470,4 @@ def test_gnice_rejects_distorted_progression():
 
 def test_gnice_needs_the_3x2_shape():
     with pytest.raises(DimensionMismatch):
-        check_gnice(BlockMatrix.identity([-1, 0, 1], {-1: 1, 0: 2, 1: 1}))
+        check_gnice(BlockMatrix.identity({-1: 1, 0: 2, 1: 1}))

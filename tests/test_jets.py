@@ -11,6 +11,7 @@ from jetfactor import (AffineForm, ControlSystem, ONE, RatFn, T, U,
                        sample_point, to_affine)
 from jetfactor.errors import (DegenerateSystem, DenominatorZero,
                               DimensionMismatch, EmptyPromotionSet, NotAffine)
+from jetfactor import jets
 from jetfactor.jets import sample_points
 from test_classify import RATIONAL_SIGNATURES, SIGNATURES, sysn
 
@@ -382,7 +383,7 @@ def _drawn(points):
     return out, False
 
 
-def test_sample_points_matches_the_per_draw_loop():
+def test_sample_points_matches_the_per_draw_loop(monkeypatch):
     # constants take their pair once, before the draws; the points, the
     # values, the skipped poles and DegenerateSystem are the loop's
     def linear_factors(skip):
@@ -405,10 +406,11 @@ def test_sample_points_matches_the_per_draw_loop():
              (consts + [rare] + polys, 5), ([rare] + consts, 1)]
     skipped = raised_after_some = 0
     for exprs, trials in cases:
+        monkeypatch.setattr(jets, "TRIALS", trials)
         vars_ = set().union(*(e.vars() for e in exprs))
         for seed in range(6):
             want = _drawn(_sample_points_per_draw(exprs, seed, trials))
-            assert _drawn(sample_points(exprs, seed, trials)) == want
+            assert _drawn(sample_points(exprs, seed)) == want
             rng = random.Random(seed)
             first = [sample_point(vars_, rng) for _ in want[0]]
             skipped += [pt for pt, _ in want[0]] != first
