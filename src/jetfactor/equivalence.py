@@ -417,25 +417,25 @@ class BlockMatrix:
     # -- in-place elementary ops (used by the factorizer) ----------------
 
     def row_add(self, dst, src, c):
-        for col in list(self.col_labels()):
+        for col in self.col_labels():
             v = self.get(src, col)
             if not v.is_zero():
                 add_term(self.entries, (dst, col), c * v)
 
     def row_scale(self, r, c):
-        for col in list(self.col_labels()):
+        for col in self.col_labels():
             v = self.get(r, col)
             if not v.is_zero():
                 self.set(r, col, c * v)
 
     def col_add(self, dst, src, c):
-        for row in list(self.row_labels()):
+        for row in self.row_labels():
             v = self.get(row, src)
             if not v.is_zero():
                 add_term(self.entries, (row, dst), c * v)
 
     def col_scale(self, c, s):
-        for row in list(self.row_labels()):
+        for row in self.row_labels():
             v = self.get(row, c)
             if not v.is_zero():
                 self.set(row, c, s * v)

@@ -19,8 +19,9 @@ normalized class.
 
 Each returned factorization has its product checked against A: the raw
 factors' g * S * G == A, or the narrow ones' on the truncation interior.
-Every division performed along the way is recorded as a nonvanishing
-assumption.
+The product is computed once and held by the factorization, so a caller's
+own check reads the product that was checked.  Every division performed
+along the way is recorded as a nonvanishing assumption.
 """
 
 from .ratfn import RatFn, ZERO, ONE, gauss_jordan
@@ -79,12 +80,22 @@ class NonautStatic:
         return self.mat.block(rl, cl)
 
 
+def _render(op):
+    fmt, args = op
+    return fmt % tuple(a.to_text() if isinstance(a, RatFn) else a
+                       for a in args)
+
+
 class Factorization:
     """Result of factor_JK0.
 
     edge_cols lists the columns at the top of the truncation whose entries
     would need data beyond the truncation to reproduce; product comparison
     skips them (they are empty for the raw elimination path).
+
+    ops are (format, arguments) records, rendered to text when read.  The
+    factors are not mutated after construction: the NonautStatic checks
+    and the held product both hold only for the factors as built.
     """
 
     def __init__(self, g, S, G, assumptions, edge_cols=(), ops=()):
@@ -93,10 +104,18 @@ class Factorization:
         self.G = G
         self.assumptions = list(assumptions)
         self.edge_cols = tuple(edge_cols)
-        self.ops = list(ops)
+        self._ops = list(ops)
+        self._product = None
+
+    @property
+    def ops(self):
+        return [_render(op) for op in self._ops]
 
     def product(self):
-        return self.g.mat.matmul(self.S).matmul(self.G.mat)
+        """g * S * G, multiplied out on the first call and held."""
+        if self._product is None:
+            self._product = self.g.mat.matmul(self.S).matmul(self.G.mat)
+        return self._product
 
     def matches(self, A):
         """Exact product reconstruction on the truncation interior."""
@@ -140,7 +159,9 @@ class _Driver:
     pattern S, g and G are the factors.
 
     The operations on g and G wait in one list until either is read, so
-    an elimination whose factors are never read never builds them.
+    an elimination whose factors are never read never builds them.  Each
+    operation's text waits too, as a format and its arguments, until ops
+    is read.
     """
 
     def __init__(self, A):
@@ -149,7 +170,11 @@ class _Driver:
         self._G = BlockMatrix.identity(A.col_sizes)
         self._pending = []
         self.assumptions = []
-        self.ops = []
+        self._ops = []
+
+    @property
+    def ops(self):
+        return [_render(op) for op in self._ops]
 
     def _flush(self):
         for op in self._pending:
@@ -173,27 +198,27 @@ class _Driver:
                 self.assumptions.append(t)
 
     def row_add(self, dst, src, c):
-        self.ops.append("row %s += (%s) * row %s" % (dst, c.to_text(), src))
+        self._ops.append(("row %s += (%s) * row %s", (dst, c, src)))
         self.W.row_add(dst, src, c)
         self._pending.append(lambda: self._g.col_add(src, dst, -c))
 
     def row_scale(self, r, c):
-        self.ops.append("row %s *= %s" % (r, c.to_text()))
+        self._ops.append(("row %s *= %s", (r, c)))
         self.W.row_scale(r, c)
         self._pending.append(lambda: self._g.col_scale(r, ONE / c))
 
-    def _relabel_rows(self, to, text):
+    def _relabel_rows(self, to, op):
         """Rows r of W move to to[r] (W -> P*W), so g's columns move
         alike (g -> g*P^-1)."""
-        self.ops.append(text)
+        self._ops.append(op)
         self.W.relabel_rows(to)
         self._pending.append(lambda: self._g.relabel_cols(to))
 
     def row_swap(self, a, b):
-        self._relabel_rows({a: b, b: a}, "swap rows %s, %s" % (a, b))
+        self._relabel_rows({a: b, b: a}, ("swap rows %s, %s", (a, b)))
 
     def col_add(self, dst, src, c):
-        self.ops.append("col %s += (%s) * col %s" % (dst, c.to_text(), src))
+        self._ops.append(("col %s += (%s) * col %s", (dst, c, src)))
         self.W.col_add(dst, src, c)
         self._pending.append(lambda: self._G.row_add(src, dst, -c))
 
@@ -201,7 +226,7 @@ class _Driver:
         """Columns a and b of W swap (W -> W*P), and so do G's rows
         (G -> P^-1*G)."""
         to = {a: b, b: a}
-        self.ops.append("swap cols %s, %s" % (a, b))
+        self._ops.append(("swap cols %s, %s", (a, b)))
         self.W.relabel_cols(to)
         self._pending.append(lambda: self._G.relabel_rows(to))
 
@@ -209,13 +234,13 @@ class _Driver:
         """Clear W[r, c] by adding a multiple of row src to row r."""
         w = self.W.get(r, c)
         if not w.is_zero():
-            self.row_add(r, src, ZERO - w)
+            self.row_add(r, src, -w)
 
     def clear_by_col(self, r, c, src):
         """Clear W[r, c] by adding a multiple of column src to column c."""
         w = self.W.get(r, c)
         if not w.is_zero():
-            self.col_add(c, src, ZERO - w)
+            self.col_add(c, src, -w)
 
     def clear_control_row(self, r, i, n):
         """Stage B: clear row r at control level i out of the second-column
@@ -231,7 +256,8 @@ class _Driver:
     def permute_block0_rows(self, perm):
         """perm maps old index -> new index within the level-0 rows."""
         self._relabel_rows({(0, i): (0, j) for i, j in perm.items()},
-                           "permute level-0 rows by %s" % sorted(perm.items()))
+                           ("permute level-0 rows by %s",
+                            (sorted(perm.items()),)))
 
 
 def factor_JK0(A, seed=0):
@@ -288,7 +314,7 @@ def factor_JK0(A, seed=0):
             d.col_swap((k, 1), (k, 2))
         alpha, beta = W.get((0, 1), (1, 1)), W.get((0, 1), (1, 2))
     if not alpha.is_zero():
-        shear = ZERO - alpha / beta
+        shear = -(alpha / beta)
         d.note(beta)
         for k in range(1, colN + 1):
             d.col_add((k, 1), (k, 2), shear)
@@ -350,7 +376,7 @@ def factor_JK0(A, seed=0):
         b_, e_ = W.get((1, 1), (2, 2)), W.get((1, 2), (2, 2))
     if not b_.is_zero():
         d.note(e_)
-        mix = ZERO - b_ / e_
+        mix = -(b_ / e_)
         for k in range(1, N + 1):
             d.row_add((k, 1), (k, 2), mix)
     if e_ != ONE:
@@ -399,15 +425,14 @@ def factor_JK0(A, seed=0):
         raise StructureViolation("reduction did not reach the shift pattern; "
                                  "mismatched entries at %s" % (extra[:6],))
     if n == 3:
-        canon = _canonicalize(A, S, d.assumptions, d.ops)
+        canon = _canonicalize(A, S, d.assumptions, d._ops)
         if canon is not None:
             return canon
-    g = NonautStatic(d.g)
-    G = NonautStatic(d.G)
-    product = g.mat.matmul(S).matmul(G.mat)
-    if not (product.entries == A.entries):
+    fac = Factorization(NonautStatic(d.g), S, NonautStatic(d.G),
+                        d.assumptions, ops=d._ops)
+    if fac.product().entries != A.entries:
         raise StructureViolation("product of the factors does not reproduce the input")
-    return Factorization(g, S, G, d.assumptions, ops=d.ops)
+    return fac
 
 
 def _gnice_matrix(sizes, p0, p1, q):
@@ -455,43 +480,47 @@ def _canonicalize(A, S, assumptions, ops=()):
     rows = A.row_labels()
 
     def affine(x, r):
-        # (base, coeff of p0, coeff of p1, coeff of q)
+        # (base, coeff of p0, coeff of p1, coeff of q), or None when every
+        # entry of A it reads is zero: then every part of the form is zero
         k, j = r
         if k == -1:
-            return (A.get(x, (-1, 1)), ZERO, ZERO, ZERO)
-        if k == 0:
+            base = A.get(x, (-1, 1))
+        elif k == 0:
             base = A.get(x, (1, 2)) if j == 1 else A.get(x, (0, j))
-            return (base, ZERO, ZERO, ZERO)
-        if j == 1:
+        elif j == 2:
+            base = A.get(x, (k + 1, 2))
+        else:
+            base = A.get(x, (k - 1, 1))
             prev2 = A.get(x, (k - 1, 2))
             nxt2 = A.get(x, (k, 2))
-            return (A.get(x, (k - 1, 1)), ZERO - prev2, ZERO - nxt2,
-                    ZERO - RatFn.const(k - 1) * nxt2)
-        return (A.get(x, (k + 1, 2)), ZERO, ZERO, ZERO)
+            if base.is_zero() and prev2.is_zero() and nxt2.is_zero():
+                return None
+            return (base, -prev2, -nxt2, -(RatFn.const(k - 1) * nxt2))
+        return None if base.is_zero() else (base, ZERO, ZERO, ZERO)
 
     # each pair's form, built the first time the system or g reads it: an
     # inconsistent system stops before the lower pairs are formed
     aff = {}
 
     def form(x, r):
-        f = aff.get((x, r))
-        if f is None:
-            f = aff[x, r] = affine(x, r)
-        return f
+        if (x, r) not in aff:
+            aff[x, r] = affine(x, r)
+        return aff[x, r]
 
+    zero = (ZERO, ZERO, ZERO, ZERO)
     eqs = []
     for x in rows:
         for r in rows:
             if x[0] < r[0]:
                 af = form(x, r)
-                if any(not t.is_zero() for t in af):
+                if af is not None:
                     eqs.append(af)
     for k in range(2, max(A.row_sizes) + 1):
         for a in (1, 2):
             for b in (1, 2):
                 hi = form((k, a), (k, b))
                 lo = form((1, a), (1, b))
-                af = tuple(h - l for h, l in zip(hi, lo))
+                af = tuple(h - l for h, l in zip(hi or zero, lo or zero))
                 if any(not t.is_zero() for t in af):
                     eqs.append(af)
 
@@ -509,7 +538,10 @@ def _canonicalize(A, S, assumptions, ops=()):
     gmat = BlockMatrix(A.row_sizes, A.row_sizes, meta={"kind": "left-factor"})
     for x in rows:
         for r in rows:
-            base, c0, c1, c2 = form(x, r)
+            af = form(x, r)
+            if af is None:
+                continue
+            base, c0, c1, c2 = af
             val = base + c0 * p0 + c1 * p1 + c2 * q
             if not val.is_zero():
                 gmat.set(x, r, val)
@@ -521,10 +553,9 @@ def _canonicalize(A, S, assumptions, ops=()):
     except (StructureViolation, DiagonalDrift):
         return None
     fac = Factorization(g, S, G, assumptions, edge_cols=edge,
-                        ops=list(ops) + ["solve right factor onto the narrow "
-                                         "pattern: p0=%s p1=%s q=%s"
-                                         % (p0.to_text(), p1.to_text(),
-                                            q.to_text())])
+                        ops=list(ops) + [("solve right factor onto the narrow "
+                                          "pattern: p0=%s p1=%s q=%s",
+                                          (p0, p1, q))])
     if not fac.matches(A):
         return None
     return fac

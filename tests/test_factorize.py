@@ -290,11 +290,26 @@ def test_relabeling_multiplies_by_a_permutation(seed):
         assert got == M.matmul(_permutation(to, M.col_sizes).transpose()), to
 
 
+def _digest(ops):
+    return hashlib.sha256("\n".join(ops).encode()).hexdigest()
+
+
+# SHA-256 of the replay's op texts joined by newlines, recorded when the
+# driver rendered each op's text as it recorded the op
+_REPLAY_OPS = [
+    "0c3e36946be22c475219999e4d3a4ff2d424113804ffec59b9e64db1b65fdfe2",
+    "0fc7fe8f1f389a6f7a2f36d2034e97d82fbc5b50915dbaef2caaff2b08d2f98a",
+    "e3e6cf944be31b56a6463a215c04a2be64331a1d3dd08c393e879a42210f1805",
+    "a20b3d21c5fd26c83472daaa0a412aabead894808a4103c68ff1f8add0d91d21",
+]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_driver_keeps_g_W_G_equal_to_A(seed):
     rng = random.Random(seed)
     A = pullback_matrix(rng.choice([PHI, PSI, THETA]), N=2)
     d, L, R = _replay(rng, A, 24)
+    assert _digest(d.ops) == _REPLAY_OPS[seed]
     assert d.W == L.matmul(A).matmul(R)
     # the carried factors are the inverses of the accumulated products
     assert d.g == full_inverse(L)
@@ -332,6 +347,93 @@ def test_canonical_path_applies_no_carried_operation(monkeypatch):
     assert sum(applied) > 0
 
 
+# (op count, SHA-256 of the op texts joined by newlines) at N = 4 for the
+# factorization and for the driver behind it, recorded when the driver
+# rendered each op's text as it recorded the op
+_OPS_AT_4 = {
+    "phi": ((26, "5d2cedc8c890dadf6b80984fb8a61c689ccfc900141a88b78b46c75dbcc387f1"),
+            (25, "cbc34e21b989518910d65bb5f3bc087ef060d36b436ec244042f6826ecd9e93b")),
+    "psi": ((26, "5f1f04fe285bbd22c68a501afa1b744db1740462a6cf727428087946a124a83e"),
+            (25, "958d8c50bbb42cdfb446b4241d8b83cdf1dc988e7c3eef95f49c69052ac83347")),
+    "theta": ((48, "2b91e57d111131ddb7150a149b7afb7dfa6442586779d04a962df117fe9b6f22"),
+              (48, "2b91e57d111131ddb7150a149b7afb7dfa6442586779d04a962df117fe9b6f22")),
+}
+
+
+@pytest.mark.parametrize("m", [PHI, PSI, THETA], ids=lambda m: m.name)
+def test_op_texts_are_frozen_strings(monkeypatch, m):
+    made = []
+
+    class Recording(_Driver):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append(self)
+
+    monkeypatch.setattr(factorize, "_Driver", Recording)
+    fac = factor_JK0(pullback_matrix(m, N=4))
+    (d,) = made
+    for ops, (count, digest) in zip((fac.ops, d.ops), _OPS_AT_4[m.name]):
+        assert all(type(op) is str for op in ops)
+        assert (len(ops), _digest(ops)) == (count, digest)
+    assert fac.ops == fac.ops and d.ops == d.ops
+    assert fac.ops[:len(d.ops)] == d.ops
+    assert fac.ops[0] == ("permute level-0 rows by [(1, 3), (2, 1), (3, 2)]"
+                          if m is not THETA else "row (0, 1) *= -u2^2")
+
+
+@pytest.mark.parametrize("m, narrow", [(PHI, True), (THETA, False),
+                                       (PHI, False)],
+                         ids=["phi", "theta", "phi-raw"])
+def test_one_product_per_factorization(monkeypatch, m, narrow):
+    # factor_JK0 checks g * S * G against A on both paths; the caller's
+    # matches reads that same product instead of multiplying again
+    A = pullback_matrix(m, N=4)
+    if not narrow:
+        monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
+    calls = []
+    matmul = BlockMatrix.matmul
+
+    def counting(self, other):
+        calls.append(other.meta.get("kind"))
+        return matmul(self, other)
+
+    monkeypatch.setattr(BlockMatrix, "matmul", counting)
+    fac = factor_JK0(A)
+    assert fac.ops[-1].startswith("solve") == narrow
+    assert len(calls) == 2
+    assert fac.matches(A)
+    assert len(calls) == 2
+    assert fac.product() is fac.product()
+
+
+def test_a_changed_right_factor_fails_to_match():
+    A = pullback_matrix(PHI, N=4)
+    fac = factor_JK0(A)
+    G = fac.G.mat.copy()
+    G.set((0, 2), (0, 1), G.get((0, 2), (0, 1)) + x1)
+    bad = factorize.Factorization(fac.g, fac.S, NonautStatic(G),
+                                  fac.assumptions, fac.edge_cols)
+    assert not bad.matches(A)
+    assert fac.matches(A)
+
+
+@pytest.mark.parametrize("m", [PHI, THETA], ids=lambda m: m.name)
+def test_a_corrupted_carried_factor_fails_the_product_check(monkeypatch, m):
+    # the entry keeps g block-lower with equal diagonal blocks, so only
+    # the product check can see it
+    class Corrupted(_Driver):
+        @property
+        def g(self):
+            g = _Driver.g.fget(self).copy()
+            g.set((2, 1), (0, 1), g.get((2, 1), (0, 1)) + x1)
+            return g
+
+    monkeypatch.setattr(factorize, "_Driver", Corrupted)
+    monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
+    with pytest.raises(StructureViolation, match="does not reproduce"):
+        factor_JK0(pullback_matrix(m, N=4))
+
+
 # SHA-256 of serialize(factor_JK0(pullback_matrix(m, N=N))), recorded with
 # the factors computed as inverses of the accumulated elementary products
 _FACTOR_DIGESTS = {
@@ -353,15 +455,45 @@ _FACTOR_DIGESTS = {
         "b5dad7b63398b73d1f426e4827836173771443181f74396444112dce4f834b21",
     ("theta", 8):
         "0e6660bc92eff2ccb2b72894ad776ffbe8aa7d09b085f352e1413ccbf3dc5d10",
+    ("phi", 2):
+        "3d12785ee06fa4976337a3d90b8ec3e852eec67bdd40db763cf867289c29500e",
+    ("psi", 2):
+        "c7742c2525f3820a876ca04cf4db41780a1d43218dfb4346d9bc86cce15dd558",
+    ("theta", 2):
+        "267da1081acba1bb6122c637c8014b2d657c2fa921ab1eabece70ca918b3dc1f",
+    ("phi", 3):
+        "3517b873f0f041b5db7778052b677e4b7d8dca40227d0a791f98b17f28d695ab",
+    ("psi", 3):
+        "b35cec64e5f62d654d8f460cf0216afed1624b03ec56f4a3387e2fc373a3ceb8",
+    ("theta", 3):
+        "5fce9de734f7053f0ab2ab5b291671b9790d2516a0bf265605650f2b733ff8f1",
+    ("phi", 5):
+        "4f9692da7b7f9a94799bdaf36e5b887a668b6b07144c3377e809d2703a1f7c39",
+    ("psi", 5):
+        "34943276549a95ffc67ca36bf034fbcaaf6babd23e0489a046b191494eab3472",
+    ("theta", 5):
+        "157bd341c53f162aa626aab44f9dc981e4bd6bd6d7815d9d360e7520ae571c9d",
+    ("phi", 7):
+        "a0b75dd665a4ae7629a7604e6e8235d715bd10f0c41077a4cb38f9c4598b983e",
+    ("psi", 7):
+        "a4a19fee98e9a1b2f36fdd2e40dccd4d0174873af0dc96720b7b173e67dc9c4a",
+    ("theta", 7):
+        "f4a627edf56b6c335403587ed6d0eb507b2510244871171249ac9ac6b5b34820",
+    ("phi", 10):
+        "fec288adb500c5cf63f581636dad5c9773948c0b839e4082e08c7c186e7d85d7",
+    ("psi", 10):
+        "139debbea3eeeed9fffb519b9013c7725fb7adc2f8ce6a066272034074ee7b8e",
+    ("theta", 10):
+        "bd77ded96bec8386fc8f844610949fa7399afcb9b09643fd6c7086cb20b85cc1",
 }
 
 
 def test_factorizations_are_frozen():
+    fix = {m.name: m for m in (PHI, PSI, THETA)}
     got = {}
-    for N in (4, 6, 8):
-        for m in (PHI, PSI, THETA):
-            text = serialize(factor_JK0(pullback_matrix(m, N=N)))
-            got[m.name, N] = hashlib.sha256(text.encode()).hexdigest()
+    for name, N in _FACTOR_DIGESTS:
+        text = serialize(factor_JK0(pullback_matrix(fix[name], N=N)))
+        got[name, N] = hashlib.sha256(text.encode()).hexdigest()
     assert got == _FACTOR_DIGESTS
 
 
@@ -471,3 +603,28 @@ def test_gnice_rejects_distorted_progression():
 def test_gnice_needs_the_3x2_shape():
     with pytest.raises(DimensionMismatch):
         check_gnice(BlockMatrix.identity({-1: 1, 0: 2, 1: 1}))
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["plain", "cancelling"])
+def test_narrow_solve_recovers_a_moved_right_factor(cancel):
+    # A = g * S * G(p0, p1, q) for phi's left factor g; "cancelling" moves
+    # row (3,1) of g so that A reads zero at (1,1) and (2,2) but not at
+    # (1,2) there, and g[(3,1),(2,1)] = -A[(3,1),(1,2)] * p0 comes from
+    # the p0 part of the form alone
+    A = pullback_matrix(PHI, N=4)
+    g = factor_JK0(A).g.mat.copy()
+    p0, p1, q = x1, u1, u2
+    if cancel:
+        g.set((3, 1), (0, 1), u2)
+        g.set((3, 1), (2, 1), -(p0 * u2))
+        g.set((3, 1), (1, 2), ZERO)
+    moved = g.matmul(build_S(3, 4)).matmul(gnice_matrix(p0, p1, q, M=5))
+    if cancel:
+        assert [moved.get((3, 1), c) for c in ((1, 1), (1, 2), (2, 2))] \
+            == [ZERO, u2, ZERO]
+    fac = factor_JK0(moved)
+    assert fac.ops[-1] == "solve right factor onto the narrow pattern: " \
+        "p0=x1 p1=u1 q=u2"
+    assert check_gnice(fac.G) == GnicePattern(p0, p1, q)
+    assert fac.g.mat == g
+    assert fac.matches(moved)
