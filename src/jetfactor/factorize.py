@@ -80,12 +80,6 @@ class NonautStatic:
         return self.mat.block(rl, cl)
 
 
-def _render(op):
-    fmt, args = op
-    return fmt % tuple(a.to_text() if isinstance(a, RatFn) else a
-                       for a in args)
-
-
 class Factorization:
     """Result of factor_JK0.
 
@@ -93,9 +87,8 @@ class Factorization:
     would need data beyond the truncation to reproduce; product comparison
     skips them (they are empty for the raw elimination path).
 
-    ops are (format, arguments) records, rendered to text when read.  The
-    factors are not mutated after construction: the NonautStatic checks
-    and the held product both hold only for the factors as built.
+    The factors are not mutated after construction: the NonautStatic
+    checks and the held product both hold only for the factors as built.
     """
 
     def __init__(self, g, S, G, assumptions, edge_cols=(), ops=()):
@@ -104,12 +97,8 @@ class Factorization:
         self.G = G
         self.assumptions = list(assumptions)
         self.edge_cols = tuple(edge_cols)
-        self._ops = list(ops)
+        self.ops = list(ops)
         self._product = None
-
-    @property
-    def ops(self):
-        return [_render(op) for op in self._ops]
 
     def product(self):
         """g * S * G, multiplied out on the first call and held."""
@@ -159,9 +148,7 @@ class _Driver:
     pattern S, g and G are the factors.
 
     The operations on g and G wait in one list until either is read, so
-    an elimination whose factors are never read never builds them.  Each
-    operation's text waits too, as a format and its arguments, until ops
-    is read.
+    an elimination whose factors are never read never builds them.
     """
 
     def __init__(self, A):
@@ -170,11 +157,7 @@ class _Driver:
         self._G = BlockMatrix.identity(A.col_sizes)
         self._pending = []
         self.assumptions = []
-        self._ops = []
-
-    @property
-    def ops(self):
-        return [_render(op) for op in self._ops]
+        self.ops = []
 
     def _flush(self):
         for op in self._pending:
@@ -198,27 +181,27 @@ class _Driver:
                 self.assumptions.append(t)
 
     def row_add(self, dst, src, c):
-        self._ops.append(("row %s += (%s) * row %s", (dst, c, src)))
+        self.ops.append("row %s += (%s) * row %s" % (dst, c.to_text(), src))
         self.W.row_add(dst, src, c)
         self._pending.append(lambda: self._g.col_add(src, dst, -c))
 
     def row_scale(self, r, c):
-        self._ops.append(("row %s *= %s", (r, c)))
+        self.ops.append("row %s *= %s" % (r, c.to_text()))
         self.W.row_scale(r, c)
         self._pending.append(lambda: self._g.col_scale(r, ONE / c))
 
-    def _relabel_rows(self, to, op):
+    def _relabel_rows(self, to, text):
         """Rows r of W move to to[r] (W -> P*W), so g's columns move
         alike (g -> g*P^-1)."""
-        self._ops.append(op)
+        self.ops.append(text)
         self.W.relabel_rows(to)
         self._pending.append(lambda: self._g.relabel_cols(to))
 
     def row_swap(self, a, b):
-        self._relabel_rows({a: b, b: a}, ("swap rows %s, %s", (a, b)))
+        self._relabel_rows({a: b, b: a}, "swap rows %s, %s" % (a, b))
 
     def col_add(self, dst, src, c):
-        self._ops.append(("col %s += (%s) * col %s", (dst, c, src)))
+        self.ops.append("col %s += (%s) * col %s" % (dst, c.to_text(), src))
         self.W.col_add(dst, src, c)
         self._pending.append(lambda: self._G.row_add(src, dst, -c))
 
@@ -226,7 +209,7 @@ class _Driver:
         """Columns a and b of W swap (W -> W*P), and so do G's rows
         (G -> P^-1*G)."""
         to = {a: b, b: a}
-        self._ops.append(("swap cols %s, %s", (a, b)))
+        self.ops.append("swap cols %s, %s" % (a, b))
         self.W.relabel_cols(to)
         self._pending.append(lambda: self._G.relabel_rows(to))
 
@@ -256,8 +239,7 @@ class _Driver:
     def permute_block0_rows(self, perm):
         """perm maps old index -> new index within the level-0 rows."""
         self._relabel_rows({(0, i): (0, j) for i, j in perm.items()},
-                           ("permute level-0 rows by %s",
-                            (sorted(perm.items()),)))
+                           "permute level-0 rows by %s" % sorted(perm.items()))
 
 
 def factor_JK0(A, seed=0):
@@ -425,11 +407,11 @@ def factor_JK0(A, seed=0):
         raise StructureViolation("reduction did not reach the shift pattern; "
                                  "mismatched entries at %s" % (extra[:6],))
     if n == 3:
-        canon = _canonicalize(A, S, d.assumptions, d._ops)
+        canon = _canonicalize(A, S, d.assumptions, d.ops)
         if canon is not None:
             return canon
     fac = Factorization(NonautStatic(d.g), S, NonautStatic(d.G),
-                        d.assumptions, ops=d._ops)
+                        d.assumptions, ops=d.ops)
     if fac.product().entries != A.entries:
         raise StructureViolation("product of the factors does not reproduce the input")
     return fac
@@ -553,9 +535,10 @@ def _canonicalize(A, S, assumptions, ops=()):
     except (StructureViolation, DiagonalDrift):
         return None
     fac = Factorization(g, S, G, assumptions, edge_cols=edge,
-                        ops=list(ops) + [("solve right factor onto the narrow "
-                                          "pattern: p0=%s p1=%s q=%s",
-                                          (p0, p1, q))])
+                        ops=list(ops) + ["solve right factor onto the narrow "
+                                         "pattern: p0=%s p1=%s q=%s"
+                                         % (p0.to_text(), p1.to_text(),
+                                            q.to_text())])
     if not fac.matches(A):
         return None
     return fac

@@ -294,8 +294,7 @@ def _digest(ops):
     return hashlib.sha256("\n".join(ops).encode()).hexdigest()
 
 
-# SHA-256 of the replay's op texts joined by newlines, recorded when the
-# driver rendered each op's text as it recorded the op
+# SHA-256 of the replay's op texts joined by newlines
 _REPLAY_OPS = [
     "0c3e36946be22c475219999e4d3a4ff2d424113804ffec59b9e64db1b65fdfe2",
     "0fc7fe8f1f389a6f7a2f36d2034e97d82fbc5b50915dbaef2caaff2b08d2f98a",
@@ -348,8 +347,7 @@ def test_canonical_path_applies_no_carried_operation(monkeypatch):
 
 
 # (op count, SHA-256 of the op texts joined by newlines) at N = 4 for the
-# factorization and for the driver behind it, recorded when the driver
-# rendered each op's text as it recorded the op
+# factorization and for the driver behind it
 _OPS_AT_4 = {
     "phi": ((26, "5d2cedc8c890dadf6b80984fb8a61c689ccfc900141a88b78b46c75dbcc387f1"),
             (25, "cbc34e21b989518910d65bb5f3bc087ef060d36b436ec244042f6826ecd9e93b")),
