@@ -60,7 +60,9 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
     of exprs[k], reading each variable v from the local names[v].
 
     Per expression it runs the term-by-term loop n = 0.0; n += c * a ** e
-    * ... over the num dict in its term order, with c = float(coefficient);
+    * ... over the num dict in its term order, with c = float(coefficient)
+    and each term's factors in ascending variable order (the reverse of
+    the monomial's own, which puts the largest variable first);
     the same for the denominator; DenominatorZero if it is 0.0; then n / d.
     Three steps of that loop are left out, as they are exact in IEEE
     arithmetic: a coefficient 1 of a nonconstant term (1.0 * x is x), a
@@ -91,7 +93,7 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
         return q
 
     def term(m, c):
-        factors = [power(v, e) for v, e in m]
+        factors = [power(m[i], m[i + 1]) for i in range(len(m) - 2, 0, -2)]
         if c != 1 or not factors:
             try:
                 factors.insert(0, repr(float(c)))

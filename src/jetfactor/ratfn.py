@@ -10,10 +10,20 @@ Tuple comparison gives the variable order used everywhere:
 t < x_1 < x_2 < ... < u_1 < u_2 < ... < u_1' < u_2' < ...  (derivative level
 major, control index minor).
 
-A polynomial is a dict {monomial: coefficient}; a monomial is a tuple of
-(var, exponent) pairs sorted by var, with the empty tuple for 1.  Monomials
-are ordered graded-lex over the variable order.  The kernel's polynomials
-have int coefficients: p_mul, p_add, p_divexact and the gcd work on ints.
+A polynomial is a dict {monomial: coefficient}.  A monomial is one flat
+tuple (d, v_k, e_k, ..., v_1, e_1): its total degree d, then each of its
+variables with its exponent, largest variable first; () is the monomial 1.
+Monomials are ordered graded-lex over the variable order: total degree
+first, then the exponent vectors read from the largest variable down.
+Plain tuple comparison is that order.  The degrees compare first; then the
+(variable, exponent) pairs compare from the largest variable down, each
+pair in the same two positions of both tuples, so the first pair that
+differs decides, by the larger variable or, on one variable, the larger
+exponent.  This order fixes the canonical sign, and sorted, max and insort
+take no key.  Loops over a term's variables run in ascending order
+wherever that order reaches a dict's insertion order or a float product.
+The kernel's polynomials have int coefficients: p_mul, p_add, p_divexact
+and the gcd work on ints.
 A RatFn stores its value as N/(k*D): N an int polynomial, k >= 1 an int
 prime to the content of N, and D integer-primitive with positive leading
 coefficient and coprime to N.  The triple (N, k, D) is unique, so equality
@@ -71,35 +81,57 @@ def var_name(v):
 # monomials
 
 def mono_mul(m1, m2):
+    """m1*m2: the two descending runs of variables merged in one pass; a
+    one-variable factor, the common case, is placed by one scan."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def mono_key(m):
-    # graded lex: total degree first, then exponents of the largest
-    # variables first.  Reversing the sorted pair list makes plain tuple
-    # comparison do the lex part.
-    return (sum(e for _, e in m), tuple(reversed(m)))
+    if len(m1) == 3:
+        m1, m2 = m2, m1
+    i, n = 1, len(m1)
+    if len(m2) == 3:
+        v = m2[1]
+        while i < n and m1[i] > v:
+            i += 2
+        if i < n and m1[i] == v:
+            return ((m1[0] + m2[0],) + m1[1:i + 1] + (m1[i + 1] + m2[2],)
+                    + m1[i + 2:])
+        return (m1[0] + m2[0],) + m1[1:i] + m2[1:] + m1[i:]
+    out, j, n2 = [m1[0] + m2[0]], 1, len(m2)
+    while i < n and j < n2:
+        v, w = m1[i], m2[j]
+        if v == w:
+            out += v, m1[i + 1] + m2[j + 1]
+            i += 2
+            j += 2
+        elif v > w:
+            out += v, m1[i + 1]
+            i += 2
+        else:
+            out += w, m2[j + 1]
+            j += 2
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_div(m1, m2):
-    """m1 / m2 or None if m2 does not divide m1."""
-    d = dict(m1)
-    for v, e in m2:
-        r = d.get(v, 0) - e
+    """m1 / m2 or None if m2 does not divide m1, one variable of m2 at a
+    time: divisors are almost always a single variable."""
+    j = len(m2) - 2
+    while j > 0:
+        v, e = m2[j], m2[j + 1]
+        if v not in m1:
+            return None
+        i = m1.index(v)
+        d, r = m1[0] - e, m1[i + 1] - e
         if r < 0:
             return None
-        if r == 0:
-            del d[v]
+        if r:
+            m1 = (d, *m1[1:i + 1], r, *m1[i + 2:])
         else:
-            d[v] = r
-    return tuple(sorted(d.items()))
+            m1 = (d, *m1[1:i], *m1[i + 2:]) if d else ()
+        j -= 2
+    return m1
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +189,12 @@ def p_mul(a, b):
 
 
 def p_pow(a, n):
+    """a^n for n >= 0.  A one-term a = c*m gives c^n*m^n directly, with no
+    lower powers: sysio leaves powers of a single term unbounded."""
     assert n >= 0
+    if len(a) == 1 and n:
+        (m, c), = a.items()
+        return {tuple(x if i % 2 else x * n for i, x in enumerate(m)): c ** n}
     return _powers(a, n)[-1]
 
 
@@ -171,15 +208,18 @@ def _powers(a, k):
 
 def p_lead(a):
     """(monomial, coeff) of the graded-lex leading term."""
-    m = max(a, key=mono_key)
+    m = max(a)
     return m, a[m]
 
 
 def p_vars(a):
+    """The variables of a, added in ascending order within each term."""
     s = set()
     for m in a:
-        for v, _ in m:
-            s.add(v)
+        i = len(m) - 2
+        while i > 0:
+            s.add(m[i])
+            i -= 2
     return s
 
 
@@ -189,18 +229,18 @@ def p_divexact(a, b):
     Int coefficients are divided over the integers, which for a primitive
     b is division over Q (Gauss's lemma); Fractions are divided as such.
     Quotient terms come out in descending graded-lex order.  The
-    remainder's monomials wait in a list sorted by mono_key, so each step
-    takes the leading term off its end instead of scanning the remainder;
-    an entry whose term has cancelled since is skipped.
+    remainder's monomials wait in a sorted list, so each step takes the
+    leading term off its end instead of scanning the remainder; an entry
+    whose term has cancelled since is skipped.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     bm, bc = p_lead(b)
     r = dict(a)
-    todo = sorted((mono_key(m), m) for m in r)
+    todo = sorted(r)
     q = {}
     while todo:
-        am = todo.pop()[1]
+        am = todo.pop()
         ac = r.get(am)
         if ac is None:
             continue
@@ -215,7 +255,7 @@ def p_divexact(a, b):
             s = r.get(m, 0) - qc * c2
             if s:
                 if m not in r:
-                    insort(todo, (mono_key(m), m))
+                    insort(todo, m)
                 r[m] = s
             else:
                 r.pop(m, None)
@@ -253,15 +293,12 @@ def _univar(a, v):
     """View a as univariate in v: {deg: coefficient-dict}."""
     out = {}
     for m, c in a.items():
-        e = 0
-        rest = []
-        for w, k in m:
-            if w == v:
-                e = k
-            else:
-                rest.append((w, k))
+        e, rm = 0, m
+        if v in m:
+            i = m.index(v)
+            e = m[i + 1]
+            rm = (m[0] - e,) + m[1:i] + m[i + 2:] if m[0] > e else ()
         d = out.setdefault(e, {})
-        rm = tuple(rest)
         s = d.get(rm, 0) + c
         if s:
             d[rm] = s
@@ -272,7 +309,7 @@ def _univar(a, v):
 
 def _deg_in(a, v):
     """Degree of the nonzero polynomial a in the variable v."""
-    return max(dict(m).get(v, 0) for m in a)
+    return max(m[m.index(v) + 1] if v in m else 0 for m in a)
 
 
 def _prem(a, b, v):
@@ -290,7 +327,7 @@ def _prem(a, b, v):
             return r
         lr = ur[dr]
         # r <- lb*r - lr*b*v^(dr-db)
-        shift = {((v, dr - db),): 1} if dr > db else {(): 1}
+        shift = {(dr - db, v, dr - db): 1} if dr > db else {(): 1}
         r = p_sub(p_mul(lb, r), p_mul(p_mul(lr, b), shift))
 
 
@@ -344,16 +381,18 @@ def _cofactors(a, b):
         (m, c), = one.items()
         if not m:
             return _UNIT, a, b
-        g = dict(m)
-        for nm in other:
-            e = dict(nm)
-            g = {v: min(k, e[v]) for v, k in g.items() if v in e}
-            if not g:
-                return _UNIT, a, b
-        g = tuple(sorted(g.items()))
+        g, d = [], 0
+        for v, k in zip(m[1::2], m[2::2]):
+            if all(v in nm for nm in other):
+                k = min(k, *(nm[nm.index(v) + 1] for nm in other))
+                g += v, k
+                d += k
+        if not g:
+            return _UNIT, a, b
+        g = (d, *g)
         one = {mono_div(m, g): c}
-        other = {mono_div(nm, g): k for nm, k in
-                 sorted(other.items(), key=_term_key, reverse=True)}
+        other = {mono_div(nm, g): other[nm]
+                 for nm in sorted(other, reverse=True)}
         return ({g: 1}, one, other) if len(a) == 1 else ({g: 1}, other, one)
     r = _heu_gcd(a, b)
     if r is None:
@@ -369,13 +408,9 @@ def _cofactors(a, b):
     return (g, qa, qb) if c > 0 else (g, p_neg(qa), p_neg(qb))
 
 
-def _term_key(term):
-    return mono_key(term[0])
-
-
 def _descending(a):
     """a with its terms in descending graded-lex order."""
-    return dict(sorted(a.items(), key=_term_key, reverse=True))
+    return {m: a[m] for m in sorted(a, reverse=True)}
 
 
 def _primitive(a):
@@ -403,8 +438,8 @@ def _heu_gcd(a, b):
         return {(): c}, None, None
     pa = a if ca == 1 else {m: k // ca for m, k in a.items()}
     pb = b if cb == 1 else {m: k // cb for m, k in b.items()}
-    v = max(m[-1][0] for p in (pa, pb) for m in p if m)
-    deg = max(m[-1][1] for p in (pa, pb) for m in p if m and m[-1][0] == v)
+    v = max(m[1] for p in (pa, pb) for m in p if m)
+    deg = max(m[2] for p in (pa, pb) for m in p if m and m[1] == v)
     xi = 2 * min(max(map(abs, pa.values())), max(map(abs, pb.values()))) + 29
     for _ in range(6):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
@@ -433,9 +468,9 @@ def _eval_last(a, v, xi):
     """a with v, the largest variable of a's terms that hold it, set to xi."""
     out = {}
     for m, k in a.items():
-        if m and m[-1][0] == v:
-            k *= xi ** m[-1][1]
-            m = m[:-1]
+        if m and m[1] == v:
+            k *= xi ** m[2]
+            m = (m[0] - m[2],) + m[3:] if len(m) > 3 else ()
         out[m] = out.get(m, 0) + k
     return {m: k for m, k in out.items() if k}
 
@@ -451,7 +486,7 @@ def _xi_adic(h, v, xi):
             if d > half:
                 d -= xi
             if d:
-                out[m + ((v, e),) if e else m] = d
+                out[(m[0] + e if m else e, v, e) + m[1:] if e else m] = d
             k = (k - d) // xi
             e += 1
     return out
@@ -518,10 +553,8 @@ def _coeff_text(c):
 
 
 def _mono_text(m):
-    parts = []
-    for v, e in m:
-        parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
-    return "*".join(parts)
+    return "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
+                    for v, e in zip(m[-2:0:-2], m[:0:-2]))
 
 
 def p_text(a):
@@ -553,14 +586,14 @@ class RatFn:
     RatFn(num, den) from polynomial dicts of int or Fraction coefficients.
     """
 
-    __slots__ = ("_n", "_k", "_d", "_hash")
+    __slots__ = ("_n", "_k", "_d", "_hash", "_vars")
 
     def __init__(self, num, den=None):
         ln, num = _scaled_to_int(num)
         ld, den = _scaled_to_int(_UNIT if den is None else den)
         n, k, self._d = _canon(num, den)
         self._n, self._k = _rescale(n, k, ld, ln)
-        self._hash = None
+        self._hash = self._vars = None
 
     # -- constructors --------------------------------------------------
 
@@ -572,7 +605,7 @@ class RatFn:
 
     @staticmethod
     def var(v):
-        return _make({((v, 1),): 1}, 1, _UNIT)
+        return _make({(1, v, 1): 1}, 1, _UNIT)
 
     # -- the canonical pair ----------------------------------------------
 
@@ -604,7 +637,12 @@ class RatFn:
         return Fraction(self._n.get((), 0), self._k)
 
     def vars(self):
-        return p_vars(self._n) | p_vars(self._d)
+        """The variables of N and D.  The set is made on the first call and
+        kept: every call returns that same set, which callers must not
+        mutate."""
+        if self._vars is None:
+            self._vars = p_vars(self._n) | p_vars(self._d)
+        return self._vars
 
     def max_jet_order(self):
         """Highest control-derivative order mentioned, -1 if none."""
@@ -791,7 +829,7 @@ _UNIT = {(): 1}
 def _make(n, k, d):
     """The RatFn with the canonical triple (n, k, d), as it stands."""
     r = object.__new__(RatFn)
-    r._n, r._k, r._d, r._hash = n, k, d, None
+    r._n, r._k, r._d, r._hash, r._vars = n, k, d, None, None
     return r
 
 
@@ -874,8 +912,11 @@ def _p_subst(a, binding):
     l, a = _scaled_to_int(a)
     top = {}
     for m in a:
-        for v, e in m:
-            top[v] = max(e, top.get(v, 0))
+        i = len(m) - 2
+        while i > 0:
+            v = m[i]
+            top[v] = max(m[i + 1], top.get(v, 0))
+            i -= 2
     pows, den = {}, _UNIT
     for v, k in top.items():
         r = binding[v] if v in binding else RatFn.var(v)
@@ -886,9 +927,9 @@ def _p_subst(a, binding):
         pows[v] = _powers(r._n, k), dens
     num = {}
     for m, c in a.items():
-        term, have = p_const(c), dict(m)
+        term = p_const(c)
         for v, (nums, dens) in pows.items():
-            e = have.get(v, 0)
+            e = m[m.index(v) + 1] if v in m else 0
             if e:
                 term = p_mul(term, nums[e])
             if dens:
@@ -972,16 +1013,19 @@ def affine_parts(r, vs):
     _ratio finds it."""
     at = {v: j for j, v in enumerate(vs, 1)}
     d = r._d
-    if any(w in at for m in d for w, _ in m):
+    if any(w in at for m in d for w in m[1::2]):
         return None
     parts = [{} for _ in range(len(vs) + 1)]
     for m, c in r._n.items():
-        j, rest = 0, m
-        for i, (w, e) in enumerate(m):
+        j, rest, i = 0, m, len(m) - 2
+        while i > 0:
+            w = m[i]
             if w in at:
-                if j or e > 1:
+                if j or m[i + 1] > 1:
                     return None
-                j, rest = at[w], m[:i] + m[i + 1:]
+                j = at[w]
+                rest = (m[0] - 1,) + m[1:i] + m[i + 2:] if m[0] > 1 else ()
+            i -= 2
         parts[j][rest] = c
     k = r._k
     if _is_one(d):
@@ -992,31 +1036,40 @@ def affine_parts(r, vs):
 def _p_derive(p, images):
     """sum over the variables v of p of images[v] * dp/dv for an int
     polynomial p and int polynomial images, in one pass over the terms:
-    a term c*m adds c*e*images[w]*(m/w) for each w^e in m with an image."""
+    a term c*m adds c*e*images[w]*(m/w) for each w^e in m with an image,
+    w in ascending order."""
     out = {}
     for m, c in p.items():
-        for i, (w, e) in enumerate(m):
-            img = images.get(w)
-            if img is None:
-                continue
-            rest = m[:i] + (((w, e - 1),) if e > 1 else ()) + m[i + 1:]
-            for mi, ci in img.items():
-                nm = mono_mul(mi, rest)
-                k = out.get(nm, 0) + c * e * ci
-                if k:
-                    out[nm] = k
+        i = len(m) - 2
+        while i > 0:
+            img = images.get(m[i])
+            if img is not None:
+                e = m[i + 1]
+                if e > 1:
+                    rest = (m[0] - 1,) + m[1:i + 1] + (e - 1,) + m[i + 2:]
                 else:
-                    del out[nm]
+                    rest = ((m[0] - 1,) + m[1:i] + m[i + 2:] if m[0] > 1
+                            else ())
+                ce = c * e
+                for mi, ci in img.items():
+                    nm = mono_mul(mi, rest)
+                    k = out.get(nm, 0) + ce * ci
+                    if k:
+                        out[nm] = k
+                    else:
+                        del out[nm]
+            i -= 2
     return out
 
 
 def _p_eval(a, point):
     out = 0
     for m, c in a.items():
-        term = c
-        for v, e in m:
-            term *= point[v] ** e
-        out += term
+        i = len(m) - 2
+        while i > 0:
+            c *= point[m[i]] ** m[i + 1]
+            i -= 2
+        out += c
     return out
 
 

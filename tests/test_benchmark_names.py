@@ -12,6 +12,9 @@ import importlib
 import re
 from pathlib import Path
 
+from jetfactor import RatFn, X, U
+from jetfactor.ratfn import poly_gcd
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the attributes of workloads.Env, and the module each one imports
@@ -58,3 +61,16 @@ def test_every_name_the_benchmark_reads_resolves():
         if obj is None:
             missing.append("%s.%s" % (mod, dotted))
     assert not missing, missing
+
+
+def test_the_tracers_trivial_gcd_is_the_kernels_unit():
+    # _hook_gcd counts a poly_gcd result as trivial when it equals one
+    # literal; if the kernel's 1 changed form, trivial_share would read 0
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    hook, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "_hook_gcd")
+    unit, = (ast.literal_eval(node.comparators[0]) for node in ast.walk(hook)
+             if isinstance(node, ast.Compare))
+    x1, u1 = RatFn.var(X(1)), RatFn.var(U(1))
+    assert poly_gcd((x1 * u1 + 1).num, (x1 - 3).num) == unit
+    assert poly_gcd((x1 * u1).num, (u1 + 2).num) == unit

@@ -26,6 +26,22 @@ from jetfactor.sysio import parse_expression
 PHI, THETA = builtin_fixtures()[0][0], builtin_fixtures()[2][0]
 
 
+def mono(*pairs):
+    """The kernel's monomial with the given (variable, exponent) pairs, in
+    any order: (degree, v_k, e_k, ..., v_1, e_1), largest variable first,
+    and () for no pairs.  Tests write every monomial through it."""
+    if not pairs:
+        return ()
+    return (sum(e for _, e in pairs),
+            *(x for pair in sorted(pairs, reverse=True) for x in pair))
+
+
+def pairs(m):
+    """The (variable, exponent) pairs of the monomial m, in ascending
+    variable order: mono's inverse."""
+    return tuple(zip(m[-2:0:-2], m[:0:-2]))
+
+
 def compile_float(exprs, args):
     """f(*values) -> [float value of e for e in exprs], values in args order:
     one generated function of the arguments a0, a1, ... whose body is
@@ -313,7 +329,7 @@ def test_generated_functions_hold_only_numbers(monkeypatch):
 def test_long_sums_compile():
     # one sum expression of 3,000 terms passes the compiler's recursion
     # limit; float_lines splits it into statements of _SUM_TERMS terms
-    f = RatFn.var(U(1)) + RatFn({((TIME, i),): 1 for i in range(1, 3000)})
+    f = RatFn.var(U(1)) + RatFn({mono((TIME, i)): 1 for i in range(1, 3000)})
     sys_ = ControlSystem(1, 1, [f], check=False)
     m = EquivMap(sys_, sys_, [RatFn.var(X(1))], [RatFn.var(U(1))])
     got = _outcome(numeric_crosscheck, m, steps=4)

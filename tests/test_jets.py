@@ -14,6 +14,7 @@ from jetfactor.errors import (DegenerateSystem, DenominatorZero,
 from jetfactor import jets
 from jetfactor.jets import sample_points
 from test_classify import RATIONAL_SIGNATURES, SIGNATURES, sysn
+from test_crosscheck import pairs
 
 
 def rv(v):
@@ -132,6 +133,12 @@ def _d_input(rng, kind):
     return num / den
 
 
+def _pair_terms(p):
+    """p's terms as sorted (pairs, coefficient) items: the text the hash
+    below was recorded from."""
+    return sorted((pairs(m), c) for m, c in p.items())
+
+
 # SHA-256 of the per-variable sum's triples on the rational field for the
 # two-term-denominator inputs below, recorded with that sum itself; on
 # some of these inputs it takes seconds.
@@ -163,8 +170,8 @@ def test_d_matches_the_per_variable_sum():
         scales.add(expr._k)
         if i % 3 == 2:
             got = fields[2].D(expr)
-            frozen.update(repr((sorted(got._n.items()), got._k,
-                                sorted(got._d.items()))).encode() + b"\n")
+            frozen.update(repr((_pair_terms(got._n), got._k,
+                                _pair_terms(got._d))).encode() + b"\n")
         for sys_ in fields[:2] if i % 3 == 2 else fields + rational:
             got, want = sys_.D(expr), _d_by_variable(sys_, expr)
             assert (got._n, got._k, got._d) == (want._n, want._k, want._d), (
