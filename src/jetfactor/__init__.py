@@ -2,7 +2,8 @@
 equivalences between control systems, plus static/dynamic classification of
 small control-affine systems."""
 
-from .ratfn import RatFn, ZERO, ONE, T, X, U, var_name
+from .poly import T, X, U, var_name
+from .ratfn import RatFn, ZERO, ONE
 from .errors import JetError
 from .jets import (ControlSystem, VectorField, AffineForm, to_affine,
                    lie_bracket, prolong_total, prolong_partial,

@@ -8,7 +8,8 @@ runner, so the green bar means the same thing in both places.
 
 import random
 
-from .ratfn import RatFn, ZERO, ONE, T, X, U
+from .poly import T, X, U
+from .ratfn import RatFn, ZERO, ONE
 from .errors import SubstitutionPole, DivisionByZero
 from .coframes import exterior_d, exterior_d2
 

@@ -6,7 +6,8 @@ a JetError.  `run` builds the 17 checks of `jetfactor fixtures`, and
 tests/test_acceptance.py calls the same functions with its own inputs.
 """
 
-from .ratfn import RatFn, ZERO, ONE, X, U
+from .poly import X, U
+from .ratfn import RatFn, ZERO, ONE
 from .jets import ControlSystem
 from .coframes import contact_coframe, adapted_coframe_3x2
 from .equivalence import (verify_pair, verify_scalar_theorem, pullback_matrix,

@@ -43,8 +43,8 @@ forms, the decoupling variant, and a two-state/four-state prolongation pair.
 
 import random
 
-from .ratfn import (RatFn, ZERO, ONE, T, X, U, cleared, int_echelon,
-                    gauss_jordan)
+from .poly import T, X, U
+from .ratfn import RatFn, ZERO, ONE, cleared, int_echelon, gauss_jordan
 from .jets import ControlSystem, to_affine, sample_points
 from .errors import UnclassifiedSignature, OutOfTable, DimensionMismatch
 from .equivalence import EquivMap

@@ -15,7 +15,8 @@ and inverts by forward substitution.  Forms re-expressed over frame labels
 are again dicts keyed by label (or label pairs).
 """
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE, var_name
+from .poly import T, X, U, var_name
+from .ratfn import RatFn, ZERO, ONE
 from .errors import NotNormalizedForm, TruncationExceeded, StructureViolation
 
 

@@ -38,7 +38,8 @@ import math
 import random
 from itertools import islice
 
-from .ratfn import X, U, T as TIME, _POLE
+from .poly import X, U, T as TIME, mono_pairs
+from .ratfn import _POLE
 from .equivalence import PullbackContext
 from .errors import SingularTrajectory, DenominatorZero, UsageError
 
@@ -93,7 +94,7 @@ def float_lines(exprs, names, outs, ns, pows, pad="    "):
         return q
 
     def term(m, c):
-        factors = [power(m[i], m[i + 1]) for i in range(len(m) - 2, 0, -2)]
+        factors = [power(v, e) for v, e in mono_pairs(m)]
         if c != 1 or not factors:
             try:
                 factors.insert(0, repr(float(c)))

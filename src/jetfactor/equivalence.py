@@ -9,7 +9,8 @@ expressions extends through jets: v_j^(k) binds to D_t^k v_j along the
 source system.
 """
 
-from .ratfn import RatFn, T, X, U, ZERO, ONE
+from .poly import T, X, U
+from .ratfn import RatFn, ZERO, ONE
 from .coframes import Coframe, CONTACT, ADAPTED, add_term, frame_sizes
 from .errors import (JetError, DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction)

@@ -10,8 +10,9 @@ derivatives than an expression mentions.
 
 import random
 
-from .ratfn import (RatFn, T, X, U, ZERO, ONE, affine_parts, cleared,
-                    derivation, int_echelon)
+from .poly import T, X, U
+from .ratfn import (RatFn, ZERO, ONE, affine_parts, cleared, derivation,
+                    int_echelon)
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -124,16 +125,6 @@ class AffineForm:
     @property
     def s(self):
         return len(self.fvecs)
-
-    def rebuild(self):
-        """The rhs tuple f0 + sum u_j fvecs_j, for round-trip checks."""
-        out = []
-        for i in range(self.n):
-            acc = self.f0[i]
-            for j, vf in enumerate(self.fvecs):
-                acc = acc + RatFn.var(U(j + 1)) * vf[i]
-            out.append(acc)
-        return tuple(out)
 
 
 def to_affine(sys_):

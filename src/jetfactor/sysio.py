@@ -54,7 +54,8 @@ once and hands the tokens to the reader of its kind.
 import re
 from math import comb
 
-from .ratfn import RatFn, ZERO, T, X, U
+from .poly import T, X, U
+from .ratfn import RatFn, ZERO
 from .jets import ControlSystem
 from .equivalence import (EquivMap, BlockMatrix, VerificationReport,
                           StaticPairReport)

@@ -344,6 +344,17 @@ def test_factor_phi(files, capsys):
     assert "product reconstructs the pullback matrix exactly" in out
 
 
+def test_factor_below_order_2_is_a_truncation_error(files, capsys):
+    # -N 1 passes the option's range, but a factorization needs levels
+    # 0..N with N >= 2: a JetError (exit 1), not an internal one (exit 3)
+    code, out, err = run(capsys, "factor", "--src", files["src"],
+                         "--tgt", files["tgt"], "--map", files["map"],
+                         "-N", "1")
+    assert (code, out) == (1, "")
+    assert err == ("TruncationExceeded: need levels 0..N with N >= 2 and "
+                   "columns to N+1\n")
+
+
 def test_factor_machine_reparses(files, capsys):
     code, out, _ = run(capsys, "factor", "--src", files["src"],
                        "--tgt", files["tgt"], "--map", files["map"],

@@ -8,8 +8,9 @@ import pytest
 
 from jetfactor import (BlockMatrix, GnicePattern, NonautStatic, RatFn, U, X,
                        ZERO, ONE, adapted_coframe_3x2, build_S,
-                       builtin_fixtures, check_gnice, factor_JK0,
-                       pullback_matrix, validate_nonaut_static)
+                       builtin_fixtures, check_gnice, compose, factor_JK0,
+                       pullback_matrix, random_static_transform,
+                       validate_nonaut_static)
 from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
                               PatternViolation, StructureViolation)
 from jetfactor import factorize
@@ -188,6 +189,24 @@ def test_factorization_is_deterministic():
     f1, f2 = factor_JK0(A), factor_JK0(A)
     assert f1.g == f2.g and f1.G == f2.G
     assert f1.ops == f2.ops and f1.assumptions == f2.assumptions
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("m", [PHI, PSI, THETA], ids=lambda m: m.name)
+def test_target_side_static_moves_mix_rows_at_every_level(m, seed):
+    # a static move of the target leaves b != 0 in the repeat block, so
+    # stage B adds the same multiple of row (k, 2) to row (k, 1) at every
+    # control level k, a path the fixtures themselves never take
+    moved = compose(random_static_transform(m.tgt, seed)[0], m)
+    A = pullback_matrix(moved, N=3)
+    fac = factor_JK0(A)
+    assert fac.matches(A)
+    mixes = [op for op in fac.ops if op.endswith(" * row (1, 2)")
+             and op.startswith("row (1, 1) += ")]
+    assert len(mixes) == 1
+    coeff = mixes[0][len("row (1, 1) += "):-len(" * row (1, 2)")]
+    for k in (2, 3):
+        assert "row (%d, 1) += %s * row (%d, 2)" % (k, coeff, k) in fac.ops
 
 
 @pytest.mark.parametrize("m", [PHI, PSI, THETA], ids=lambda m: m.name)

@@ -11,10 +11,10 @@ from jetfactor import (BlockMatrix, RatFn, T, U, X, ONE, ZERO,
                        builtin_fixtures, factor_JK0, parse_expression,
                        pullback_matrix, serialize, var_name, verify_pair)
 from jetfactor._suites import _POOL, _rand_poly, _rand_ratfn
-from jetfactor import crosscheck, ratfn
-from jetfactor.ratfn import (cleared, gauss_jordan, int_echelon, mono_div,
-                             mono_mul, p_add, p_const, p_divexact, p_lead,
-                             p_mul, p_neg, p_pow, p_scale, poly_gcd)
+from jetfactor import crosscheck, poly, ratfn
+from jetfactor.poly import (mono_div, mono_mul, p_add, p_const, p_divexact,
+                            p_lead, p_mul, p_neg, p_pow, p_scale, poly_gcd)
+from jetfactor.ratfn import cleared, gauss_jordan, int_echelon
 from jetfactor.errors import DenominatorZero, DivisionByZero, SubstitutionPole
 from test_crosscheck import compile_float, mono, pairs
 from test_equivalence import full_inverse
@@ -193,19 +193,28 @@ def test_deep_results_are_frozen():
 
 
 def test_powers_of_one_term_are_not_expanded(monkeypatch):
-    # p_pow scales a single term's exponents: no lower powers are built.
-    # Expanding one would fail here at once, before it could allocate
-    # millions of them
-    powers = ratfn._powers
+    # p_pow and the substitution scale a single term's exponents: no lower
+    # powers are built.  Expanding one would fail here at once, before it
+    # could allocate millions of them.  _powers is patched in every module
+    # whose code calls it
+    powers = poly._powers
 
     def guarded(a, k):
         assert len(a) > 1 or k < 1000, "a power of one term was expanded"
         return powers(a, k)
 
-    monkeypatch.setattr(ratfn, "_powers", guarded)
+    for mod in (poly, ratfn):
+        monkeypatch.setattr(mod, "_powers", guarded)
     start = time.perf_counter()
     big = parse_expression("x1^10000000")
     inverse = parse_expression("(2*x1*u1)^-1000000")
+    assert parse_expression("x1^100000").substitute(
+        {X(1): 2 * u1}) == (2 * u1)**100000
+    assert parse_expression("x1^100000 + 3").substitute({X(1): ZERO}) == 3
+    # one-term denominators Q: only the powers Q^(e - f) the terms use
+    over = parse_expression("x1^100000 + x1^3*u2").substitute(
+        {X(1): u1 / (3 * x2)})
+    assert over == (u1 / (3 * x2))**100000 + (u1 / (3 * x2))**3 * u2
     assert time.perf_counter() - start < 1
     assert (big._n, big._k, big._d) == ({mono((X(1), 10**7)): 1}, 1, {(): 1})
     assert (inverse._n, inverse._k, inverse._d) == (
@@ -216,7 +225,7 @@ def test_powers_of_one_term_are_not_expanded(monkeypatch):
     for _ in range(60):
         a = _jet_poly(rng, rng.randint(1, 4)) or {(): 3}
         for n in range(5):
-            want = ratfn._powers(a, n)[-1]
+            want = poly._powers(a, n)[-1]
             assert list(p_pow(a, n).items()) == list(want.items()), (a, n)
 
 
@@ -224,7 +233,7 @@ def test_vars_is_made_once_and_shared():
     e = x1 * du2 / (x3 - 1)
     first = e.vars()
     assert first == {X(1), U(2, 1), X(3)} and e.vars() is first
-    assert list(first) == list(ratfn.p_vars(e._n) | ratfn.p_vars(e._d))
+    assert list(first) == list(poly.p_vars(e._n) | poly.p_vars(e._d))
     assert ZERO.vars() == set() and ONE.vars() is ONE.vars()
 
 
@@ -592,7 +601,7 @@ t = RatFn.var(T)
 
 
 def _prs_gcd(a, b):
-    return ratfn._gcd_prim(ratfn._int_clear(a), ratfn._int_clear(b))
+    return poly._gcd_prim(poly._int_clear(a), poly._int_clear(b))
 
 
 def _random_poly(rng, terms):
@@ -635,7 +644,7 @@ def test_gcd_of_huge_coefficients_grows_xi_in_ints(monkeypatch):
     a = {mono((X(1), 1)): 1, (): s}
     b = {mono((X(1), 1)): 1, (): 5 * (3 * s + 29) - (2 * s + 29)}
     roots = []
-    monkeypatch.setattr(ratfn, "isqrt",
+    monkeypatch.setattr(poly, "isqrt",
                         lambda n: roots.append(n) or isqrt(n))
     assert poly_gcd(a, b) == p_const(1) == _prs_gcd(a, b)
     assert roots and roots[0] > 2**1100
@@ -649,7 +658,7 @@ def test_heuristic_gives_up_on_oversized_images():
     common = (x3 - x1).num
     a = p_mul(((x1 * x2 * x3)**40 + x1 + 1).num, common)
     b = p_mul(((x1 * x2 * x3)**40 + x2).num, common)
-    assert ratfn._heu_gcd(a, b) is None
+    assert poly._heu_gcd(a, b) is None
     assert poly_gcd(a, b) == common == _prs_gcd(a, b)
 
 
@@ -658,9 +667,9 @@ def test_prs_fallback_when_the_heuristic_gives_up(monkeypatch):
     want = poly_gcd(a.num, b.num)
     quotient = RatFn(a.num, b.num)
     fallbacks = []
-    monkeypatch.setattr(ratfn, "_heu_gcd", lambda f, g: None)
-    prs = ratfn._gcd_prim
-    monkeypatch.setattr(ratfn, "_gcd_prim",
+    monkeypatch.setattr(poly, "_heu_gcd", lambda f, g: None)
+    prs = poly._gcd_prim
+    monkeypatch.setattr(poly, "_gcd_prim",
                         lambda f, g: fallbacks.append(1) or prs(f, g))
     assert poly_gcd(a.num, b.num) == want == (x1 * u1 - 3).num
     got = RatFn(a.num, b.num)
@@ -820,7 +829,7 @@ def test_fast_paths_in_diff_and_substitute():
         binding = {v: _operand(rng, rng.choice(["int", "poly", "monomial",
                                                  "general"]))
                    for v in rng.sample(_FAST_VARS, rng.randint(1, 3))}
-        for part in (a.num, a.den):
+        for part in (a._n, a._d):
             got = ratfn._p_subst(part, binding)
             assert got == _term_by_term_subst(part, binding), (part, binding)
 
@@ -1178,13 +1187,13 @@ def test_monomial_sums_keep_the_term_order_of_the_lcm_sum():
                          for v in e1.keys() | e2.keys()))
             l = lcm(a._k, b._k)
             n1, n2 = p_scale(a._n, l // a._k), p_scale(b._n, l // b._k)
-            num = p_add(p_mul(n1, {ratfn.mono_div(top, m1): 1}),
-                        p_mul(n2, {ratfn.mono_div(top, m2): 1}))
+            num = p_add(p_mul(n1, {poly.mono_div(top, m1): 1}),
+                        p_mul(n2, {poly.mono_div(top, m2): 1}))
             g = dict(pairs(top))
             for m in num:
                 g = {v: min(k, dict(pairs(m)).get(v, 0)) for v, k in g.items()}
             g = mono(*((v, k) for v, k in g.items() if k))
-            want = [ratfn.mono_div(m, g) for m in num]
+            want = [poly.mono_div(m, g) for m in num]
             if g:
                 want.sort(key=lambda m: mono_key(pairs(m)), reverse=True)
             assert list((a + b)._n) == want, (a, b)
@@ -1208,7 +1217,7 @@ def test_cofactors_multiply_back():
         cases.append((p_scale(p_mul(f, x), ca), p_scale(p_mul(f, y), cb)))
     seen = {"content": 0, "negative candidate": 0, "proper": 0}
     for a, b in cases:
-        g, qa, qb = ratfn._cofactors(a, b)
+        g, qa, qb = poly._cofactors(a, b)
         # the primitive PRS, not GCDHEU or the monomial gcd
         assert g == _prs_gcd(a, b) == poly_gcd(a, b), (a, b)
         assert p_mul(g, qa) == a and p_mul(g, qb) == b, (a, b)
@@ -1221,8 +1230,8 @@ def test_cofactors_multiply_back():
                     q, key=lambda m: mono_key(pairs(m)), reverse=True)
             seen["proper"] += 1
         if len(a) > 1 and len(b) > 1:
-            heu = ratfn._heu_gcd(a, b)
-            seen["content"] += gcd(ratfn._content(a), ratfn._content(b)) > 1
+            heu = poly._heu_gcd(a, b)
+            seen["content"] += gcd(poly._content(a), poly._content(b)) > 1
             seen["negative candidate"] += p_lead(heu[0])[1] < 0
     assert min(seen.values()) >= 20, seen
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jetfactor import (ControlSystem, EquivMap, RatFn, T, U, X, ZERO,
-                       builtin_fixtures, elkin_forms_32, factor_JK0,
+from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, T, U, X,
+                       ZERO, adapted_coframe_3x2, builtin_fixtures,
+                       check_nonaut_static_pair, elkin_forms_32, factor_JK0,
                        parse_document, parse_expression, parse_map,
                        parse_matrix, parse_system, pullback_matrix,
-                       random_static_transform, serialize, serialize_report,
+                       random_nonaut_static_pair, random_static_transform,
+                       serialize, serialize_report, validate_nonaut_static,
                        verify_pair)
 from jetfactor.errors import (ArityMismatch, JetError, ParseError,
                               SemanticError)
@@ -405,6 +407,39 @@ def test_reports_re_parse():
     doc = parse_document(serialize(fac))
     keys = [k for k, _ in doc.body]
     assert keys[0] == "assumptions" and "g" in keys and "S" in keys
+
+
+def test_pair_and_structure_reports_re_parse():
+    # serialize's promise for the two reports no command prints: a
+    # mutual-triangularity pair, full and triangular, and a structure
+    # report that passes, leaks into label pairs, or names a partner
+    fwd, back, _ = random_nonaut_static_pair(SIGMA, 0)
+    for maps, lower in (((PHI, PHI_INV), "false"), ((fwd, back), "true")):
+        rep = check_nonaut_static_pair(*(pullback_matrix(m, N=3)
+                                         for m in maps))
+        doc = parse_document(serialize(rep))
+        assert doc.kind == "report"
+        assert doc.body == [("forward_lower", lower),
+                            ("inverse_lower", lower), ("consistent", "true")]
+    frame = adapted_coframe_3x2(SIGMA, 3)
+    seen = set()
+    for edits in ({}, {((1, 1), (-1, 1)): RatFn.var(U(2, 2))},
+                  {((1, 2), (1, 2)): ZERO, ((2, 2), (2, 2)): ZERO}):
+        m = BlockMatrix.identity({-1: 1, 0: 3, 1: 2, 2: 2})
+        m.set((0, 2), (0, 1), x1)
+        for (r, c), v in edits.items():
+            m.set(r, c, v)
+        rep = validate_nonaut_static(m, frame)
+        doc = parse_document(serialize(rep))
+        assert doc.kind == "report"
+        assert doc.body[0] == ("passed", "true" if rep.passed else "false")
+        # list values re-read as token text: "- 1" is the label level -1
+        leaks = [json.loads(v.replace("- ", "-")) for k, v in doc.body[1:]]
+        assert [k for k, _ in doc.body[1:]] == ["leak"] * len(rep.failures)
+        assert leaks == json.loads(json.dumps(rep.failures))
+        seen |= {type(pair[0]).__name__ for _, pairs in rep.failures
+                 for pair in pairs} or {"passed"}
+    assert seen == {"passed", "tuple", "str"}
 
 
 def test_factorization_round_trips_to_its_product():
