@@ -6,13 +6,11 @@ from .poly import T, X, U, var_name
 from .ratfn import RatFn, ZERO, ONE
 from .errors import JetError
 from .jets import (ControlSystem, VectorField, AffineForm, to_affine,
-                   lie_bracket, prolong_total, prolong_partial,
-                   generic_rank, sample_point)
-from .coframes import (contact_coframe, adapted_coframe_3x2, Coframe,
-                       exterior_d, wedge)
+                   lie_bracket, prolong_partial, generic_rank, sample_point)
+from .coframes import Coframe, exterior_d, wedge
 from .equivalence import (EquivMap, compose, prolong_map,
-                          VerificationReport, verify_forward, verify_inverse,
-                          verify_pair, verify_scalar_theorem, BlockMatrix,
+                          VerificationReport, verify_forward, verify_pair,
+                          verify_scalar_theorem, BlockMatrix,
                           pullback_matrix, check_arepeats, block_rank,
                           check_nonaut_static_pair, StaticPairReport)
 from .factorize import (build_S, NonautStatic, Factorization, GnicePattern,
@@ -28,11 +26,10 @@ from .sysio import (Document, parse_system, parse_map, parse_matrix,
 __all__ = [
     "RatFn", "ZERO", "ONE", "T", "X", "U", "var_name", "JetError",
     "ControlSystem", "VectorField", "AffineForm", "to_affine", "lie_bracket",
-    "prolong_total", "prolong_partial", "generic_rank", "sample_point",
-    "contact_coframe", "adapted_coframe_3x2", "Coframe", "exterior_d",
-    "wedge",
+    "prolong_partial", "generic_rank", "sample_point",
+    "Coframe", "exterior_d", "wedge",
     "EquivMap", "compose", "prolong_map",
-    "VerificationReport", "verify_forward", "verify_inverse", "verify_pair",
+    "VerificationReport", "verify_forward", "verify_pair",
     "verify_scalar_theorem", "BlockMatrix", "pullback_matrix",
     "check_arepeats", "block_rank", "check_nonaut_static_pair",
     "StaticPairReport",

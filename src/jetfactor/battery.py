@@ -9,7 +9,7 @@ tests/test_acceptance.py calls the same functions with its own inputs.
 from .poly import X, U
 from .ratfn import RatFn, ZERO, ONE
 from .jets import ControlSystem
-from .coframes import contact_coframe, adapted_coframe_3x2
+from .coframes import Coframe, CONTACT, ADAPTED
 from .equivalence import (verify_pair, verify_scalar_theorem, pullback_matrix,
                           check_arepeats, block_rank, check_nonaut_static_pair)
 from .factorize import factor_JK0, build_S, check_gnice
@@ -105,8 +105,8 @@ def invariance(forms, transform_seeds, seed=0):
 def structure(forms, N):
     """Raises StructureViolation on the first frame that fails."""
     for s_ in forms:
-        contact_coframe(s_, N).check_structure()
-        adapted_coframe_3x2(s_, N).check_structure()
+        Coframe(s_, N, CONTACT).check_structure()
+        Coframe(s_, N, ADAPTED).check_structure()
     return True, "contact + adapted at N=%d" % N
 
 

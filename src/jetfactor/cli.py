@@ -18,8 +18,8 @@ import functools
 import sys
 
 from . import battery, sysio
-from .jets import prolong_total, prolong_partial
-from .coframes import contact_coframe, adapted_coframe_3x2
+from .jets import prolong_partial
+from .coframes import Coframe, CONTACT, ADAPTED
 from .equivalence import verify_forward, verify_pair, pullback_matrix
 from .factorize import factor_JK0, check_gnice
 from .classify import classify_static, dynamic_class
@@ -165,10 +165,10 @@ def cmd_structure(a):
     s = _load_system(a.sys)
     frames = []
     if a.frame in ("contact", "both"):
-        frames.append(("contact", contact_coframe(s, a.order)))
+        frames.append(("contact", Coframe(s, a.order, CONTACT)))
     if a.frame in ("adapted", "both"):
         try:
-            frames.append(("adapted", adapted_coframe_3x2(s, a.order)))
+            frames.append(("adapted", Coframe(s, a.order, ADAPTED)))
         except NotNormalizedForm as exc:
             if a.frame == "adapted":
                 sys.stderr.write("input not in the normalized shape: %s\n"
@@ -196,6 +196,7 @@ def cmd_structure(a):
 
 def cmd_prolong(a):
     s = _load_system(a.sys)
+    promote = range(1, s.s + 1)
     if a.promote is not None:
         try:
             promote = {int(tok) for tok in a.promote.split(",") if tok}
@@ -204,10 +205,7 @@ def cmd_prolong(a):
         if not promote or not promote <= set(range(1, s.s + 1)):
             raise UsageError("--promote wants a comma-separated list of "
                              "control indices from 1 to %d" % s.s)
-        out = prolong_partial(s, promote)
-    else:
-        out = prolong_total(s)
-    _out(sysio.serialize(out))
+    _out(sysio.serialize(prolong_partial(s, promote)))
     return 0
 
 

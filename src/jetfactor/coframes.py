@@ -113,7 +113,10 @@ def _contact(v, rate):
 
 
 class Coframe:
-    """Truncated coframe of a control system at jet level N."""
+    """Truncated coframe of a control system at jet level N, of kind
+    CONTACT (dt and the contact forms of every state and control level)
+    or ADAPTED (the normalized frame for x1' = u1, x2' = u2,
+    x3' = f(x, u))."""
 
     def __init__(self, sys_, N, kind=CONTACT):
         if N < 1:
@@ -261,17 +264,3 @@ def _fv2_text(fv2):
     for (la, lb), c in sorted(fv2.items()):
         bits.append("(%s)*%s^%s" % (c.to_text(), label_text(la), label_text(lb)))
     return " + ".join(bits)
-
-
-# ---------------------------------------------------------------------------
-# entry points
-
-def contact_coframe(sys_, N):
-    """dt plus the contact forms of every state and control level <= N."""
-    return Coframe(sys_, N, CONTACT)
-
-
-def adapted_coframe_3x2(sys_, N):
-    """The normalized frame for x1' = u1, x2' = u2, x3' = f(x, u)."""
-    return Coframe(sys_, N, ADAPTED)
-

@@ -100,24 +100,23 @@ class OutOfTable(JetError):
 
 # --- text formats ---
 
-class ParseError(JetError):
+class _PositionalError(JetError):
+    """An input-text error that carries .line and .col and, when it has a
+    line, names it first in its message."""
+
+    def __init__(self, msg, line=None, col=None):
+        self.line, self.col = line, col
+        if line is not None:
+            msg = "line %d, col %d: %s" % (line, col, msg)
+        super().__init__(msg)
+
+
+class ParseError(_PositionalError):
     """Token-level error in an input file. Carries line/column."""
 
-    def __init__(self, msg, line=None, col=None):
-        self.line, self.col = line, col
-        if line is not None:
-            msg = "line %d, col %d: %s" % (line, col, msg)
-        super().__init__(msg)
 
-
-class SemanticError(JetError):
+class SemanticError(_PositionalError):
     """Well-formed text with an invalid meaning (unknown key, bad index...)."""
-
-    def __init__(self, msg, line=None, col=None):
-        self.line, self.col = line, col
-        if line is not None:
-            msg = "line %d, col %d: %s" % (line, col, msg)
-        super().__init__(msg)
 
 
 class ArityMismatch(JetError):

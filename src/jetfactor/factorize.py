@@ -76,9 +76,6 @@ class NonautStatic:
     def __eq__(self, o):
         return isinstance(o, NonautStatic) and self.mat == o.mat
 
-    def block(self, rl, cl):
-        return self.mat.block(rl, cl)
-
 
 class Factorization:
     """Result of factor_JK0.

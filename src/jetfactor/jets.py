@@ -166,22 +166,14 @@ def lie_bracket(a, b):
 # ---------------------------------------------------------------------------
 # prolongations
 
-def prolong_total(sys_):
-    """Promote every control to a state: n+s states, controls become u_j'."""
-    n, s = sys_.n, sys_.s
-    sub = {U(j + 1): RatFn.var(X(n + j + 1)) for j in range(s)}
-    f = [fi.substitute(sub) for fi in sys_.f]
-    f += [RatFn.var(U(j + 1)) for j in range(s)]
-    return ControlSystem(n + s, s, f, name=sys_.name + "+tot" if sys_.name else "")
-
-
 def prolong_partial(sys_, promote):
     """Promote the controls in `promote` (1-based set) one derivative each.
 
     Promoted u_j becomes the state x_{n+r} (r = rank of j within the
     promoted set).  New control labels: the unpromoted controls come first
     in their original order, then the promoted derivatives, so promoting
-    {1} of (u1, u2) gives v1 = u2 and v2 = u1'.
+    {1} of (u1, u2) gives v1 = u2 and v2 = u1'.  Promoting every control
+    is the total prolongation: u_j becomes x_{n+j} and v_j = u_j'.
     """
     promote = sorted(set(promote))
     if not promote:

@@ -709,12 +709,9 @@ def _ser_map(m):
 def _meta_text(v):
     if isinstance(v, bool):
         raise TypeError("matrix meta holds ints, strings, string lists")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return '"%s"' % v
-    if isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v):
-        return "[%s]" % ", ".join('"%s"' % x for x in v)
+    if isinstance(v, (int, str)) or (isinstance(v, (list, tuple)) and
+                                     all(isinstance(x, str) for x in v)):
+        return _rep_value(v)
     raise TypeError("matrix meta holds ints, strings, string lists; got %r"
                     % (v,))
 

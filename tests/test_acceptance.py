@@ -19,12 +19,13 @@ import time
 
 import pytest
 
-from jetfactor import (ControlSystem, RatFn, U, X, ZERO, ONE,
-                       adapted_coframe_3x2, battery, build_S,
+from jetfactor import (Coframe, ControlSystem, RatFn, U, X, ZERO, ONE,
+                       battery, build_S,
                        builtin_fixtures, check_gnice, check_nonaut_static_pair,
                        elkin_forms_32, exterior_d, factor_JK0,
                        parse_expression, pullback_matrix,
                        random_nonaut_static_pair)
+from jetfactor.coframes import ADAPTED
 from jetfactor.errors import PatternViolation
 
 from test_equivalence import expected_A_phi
@@ -155,7 +156,7 @@ def test_criterion_5_structure_equations(capsys):
     ok, detail = battery.structure(forms, 4)  # raises StructureViolation
     problems = [] if ok else [detail]
     for s_ in forms:
-        fr = adapted_coframe_3x2(s_, 4)
+        fr = Coframe(s_, 4, ADAPTED)
         dw = fr.to_frame2(exterior_d(fr.elements[(0, 3)]))
         if not all(la[0] == 0 or lb[0] == 0 for (la, lb) in dw):
             problems.append("%s: d(w0_3) not 0 mod level zero" % s_.name)

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from jetfactor import (Coframe, ControlSystem, RatFn, T, U, X, ZERO, ONE,
-                       adapted_coframe_3x2, contact_coframe, elkin_forms_32,
-                       exterior_d, wedge)
-from jetfactor.coframes import add_term, exterior_d2
+                       elkin_forms_32, exterior_d, wedge)
+from jetfactor.coframes import ADAPTED, CONTACT, add_term, exterior_d2
 from jetfactor.errors import (NotNormalizedForm, StructureViolation,
                               TruncationExceeded)
 
@@ -78,7 +77,7 @@ def test_exterior_d2_on_closed_two_form():
 # --- frames -----------------------------------------------------------------
 
 def test_contact_frame_elements():
-    fr = contact_coframe(sigma(), 2)
+    fr = Coframe(sigma(), 2, CONTACT)
     assert fr.labels[0] == (-1, 1)
     assert fr.elements[(-1, 1)] == {T: ONE}
     assert fr.elements[(0, 3)] == {X(3): ONE, T: ZERO - x2 * u1}
@@ -88,22 +87,22 @@ def test_contact_frame_elements():
 
 def test_frame_needs_positive_level():
     with pytest.raises(ValueError):
-        contact_coframe(sigma(), 0)
+        Coframe(sigma(), 0, CONTACT)
 
 
 def test_dx1_in_contact_basis():
-    fr = contact_coframe(sigma(), 1)
+    fr = Coframe(sigma(), 1, CONTACT)
     assert fr.to_frame(d_var(X(1))) == {(0, 1): ONE, (-1, 1): u1}
 
 
 def test_basis_round_trip():
-    fr = contact_coframe(sigma(), 2)
+    fr = Coframe(sigma(), 2, CONTACT)
     w = form_add(form_scale(d_var(X(2)), x1 / u2), d_var(U(1, 1)))
     assert fr.from_frame(fr.to_frame(w)) == w
 
 
 def test_truncation_is_loud():
-    fr = contact_coframe(sigma(), 2)
+    fr = Coframe(sigma(), 2, CONTACT)
     # du1'' lives one level above what the frame spans
     with pytest.raises(TruncationExceeded):
         fr.to_frame(d_var(U(1, 2)))
@@ -112,32 +111,32 @@ def test_truncation_is_loud():
 
 
 def test_adapted_third_row_for_bilinear_f():
-    fr = adapted_coframe_3x2(sigma(), 1)
+    fr = Coframe(sigma(), 1, ADAPTED)
     # dx3 - x2 u1 dt - x2 (dx1 - u1 dt) collapses to dx3 - x2 dx1
     assert fr.elements[(0, 3)] == {X(3): ONE, X(1): ZERO - x2}
 
 
 def test_adapted_third_row_without_u_dependence():
     lam = ControlSystem(3, 2, (u1, u2, x2))
-    fr = adapted_coframe_3x2(lam, 1)
+    fr = Coframe(lam, 1, ADAPTED)
     assert fr.elements[(0, 3)] == {X(3): ONE, T: ZERO - x2}
 
 
 def test_adapted_third_row_affine_offset():
     z = ControlSystem(3, 2, (u1, u2, 1 + x2 * u1))
-    fr = adapted_coframe_3x2(z, 1)
+    fr = Coframe(z, 1, ADAPTED)
     assert fr.elements[(0, 3)] == {X(3): ONE, T: ZERO - ONE, X(1): ZERO - x2}
 
 
 def test_adapted_demands_normal_form():
     with pytest.raises(NotNormalizedForm):
-        adapted_coframe_3x2(ControlSystem(3, 2, (u2, u1, x2 * u1)), 2)
+        Coframe(ControlSystem(3, 2, (u2, u1, x2 * u1)), 2, ADAPTED)
     with pytest.raises(NotNormalizedForm):
-        adapted_coframe_3x2(ControlSystem(2, 1, (u1, x1), name="small"), 2)
+        Coframe(ControlSystem(2, 1, (u1, x1), name="small"), 2, ADAPTED)
 
 
 def test_wedge_expansion_in_adapted_basis():
-    fr = adapted_coframe_3x2(sigma(), 1)
+    fr = Coframe(sigma(), 1, ADAPTED)
     got = fr.to_frame2(wedge(d_var(X(1)), d_var(X(2))))
     assert got == {
         ((0, 1), (0, 2)): ONE,
@@ -147,7 +146,7 @@ def test_wedge_expansion_in_adapted_basis():
 
 
 def test_frame_converts_one_and_two_forms():
-    fr = adapted_coframe_3x2(sigma(), 1)
+    fr = Coframe(sigma(), 1, ADAPTED)
     assert fr.to_frame(d_var(X(1))) == {(0, 1): ONE, (-1, 1): u1}
     two = fr.to_frame2(wedge(d_var(X(1)), d_var(X(2))))
     assert ((0, 1), (0, 2)) in two
@@ -170,14 +169,13 @@ def _random_oneform(rng, fr):
     return form
 
 
-@pytest.mark.parametrize("make", [contact_coframe, adapted_coframe_3x2],
-                         ids=["contact", "adapted"])
-def test_change_of_basis_respects_the_wedge(make):
+@pytest.mark.parametrize("kind", [CONTACT, ADAPTED], ids=["contact", "adapted"])
+def test_change_of_basis_respects_the_wedge(kind):
     # to_frame2 must be the two-form extension of to_frame, and from_frame
     # its inverse, on every elkin form at N = 3
     rng = random.Random(13)
     for sys_ in elkin_forms_32():
-        fr = make(sys_, 3)
+        fr = Coframe(sys_, 3, kind)
         for _ in range(4):
             a, b = _random_oneform(rng, fr), _random_oneform(rng, fr)
             assert fr.to_frame2(wedge(a, b)) == wedge(fr.to_frame(a),
@@ -187,13 +185,13 @@ def test_change_of_basis_respects_the_wedge(make):
 
 def test_control_level_structure_identity():
     # d(du1 - u1' dt) re-expressed over the frame is w-1 ^ w2_1
-    fr = contact_coframe(sigma(), 2)
+    fr = Coframe(sigma(), 2, CONTACT)
     got = fr.to_frame2(exterior_d(fr.elements[(1, 1)]))
     assert got == {((-1, 1), (2, 1)): ONE}
 
 
 def test_adapted_third_row_closes_mod_level_zero():
-    fr = adapted_coframe_3x2(sigma(), 2)
+    fr = Coframe(sigma(), 2, ADAPTED)
     got = fr.to_frame2(exterior_d(fr.elements[(0, 3)]))
     assert got  # it is not literally closed...
     for (la, lb) in got:
@@ -206,14 +204,14 @@ ELKIN_THIRD_ROWS = [ZERO, ONE, x2, x2 * u1, 1 + x2 * u1]
 @pytest.mark.parametrize("f3", ELKIN_THIRD_ROWS, ids=lambda f: f.to_text())
 def test_structure_equations_all_normal_forms(f3):
     sys_ = ControlSystem(3, 2, (u1, u2, f3))
-    for make in (contact_coframe, adapted_coframe_3x2):
-        rep = make(sys_, 4).structure_report()
+    for kind in (CONTACT, ADAPTED):
+        rep = Coframe(sys_, 4, kind).structure_report()
         assert rep.passed, rep.summary()
         assert "hold" in rep.summary()
 
 
 def test_structure_violation_is_detected():
-    fr = adapted_coframe_3x2(sigma(), 2)
+    fr = Coframe(sigma(), 2, ADAPTED)
     # a stray u1 dt makes d(w0_3) pick up a w-1 ^ w1_1 residue
     fr.elements[(0, 3)] = form_add(fr.elements[(0, 3)], form_scale(d_var(T), u1))
     rep = fr.structure_report()
@@ -224,5 +222,5 @@ def test_structure_violation_is_detected():
 
 
 def test_check_structure_returns_the_report():
-    fr = contact_coframe(sigma(), 3)
+    fr = Coframe(sigma(), 3, CONTACT)
     assert fr.check_structure().passed

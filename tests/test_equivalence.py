@@ -10,12 +10,12 @@ from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
                        check_nonaut_static_pair, compose, elkin_forms_32,
                        parse_map, parse_system, prolong_map, pullback_matrix,
                        random_nonaut_static_pair, random_static_transform,
-                       verify_forward, verify_inverse, verify_pair,
-                       verify_scalar_theorem)
+                       verify_forward, verify_pair, verify_scalar_theorem)
 from jetfactor import equivalence
 from jetfactor.equivalence import PullbackContext, _forward_residuals
 from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
-                              ScalarContradiction, StructureViolation)
+                              ScalarContradiction, StructureViolation,
+                              TruncationExceeded)
 from jetfactor.ratfn import gauss_jordan
 from jetfactor.sysio import serialize
 
@@ -91,7 +91,7 @@ def test_forward_is_structurally_zero(m, minv):
 def test_pairs_invert_to_order_four(m, minv):
     rep = verify_pair(m, minv, N=4)
     assert rep.ok, rep.summary()
-    assert verify_inverse(m, minv, N=4).inverse_ok
+    assert rep.inverse_ok
 
 
 def test_strict_pairs_have_order_zero_both_ways():
@@ -126,8 +126,6 @@ def test_corrupted_forward_component():
 
 
 def test_inverse_must_connect_the_same_systems():
-    with pytest.raises(DimensionMismatch):
-        verify_inverse(PHI, PSI_INV)
     with pytest.raises(DimensionMismatch):
         compose(PSI, PHI)  # psi starts where phi does not end
 
@@ -428,6 +426,17 @@ def test_non_solution_map_trips_the_dt_check():
         pullback_matrix(imposter, N=2)
     B = pullback_matrix(imposter, N=2, strict=False)
     assert not B.get((0, 3), (-1, 1)).is_zero()
+
+
+def test_a_control_above_the_source_frame_is_a_truncation_error():
+    # no pulled row reaches past the source frame: re-expressing it there
+    # raises first, here for v1 = u1'' with the frame at level N + J + 1 = 2,
+    # as `jetfactor pullback` runs it
+    one = ControlSystem(1, 1, (u1,))
+    m = EquivMap(one, one, (x1,), (du(1, 2),))
+    with pytest.raises(TruncationExceeded,
+                       match=r"^d\(u1''\) is beyond frame level 2$"):
+        pullback_matrix(m, N=2, strict=False)
 
 
 # --- repetition and rank structure -------------------------------------------

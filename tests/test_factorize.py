@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from jetfactor import (BlockMatrix, GnicePattern, NonautStatic, RatFn, U, X,
-                       ZERO, ONE, adapted_coframe_3x2, build_S,
-                       builtin_fixtures, check_gnice, compose, factor_JK0,
-                       pullback_matrix, random_static_transform,
-                       validate_nonaut_static)
+from jetfactor import (BlockMatrix, Coframe, ControlSystem, EquivMap,
+                       GnicePattern, NonautStatic, RatFn, U, X, ZERO, ONE,
+                       build_S, builtin_fixtures, check_gnice, compose,
+                       factor_JK0, pullback_matrix, random_static_transform,
+                       validate_nonaut_static, verify_forward)
 from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
                               PatternViolation, StructureViolation)
 from jetfactor import factorize
+from jetfactor.coframes import ADAPTED
 from jetfactor.factorize import _Driver
 from jetfactor.sysio import serialize
 from test_equivalence import full_inverse
@@ -115,8 +116,8 @@ def test_factor_phi_left_factor_shape():
     assert g.mat.is_block_lower()
     assert g.mat.row_levels == [-1, 0, 1, 2, 3, 4]
     # control-level diagonal blocks all agree (here: u2 on the first slot)
-    assert g.block(1, 1) == [[u2, ZERO], [ZERO, ONE]]
-    assert g.block(3, 3) == g.block(1, 1)
+    assert g.mat.block(1, 1) == [[u2, ZERO], [ZERO, ONE]]
+    assert g.mat.block(3, 3) == g.mat.block(1, 1)
 
 
 def test_phi_right_factor_reaching_the_display_entry():
@@ -173,7 +174,7 @@ def test_factor_theta_right_factor_content():
         assert G.get((k, 2), (k - 2, 1)) == 2 * (k - 1) * u2 * du(2, 1)
     # square, block-lower, equal diagonal control blocks
     lev = [l for l in fac.G.mat.row_levels if l >= 1]
-    assert all(fac.G.block(l, l) == fac.G.block(1, 1) for l in lev)
+    assert all(fac.G.mat.block(l, l) == fac.G.mat.block(1, 1) for l in lev)
 
 
 def test_factor_theta_escapes_the_narrow_pattern():
@@ -209,10 +210,40 @@ def test_target_side_static_moves_mix_rows_at_every_level(m, seed):
         assert "row (%d, 1) += %s * row (%d, 2)" % (k, coeff, k) in fac.ops
 
 
+def _source_relabeled(m, xs, us):
+    """m after the static change x'_i = x_{xs[i]}, u'_j = u_{us[j]} of its
+    source coordinates: an exact strict map again, with J = K = 0."""
+    sub = {X(k): RatFn.var(X(i + 1)) for i, k in enumerate(xs)}
+    sub.update({U(k): RatFn.var(U(j + 1)) for j, k in enumerate(us)})
+    src = ControlSystem(m.src.n, m.src.s,
+                        [m.src.f[k - 1].substitute(sub) for k in xs])
+    back = EquivMap(src, m.src, [sub[X(k)] for k in range(1, m.src.n + 1)],
+                    [sub[U(k)] for k in range(1, m.src.s + 1)])
+    return compose(m, back)
+
+
+@pytest.mark.parametrize("xs, us, swap", [
+    ((1, 2, 3), (2, 1), "swap cols (1, 1), (1, 2)"),
+    ((1, 3, 2), (1, 2), "swap rows (0, 3), (0, 2)"),
+    ((2, 3, 1), (1, 2), "swap cols (0, 1), (0, 3)"),
+], ids=["pivot-row-columns", "level-0-rows", "level-0-columns"])
+def test_source_relabelings_take_the_swap_branches(xs, us, swap):
+    # swapping phi's source controls zeroes the pivot row's (1, 2) entry;
+    # permuting its source states leaves a zero level-0 diagonal pivot, so
+    # the reduction swaps in a row below it or a column beside it
+    m = _source_relabeled(PHI, xs, us)
+    assert verify_forward(m).forward_ok
+    A = pullback_matrix(m, N=3)
+    assert A.meta["J"] == 0
+    fac = factor_JK0(A)
+    assert swap in fac.ops
+    assert fac.matches(A)
+
+
 @pytest.mark.parametrize("m", [PHI, PSI, THETA], ids=lambda m: m.name)
 def test_left_factors_preserve_structure_equations(m):
     fac = factor_JK0(pullback_matrix(m, N=4))
-    frame = adapted_coframe_3x2(m.tgt, 5)
+    frame = Coframe(m.tgt, 5, ADAPTED)
     rep = validate_nonaut_static(fac.g, frame)
     assert rep.passed, rep.summary()
     assert "preserves" in rep.summary()
@@ -538,14 +569,14 @@ def test_nonaut_static_wrapper_checks_shape():
 
 def test_validator_rejects_diagonal_drift():
     sig = PHI.src
-    frame = adapted_coframe_3x2(sig, 3)
+    frame = Coframe(sig, 3, ADAPTED)
     with pytest.raises(DiagonalDrift):
         validate_nonaut_static(lower_change(drift=True), frame)
 
 
 def test_validator_accepts_a_scaled_change():
     sig = PHI.src
-    frame = adapted_coframe_3x2(sig, 3)
+    frame = Coframe(sig, 3, ADAPTED)
     m = lower_change()
     rep = validate_nonaut_static(m, frame)
     assert rep.passed, rep.summary()
@@ -553,7 +584,7 @@ def test_validator_accepts_a_scaled_change():
 
 def test_validator_flags_a_leaky_row():
     sig = PHI.src
-    frame = adapted_coframe_3x2(sig, 3)
+    frame = Coframe(sig, 3, ADAPTED)
     m = lower_change()
     # a dt coefficient built from u2'' differentiates to dt ^ (level 3),
     # which no level-2 partner can absorb
@@ -566,7 +597,7 @@ def test_validator_flags_a_leaky_row():
 
 def test_validator_flags_an_unabsorbable_residue():
     sig = PHI.src
-    frame = adapted_coframe_3x2(sig, 3)
+    frame = Coframe(sig, 3, ADAPTED)
     m = lower_change()
     # collapse the second control slot at every level: the diagonals still
     # agree, but d(row (0,2)) lands on the dead slot

@@ -6,7 +6,7 @@ import pytest
 
 from jetfactor import (AffineForm, ControlSystem, ONE, RatFn, T, U,
                        VectorField, X, ZERO, elkin_forms_32, generic_rank,
-                       lie_bracket, prolong_partial, prolong_total,
+                       builtin_fixtures, lie_bracket, prolong_partial,
                        random_nonaut_static_pair, random_static_transform,
                        sample_point, to_affine)
 from jetfactor.errors import (DegenerateSystem, DenominatorZero,
@@ -325,7 +325,7 @@ class TestBracket:
 
 class TestProlongation:
     def test_total(self):
-        big = prolong_total(bilinear())
+        big = prolong_partial(bilinear(), {1, 2})
         assert (big.n, big.s) == (5, 2)
         # old controls live on as states 4 and 5, new controls are their rates
         assert big.f == (rv(X(4)), rv(X(5)), x2 * rv(X(4)), u1, u2)
@@ -338,8 +338,15 @@ class TestProlongation:
         assert got.f == (rv(X(4)), u1, x2 * rv(X(4)), u2)
 
     def test_promoting_everything_is_total(self):
-        sys_ = bilinear()
-        assert prolong_partial(sys_, {1, 2}).f == prolong_total(sys_).f
+        # on every fixture system: u_j becomes x_{n+j} and v_j = u_j'
+        systems = [s for m, _ in builtin_fixtures() for s in (m.src, m.tgt)]
+        for sys_ in systems + elkin_forms_32():
+            n, s = sys_.n, sys_.s
+            sub = {U(j): rv(X(n + j)) for j in range(1, s + 1)}
+            want = tuple(f.substitute(sub) for f in sys_.f)
+            want += tuple(rv(U(j)) for j in range(1, s + 1))
+            got = prolong_partial(sys_, range(1, s + 1))
+            assert (got.n, got.s, got.f) == (n + s, s, want)
 
     def test_promote_set_must_be_sane(self):
         with pytest.raises(EmptyPromotionSet):

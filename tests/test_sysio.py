@@ -7,14 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, T, U, X,
-                       ZERO, adapted_coframe_3x2, builtin_fixtures,
+from jetfactor import (BlockMatrix, Coframe, ControlSystem, EquivMap, RatFn, T,
+                       U, X, ZERO, builtin_fixtures,
                        check_nonaut_static_pair, elkin_forms_32, factor_JK0,
                        parse_document, parse_expression, parse_map,
                        parse_matrix, parse_system, pullback_matrix,
                        random_nonaut_static_pair, random_static_transform,
                        serialize, serialize_report, validate_nonaut_static,
                        verify_pair)
+from jetfactor.coframes import ADAPTED
 from jetfactor.errors import (ArityMismatch, JetError, ParseError,
                               SemanticError)
 from jetfactor.sysio import _Tok, _tokenize
@@ -375,6 +376,13 @@ def test_matrix_meta_kinds():
     m = parse_matrix(text)
     assert m.meta == {"N": 4, "map": "phi", "assumptions": ["u2", "x1"]}
     assert parse_matrix(serialize(m)).meta == m.meta
+    assert [ln for ln in serialize(m).splitlines() if "meta" in ln] == [
+        '  meta N = 4', '  meta assumptions = ["u2", "x1"]', '  meta map = "phi"']
+    for bad, msg in ((True, "matrix meta holds ints, strings, string lists$"),
+                     ([1], r"string lists; got \[1\]$")):
+        m.meta["bad"] = bad
+        with pytest.raises(TypeError, match=msg):
+            serialize(m)
 
 
 # -------------------------------------------------------------------
@@ -421,7 +429,7 @@ def test_pair_and_structure_reports_re_parse():
         assert doc.kind == "report"
         assert doc.body == [("forward_lower", lower),
                             ("inverse_lower", lower), ("consistent", "true")]
-    frame = adapted_coframe_3x2(SIGMA, 3)
+    frame = Coframe(SIGMA, 3, ADAPTED)
     seen = set()
     for edits in ({}, {((1, 1), (-1, 1)): RatFn.var(U(2, 2))},
                   {((1, 2), (1, 2)): ZERO, ((2, 2), (2, 2)): ZERO}):
