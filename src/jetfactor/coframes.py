@@ -16,7 +16,7 @@ are again dicts keyed by label (or label pairs).
 """
 
 from .poly import T, X, U, var_name
-from .ratfn import RatFn, ZERO, ONE
+from .ratfn import RatFn, ZERO, ONE, rsum
 from .errors import NotNormalizedForm, TruncationExceeded, StructureViolation
 
 
@@ -25,7 +25,8 @@ from .errors import NotNormalizedForm, TruncationExceeded, StructureViolation
 
 # The form helpers take any dict of RatFn values: one-forms over
 # differentials, frame vectors over labels, two-forms over label pairs.
-# Such a dict holds no zero value; add_term is the one place that keeps it so.
+# Such a dict holds no zero value: add_term drops a key whose sum cancels,
+# and to_frame keeps no label whose sum is zero.
 
 def add_term(r, k, c):
     """r[k] += c in place, dropping the key when the sum cancels."""
@@ -172,10 +173,18 @@ class Coframe:
         return fv
 
     def to_frame(self, a):
-        """One-form over differentials -> dict {label: RatFn}."""
-        out = {}
+        """One-form over differentials -> dict {label: RatFn}.  Each
+        label's coefficient is summed in one pass (rsum); the labels come
+        in the order they first appear."""
+        parts = {}
         for v, c in a.items():
-            add_scaled(out, self._vector(v), c)
+            for lab, fv in self._vector(v).items():
+                parts.setdefault(lab, []).append(fv * c)
+        out = {}
+        for lab, ts in parts.items():
+            s = rsum(ts)
+            if not s.is_zero():
+                out[lab] = s
         return out
 
     def to_frame2(self, a):

@@ -297,12 +297,18 @@ class BlockMatrix:
     """Sparse matrix over frame labels (level, index), stored per entry.
 
     Its shape is two ordered {level: size} dicts, rows and columns; the
-    levels are their keys, in order."""
+    levels are their keys, in order.  entries maps (row, col) to a nonzero
+    RatFn.  Beside it the matrix indexes its nonzero labels: _rows[r] is
+    the set of columns of row r that hold an entry, and _cols[c] the set
+    of rows of column c (a label with none may keep an empty set).  Every
+    method that changes entries keeps both current, so entries is written
+    only through the methods."""
 
     def __init__(self, row_sizes, col_sizes, meta=None):
         self.row_sizes = dict(row_sizes)
         self.col_sizes = dict(col_sizes)
         self.entries = {}
+        self._rows, self._cols = {}, {}
         self.meta = dict(meta or {})
 
     # -- label plumbing ------------------------------------------------
@@ -327,10 +333,27 @@ class BlockMatrix:
         return self.entries.get((r, c), ZERO)
 
     def set(self, r, c, val):
+        key = (r, c)
         if val.is_zero():
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = val
+            if self.entries.pop(key, None) is not None:
+                self._rows[r].discard(c)
+                self._cols[c].discard(r)
+            return
+        if key not in self.entries:
+            self._rows.setdefault(r, set()).add(c)
+            self._cols.setdefault(c, set()).add(r)
+        self.entries[key] = val
+
+    def _add(self, r, c, val):
+        """entries[(r, c)] += val, dropping the entry when the sum cancels."""
+        self.set(r, c, self.entries.get((r, c), ZERO) + val)
+
+    def _index(self):
+        """Rebuild both label indexes from entries."""
+        self._rows, self._cols = {}, {}
+        for r, c in self.entries:
+            self._rows.setdefault(r, set()).add(c)
+            self._cols.setdefault(c, set()).add(r)
 
     def block(self, rl, cl):
         if rl not in self.row_sizes or cl not in self.col_sizes:
@@ -342,6 +365,7 @@ class BlockMatrix:
     def copy(self):
         m = BlockMatrix(self.row_sizes, self.col_sizes, self.meta)
         m.entries = dict(self.entries)
+        m._index()
         return m
 
     @staticmethod
@@ -367,6 +391,7 @@ class BlockMatrix:
             for mid, v in pairs:
                 for c, w in by_col.get(mid, ()):
                     add_term(out.entries, (r, c), v * w)
+        out._index()
         return out
 
     def transpose(self):
@@ -395,38 +420,34 @@ class BlockMatrix:
         return all(c != (-1, 1) or r == (-1, 1) for (r, c) in self.entries)
 
     # -- in-place elementary ops (used by the factorizer) ----------------
+    # Each walks the nonzero labels of one row or column in sorted order,
+    # which is label order when the levels ascend, as frame_sizes has them.
 
     def row_add(self, dst, src, c):
-        for col in self.col_labels():
-            v = self.get(src, col)
-            if not v.is_zero():
-                add_term(self.entries, (dst, col), c * v)
+        for col in sorted(self._rows.get(src, ())):
+            self._add(dst, col, c * self.entries[(src, col)])
 
     def row_scale(self, r, c):
-        for col in self.col_labels():
-            v = self.get(r, col)
-            if not v.is_zero():
-                self.set(r, col, c * v)
+        for col in sorted(self._rows.get(r, ())):
+            self.set(r, col, c * self.entries[(r, col)])
 
     def col_add(self, dst, src, c):
-        for row in self.row_labels():
-            v = self.get(row, src)
-            if not v.is_zero():
-                add_term(self.entries, (row, dst), c * v)
+        for row in sorted(self._cols.get(src, ())):
+            self._add(row, dst, c * self.entries[(row, src)])
 
     def col_scale(self, c, s):
-        for row in self.row_labels():
-            v = self.get(row, c)
-            if not v.is_zero():
-                self.set(row, c, s * v)
+        for row in sorted(self._cols.get(c, ())):
+            self.set(row, c, s * self.entries[(row, c)])
 
     def relabel_rows(self, to):
         """Row r moves to row to[r] for each key r; to permutes its keys."""
         self.entries = {(to.get(r, r), c): v for (r, c), v in self.entries.items()}
+        self._index()
 
     def relabel_cols(self, to):
         """Column c moves to column to[c] for each key c; to permutes its keys."""
         self.entries = {(r, to.get(c, c)): v for (r, c), v in self.entries.items()}
+        self._index()
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,10 @@ class Factorization:
         self._product = None
 
     def product(self):
-        """g * S * G, multiplied out on the first call and held."""
+        """g * S * G, multiplied out on the first call and held: g * S by
+        _times_shift, then one matmul."""
         if self._product is None:
-            self._product = self.g.mat.matmul(self.S).matmul(self.G.mat)
+            self._product = _times_shift(self.g.mat, self.S).matmul(self.G.mat)
         return self._product
 
     def matches(self, A):
@@ -113,6 +114,28 @@ class Factorization:
             if prod.entries.get(key, ZERO) != A.entries.get(key, ZERO):
                 return False
         return True
+
+
+def _times_shift(g, S):
+    """g * S for an S with one unit entry in each row and at most one in
+    each column, as build_S makes it: entry (m, c) of S moves column m of
+    g to column c, with no arithmetic.  Raises PatternViolation for any
+    other S and DimensionMismatch when the shapes do not compose."""
+    if list(g.col_sizes.items()) != list(S.row_sizes.items()):
+        raise DimensionMismatch("block shapes do not compose")
+    to = {}
+    for (m, c), v in S.entries.items():
+        if v != ONE or m in to:
+            raise PatternViolation("S entry (%s, %s) is not its row's one unit"
+                                   % (m, c))
+        to[m] = c
+    if set(to) != set(S.row_labels()) or len(set(to.values())) != len(to):
+        raise PatternViolation("S needs one unit in each row and at most "
+                               "one in each column")
+    out = BlockMatrix(g.row_sizes, S.col_sizes, g.meta)
+    for (r, m), v in g.entries.items():
+        out.set(r, to[m], v)
+    return out
 
 
 class GnicePattern:

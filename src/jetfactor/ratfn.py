@@ -30,7 +30,7 @@ from math import gcd as igcd, lcm
 
 from .errors import DivisionByZero, SubstitutionPole, DenominatorZero
 from .poly import (_UNIT, _cofactors, _content, _descending, _is_constant,
-                   _is_one, _powers, _primitive, _scaled_to_int, mono_mul,
+                   _is_one, _primitive, _scaled_to_int, mono_mul,
                    p_add, p_const, p_divexact, p_mul, p_neg, p_pow, p_scale,
                    p_sub, p_text, p_vars)
 # Bound only for perfbench/tracer.py, which names the kernel's gcd
@@ -129,9 +129,10 @@ class RatFn:
         (d1/g)*(d2/g') (Henrici), sorted as in _product.  Over two one-term
         denominators, d1*d2/g is their lcm and only the cancellation of g'
         sorts t (in _cofactors), the term order of the lcm sum."""
-        o = _lift(o)
-        if o is NotImplemented:
-            return o
+        if o.__class__ is not RatFn:
+            o = _lift(o)
+            if o is NotImplemented:
+                return o
         if not o._n:
             return self
         if not self._n:
@@ -161,32 +162,38 @@ class RatFn:
         return _make(p_neg(self._n), self._k, self._d)
 
     def __sub__(self, o):
-        o = _lift(o)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        if o.__class__ is not RatFn:
+            o = _lift(o)
+            if o is NotImplemented:
+                return o
+        return self + _make(p_neg(o._n), o._k, o._d)
 
     def __rsub__(self, o):
-        return _lift(o) - self
+        o = _lift(o)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, o):
         """The product.  A zero factor gives ZERO.  A constant c = p/q
         times a canonical N/(k*D) is N*p/(k*q*D): D stays, and only the
         integer scale is reduced.  Two polynomials multiply over 1 with no
-        gcd; any other pair goes through _product."""
-        o = _lift(o)
-        if o is NotImplemented:
-            return o
-        if not self._n or not o._n:
+        gcd; any other pair goes through _product.  The constant cases
+        are read inline, the right factor first."""
+        if o.__class__ is not RatFn:
+            o = _lift(o)
+            if o is NotImplemented:
+                return o
+        n1, n2 = self._n, o._n
+        if not n1 or not n2:
             return ZERO
-        for a, b in ((self, o), (o, self)):
-            c = _scalar(b)
-            if c is not None:
-                return _make(*_rescale(a._n, a._k, *c), a._d)
+        d1, d2 = self._d, o._d
+        if len(n2) == 1 and () in n2 and _is_one(d2):
+            return _make(*_rescale(n1, self._k, n2[()], o._k), d1)
+        if len(n1) == 1 and () in n1 and _is_one(d1):
+            return _make(*_rescale(n2, o._k, n1[()], self._k), d2)
         k = self._k * o._k
-        if _is_one(self._d) and _is_one(o._d):
-            return _make(*_rescale(p_mul(self._n, o._n), 1, 1, k), _UNIT)
-        return _product(self._n, self._d, o._n, o._d, 1, k)
+        if _is_one(d1) and _is_one(d2):
+            return _make(*_rescale(p_mul(n1, n2), 1, 1, k), _UNIT)
+        return _product(n1, d1, n2, d2, 1, k)
 
     __rmul__ = __mul__
 
@@ -210,7 +217,8 @@ class RatFn:
         return _product(self._n, self._d, o._d, p, o._k, self._k * s)
 
     def __rtruediv__(self, o):
-        return _lift(o) / self
+        o = _lift(o)
+        return o if o is NotImplemented else o / self
 
     def __pow__(self, n):
         """self to the integer n.  For n >= 0, (N^n, k^n, D^n) is
@@ -227,9 +235,10 @@ class RatFn:
         return _make(p_pow(self._n, n), self._k ** n, p_pow(self._d, n))
 
     def __eq__(self, o):
-        o = _lift(o)
-        if o is NotImplemented:
-            return o
+        if o.__class__ is not RatFn:
+            o = _lift(o)
+            if o is NotImplemented:
+                return o
         return self._n == o._n and self._k == o._k and self._d == o._d
 
     def __hash__(self):
@@ -408,12 +417,63 @@ def _p_subst(a, binding):
 
 def _powers_of(a, es):
     """a^e by e for every e in es, a set of exponents.  For a of several
-    terms this is the list of every power up to max(es).  For one term or
-    none it maps each e in es alone to p_pow(a, e), which scales the
+    terms the powers are built up by the products a^e = a^(e-1)*a, from
+    a^0 = 1 to max(es), and only those in es are kept.  For one term or
+    none each e in es alone maps to p_pow(a, e), which scales the
     exponents: what repeated products give, with no lower power built."""
     if len(a) < 2:
         return {e: p_pow(a, e) for e in es}
-    return _powers(a, max(es))
+    out, p = {}, p_const(1)
+    for e in range(max(es) + 1):
+        if e:
+            p = p_mul(p, a)
+        if e in es:
+            out[e] = p
+    return out
+
+
+def rsum(terms):
+    """The sum of the RatFns terms in one pass.
+
+    Write each nonzero term N_i/(k_i*D_i), K for the lcm of the k_i and
+    L for the lcm of the distinct D_i, built as derivation builds its L.
+    Each N_i is multiplied once by (K/k_i)*(L/D_i), an int polynomial, and
+    added into one numerator M, so the sum is M/(K*L) with M and L int
+    polynomials.  One _ratio canonicalizes it, and the canonical triple is
+    unique, so it is the pairwise fold's.  Over L = 1 only the content of M
+    and K can cancel, as in __add__ over equal denominators 1.  With no
+    nonzero term the sum is ZERO, and with one it is that term.  When every
+    term is a polynomial, M's terms come in the fold's order: a monomial
+    enters where it first appears, and one that cancels leaves and enters
+    again at its next appearance."""
+    terms = [r for r in terms if r._n]
+    if len(terms) < 2:
+        return terms[0] if terms else ZERO
+    K, L, dens = 1, _UNIT, []
+    for r in terms:
+        K = lcm(K, r._k)
+        if not _is_one(r._d) and r._d not in dens:
+            dens.append(r._d)
+            L = p_mul(L, _cofactors(L, r._d)[2])
+    cof = [p_divexact(L, d) for d in dens]
+    num = {}
+    for r in terms:
+        q = L if _is_one(r._d) else cof[dens.index(r._d)]
+        if _is_one(q):
+            p = p_scale(r._n, K // r._k)
+        else:
+            p = p_mul(r._n, p_scale(q, K // r._k))
+        for m, c in p.items():
+            c += num.get(m, 0)
+            if c:
+                num[m] = c
+            else:
+                del num[m]
+    if not num:
+        return ZERO
+    if _is_one(L):
+        return _make(*_rescale(num, 1, 1, K), _UNIT)
+    return _ratio(num, L, 1, K)
 
 
 def derivation(r, images):

@@ -1,6 +1,7 @@
 """Verification of the bundled equivalences and their pullback matrices."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from jetfactor.errors import (DimensionMismatch, DtResidue, RepeatViolation,
                               ScalarContradiction, StructureViolation,
                               TruncationExceeded)
 from jetfactor.ratfn import gauss_jordan
-from jetfactor.sysio import serialize
+from jetfactor.sysio import parse_matrix, serialize
 
 FIX = builtin_fixtures()
 PHI, PHI_INV = FIX[0]
@@ -559,6 +560,105 @@ def test_block_matrix_shape_errors():
     assert not tall.is_identity()
     with pytest.raises(DimensionMismatch):
         tall.block(0, 1)  # no column level 1
+
+
+def assert_indexed(m):
+    """m's label indexes hold exactly the labels of its entries, and no
+    entry is zero."""
+    rows, cols = {}, {}
+    for r, c in m.entries:
+        rows.setdefault(r, set()).add(c)
+        cols.setdefault(c, set()).add(r)
+    assert {r: cs for r, cs in m._rows.items() if cs} == rows
+    assert {c: rs for c, rs in m._cols.items() if rs} == cols
+    assert not any(v.is_zero() for v in m.entries.values())
+
+
+def _walk_every_label(entries, labels, key, add, c):
+    """The reference row and column operations on a plain entries dict:
+    every label of the other axis, in label order, by add_term."""
+    for lab in labels:
+        src = entries.get(key(lab, False))
+        if src is not None:
+            dst = key(lab, True)
+            if add:
+                s = entries.get(dst, ZERO) + c * src
+            else:
+                s = c * src
+            if s.is_zero():
+                entries.pop(dst, None)
+            else:
+                entries[dst] = s
+
+
+@pytest.mark.parametrize("m", [PHI, PSI, THETA], ids=lambda m: m.name)
+def test_label_indexes_follow_every_change(m):
+    rng = random.Random(20261104)
+    A = pullback_matrix(m, N=2)
+    assert_indexed(A)
+    W = A.copy()
+    assert_indexed(W)
+    ref = dict(A.entries)
+    rows, cols = W.row_labels(), W.col_labels()
+    # small multipliers: repeated row and column adds would swell others
+    vals = [ONE, -ONE, RatFn.const(2), x1, ZERO]
+    seen = set()
+    for _ in range(120):
+        op = rng.choice(["set", "row_add", "row_scale", "col_add",
+                         "col_scale", "relabel_rows", "relabel_cols",
+                         "cancel"])
+        if op == "set":
+            r, c, v = rng.choice(rows), rng.choice(cols), rng.choice(vals)
+            W.set(r, c, v)
+            if v.is_zero():
+                ref.pop((r, c), None)
+            else:
+                ref[(r, c)] = v
+        elif op in ("row_add", "row_scale"):
+            dst, src = rng.sample(rows, 2)
+            c = rng.choice(vals)
+            if op == "row_add":
+                W.row_add(dst, src, c)
+            else:
+                W.row_scale(src, c)
+                dst = src
+            _walk_every_label(ref, cols, lambda col, d: (dst if d else src, col),
+                              op == "row_add", c)
+        elif op in ("col_add", "col_scale"):
+            dst, src = rng.sample(cols, 2)
+            c = rng.choice(vals)
+            if op == "col_add":
+                W.col_add(dst, src, c)
+            else:
+                W.col_scale(src, c)
+                dst = src
+            _walk_every_label(ref, rows, lambda row, d: (row, dst if d else src),
+                              op == "col_add", c)
+        elif op == "cancel":
+            # row r -= row r: every add cancels, and the index drops row r
+            r = rng.choice([r for r, _ in W.entries])
+            W.row_add(r, r, -ONE)
+            assert W._rows[r] == set()
+            _walk_every_label(ref, cols, lambda col, d: (r, col), True, -ONE)
+        else:
+            labels = rows if op == "relabel_rows" else cols
+            picked = rng.sample(labels, 3)
+            to = dict(zip(picked, picked[1:] + picked[:1]))
+            if op == "relabel_rows":
+                W.relabel_rows(to)
+                ref = {(to.get(r, r), c): v for (r, c), v in ref.items()}
+            else:
+                W.relabel_cols(to)
+                ref = {(r, to.get(c, c)): v for (r, c), v in ref.items()}
+        seen.add(op)
+        assert_indexed(W)
+        assert list(W.entries.items()) == list(ref.items()), op
+    assert len(seen) == 8
+    for made in (W.copy(), W.transpose(), BlockMatrix.identity(W.row_sizes),
+                 W.matmul(BlockMatrix.identity(W.col_sizes)),
+                 parse_matrix(serialize(W))):
+        assert_indexed(made)
+    assert parse_matrix(serialize(W)) == W
 
 
 def test_equality_ignores_meta():

@@ -434,24 +434,65 @@ def test_op_texts_are_frozen_strings(monkeypatch, m):
                          ids=["phi", "theta", "phi-raw"])
 def test_one_product_per_factorization(monkeypatch, m, narrow):
     # factor_JK0 checks g * S * G against A on both paths; the caller's
-    # matches reads that same product instead of multiplying again
+    # matches reads that same product instead of multiplying again.  g * S
+    # is one relabeling, and the product by G one matmul
     A = pullback_matrix(m, N=4)
     if not narrow:
         monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
     calls = []
-    matmul = BlockMatrix.matmul
+    matmul, times_shift = BlockMatrix.matmul, factorize._times_shift
 
     def counting(self, other):
-        calls.append(other.meta.get("kind"))
+        calls.append(("matmul", other.meta.get("kind")))
         return matmul(self, other)
 
+    def counting_shift(g, S):
+        calls.append(("relabel", S.meta.get("kind")))
+        return times_shift(g, S)
+
     monkeypatch.setattr(BlockMatrix, "matmul", counting)
+    monkeypatch.setattr(factorize, "_times_shift", counting_shift)
     fac = factor_JK0(A)
     assert fac.ops[-1].startswith("solve") == narrow
-    assert len(calls) == 2
+    assert [c for c, _ in calls] == ["relabel", "matmul"]
+    assert calls[0][1] == "shift"
     assert fac.matches(A)
     assert len(calls) == 2
     assert fac.product() is fac.product()
+
+
+def test_the_shift_relabel_is_the_product_by_S():
+    rng = random.Random(20261105)
+    vals = [ONE, -ONE, x1, u1 / x1, du(2, 1) - u2]
+    for n, N in ((2, 2), (3, 2), (3, 4), (4, 3)):
+        S = build_S(n, N)
+        g = BlockMatrix(S.row_sizes, S.row_sizes, meta={"kind": "left"})
+        G = BlockMatrix.identity(S.col_sizes)
+        labels, cols = g.row_labels(), S.col_labels()
+        for _ in range(4 * len(labels)):
+            g.set(rng.choice(labels), rng.choice(labels), rng.choice(vals))
+            G.set(rng.choice(cols), rng.choice(cols), rng.choice(vals))
+        got, want = factorize._times_shift(g, S), g.matmul(S)
+        assert got == want and got.meta == want.meta
+        # the product by G adds in the order the two matmuls add in
+        assert (list(got.matmul(G).entries.items())
+                == list(want.matmul(G).entries.items()))
+
+
+def test_the_shift_relabel_rejects_any_other_S():
+    g = BlockMatrix.identity(build_S(3, 2).row_sizes)
+    moved = [((0, 2), (0, 2), ZERO), ((0, 2), (0, 3), ONE)]
+    for edits in ([((0, 2), (3, 1), ONE)],     # two units in one row
+                  moved,                       # two in one column
+                  [((0, 2), (0, 2), 2 * ONE)],  # not a unit
+                  moved[:1]):                  # a row with none
+        S = build_S(3, 2)
+        for r, c, v in edits:
+            S.set(r, c, v)
+        with pytest.raises(PatternViolation):
+            factorize._times_shift(g, S)
+    with pytest.raises(DimensionMismatch):
+        factorize._times_shift(g, build_S(3, 3))
 
 
 def test_a_changed_right_factor_fails_to_match():

@@ -2,8 +2,9 @@ import hashlib
 import operator
 import random
 import time
+import tracemalloc
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm, nan
+from math import comb, gcd, inf, isqrt, lcm, nan
 
 import pytest
 
@@ -195,16 +196,15 @@ def test_deep_results_are_frozen():
 def test_powers_of_one_term_are_not_expanded(monkeypatch):
     # p_pow and the substitution scale a single term's exponents: no lower
     # powers are built.  Expanding one would fail here at once, before it
-    # could allocate millions of them.  _powers is patched in every module
-    # whose code calls it
+    # could allocate millions of them.  _powers is patched in poly, the
+    # one module whose code calls it
     powers = poly._powers
 
     def guarded(a, k):
         assert len(a) > 1 or k < 1000, "a power of one term was expanded"
         return powers(a, k)
 
-    for mod in (poly, ratfn):
-        monkeypatch.setattr(mod, "_powers", guarded)
+    monkeypatch.setattr(poly, "_powers", guarded)
     start = time.perf_counter()
     big = parse_expression("x1^10000000")
     inverse = parse_expression("(2*x1*u1)^-1000000")
@@ -227,6 +227,23 @@ def test_powers_of_one_term_are_not_expanded(monkeypatch):
         for n in range(5):
             want = poly._powers(a, n)[-1]
             assert list(p_pow(a, n).items()) == list(want.items()), (a, n)
+
+
+def test_substitution_keeps_only_the_powers_terms_use():
+    # x1 -> u1 + 1 builds (u1 + 1)^e by products up to e = 400, but keeps
+    # only the two powers the terms use, not all 401 (a 7.4 MB peak)
+    r = parse_expression("x1^400 + x1")
+    tracemalloc.start()
+    try:
+        got = r.substitute({X(1): u1 + 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert got.is_poly() and len(got.num) == 401
+    assert got.num[()] == 2
+    assert got.num[mono((U(1), 1))] == 401
+    assert got.num[mono((U(1), 200))] == comb(400, 200)
 
 
 def test_vars_is_made_once_and_shared():
@@ -814,6 +831,68 @@ def test_fast_paths_match_the_general_formula():
         assert a * c == _general_op("*", a, RatFn.const(c)) == c * a
         assert a / c == _general_op("/", a, RatFn.const(c))
         assert c / a == _general_op("/", RatFn.const(c), a)
+
+
+def test_operators_take_ints_and_fractions_on_either_side_and_nothing_else():
+    r = x1 / (x2 + 1)
+    for c in (3, Fraction(-2, 7)):
+        k = RatFn.const(c)
+        assert r + c == r + k and c + r == k + r
+        assert r - c == r - k and c - r == k - r
+        assert r * c == r * k and c * r == k * r
+        assert k == c and c == k and r != c and c != r
+    for op in _OPS.values():
+        for bad in ("a", 1.5):
+            with pytest.raises(TypeError):
+                op(r, bad)
+            with pytest.raises(TypeError):
+                op(bad, r)
+    assert (r == None) is False and (r != None) is True  # noqa: E711
+    assert (r == "a") is False
+
+
+def _fold(terms):
+    out = ZERO
+    for t in terms:
+        out = out + t
+    return out
+
+
+def test_one_pass_sum_is_the_pairwise_fold():
+    rng = random.Random(20261103)
+    cases = [[], [ZERO], [ZERO, ZERO], [x1], [ZERO, x1 / u1, ZERO],
+             [x1 + x2, -x1, x1 + 3, 2 * x2], [x1 / u1, -x1 / u1],
+             [x1 / 2, x2 / 3, Fraction(1, 6) * u1]]
+    for _ in range(300):
+        kinds = rng.choice((["zero", "int", "fraction", "poly"], ["monomial"],
+                            ["poly", "monomial", "fraction"], _KINDS))
+        terms = [_operand(rng, rng.choice(kinds))
+                 for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.25:
+            den = None
+            while den is None or len(den) < 2:
+                den = _fast_poly(rng, 2)
+            terms += [_operand(rng, "general", den) for _ in range(3)]
+        if rng.random() < 0.25:
+            terms += [-t for t in rng.sample(terms, len(terms))]
+        cases.append(terms)
+    seen = {"zero": 0, "one": 0, "cancels": 0, "mixed scales": 0,
+            "monomial dens": 0, "multi-term dens": 0, "polynomials": 0}
+    for terms in cases:
+        got, want = ratfn.rsum(terms), _fold(terms)
+        assert (got._n, got._k, got._d) == (want._n, want._k, want._d), terms
+        nonzero = [t for t in terms if not t.is_zero()]
+        if all(t.is_poly() for t in terms):
+            assert list(got._n.items()) == list(want._n.items()), terms
+            seen["polynomials"] += len(nonzero) > 1
+        seen["zero"] += not nonzero
+        seen["one"] += len(nonzero) == 1
+        seen["cancels"] += len(nonzero) > 1 and got.is_zero()
+        seen["mixed scales"] += len({t._k for t in nonzero}) > 1
+        seen["monomial dens"] += any(len(t.den) == 1 and not t.is_poly()
+                                     for t in terms)
+        seen["multi-term dens"] += any(len(t.den) > 1 for t in terms)
+    assert min(seen.values()) >= 3, seen
 
 
 def test_fast_paths_in_diff_and_substitute():
