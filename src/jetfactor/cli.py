@@ -9,8 +9,10 @@ errors); 3 an internal invariant broke.
 
 All randomness flows through --seed, so identical invocations print
 identical bytes.  --format machine swaps the human summary for keyed
-blocks that re-parse through sysio.parse_document.  pullback alone takes
---strict, which raises on a nonzero dt-column instead of reporting it.
+blocks that re-parse through sysio.parse_document.  Each command takes
+only those of the shared -N, --seed and --format that it reads.
+pullback alone takes --strict, which raises on a nonzero dt-column
+instead of reporting it.
 """
 
 import argparse
@@ -104,7 +106,7 @@ def cmd_pullback(a):
         _out(sysio.serialize(A))
     else:
         _out("pullback matrix, rows %s, cols %s"
-             % (A.row_levels, A.col_levels))
+             % (list(A.row_sizes), list(A.col_sizes)))
         _out("dt-column: %s" % ("zero" if clean else "NONZERO"))
         _out("block-lower: %s" % ("yes" if A.is_block_lower() else "no"))
         _out(sysio.serialize(A))
@@ -271,51 +273,58 @@ def _build_parser():
                 "truncation level must be from 1 to %d" % MAX_ORDER)
         return int(text)
 
-    def command(name, fn, summary, pair=False):
-        """A subcommand with the common flags, and --src/--tgt/--map if
-        it reads a map."""
+    def command(name, fn, summary, flags, pair=False):
+        """A subcommand with those of the shared flags -N, --seed and
+        --format that its fn reads, and --src/--tgt/--map if it reads a
+        map."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("-N", "--order", type=level, default=4,
-                       help="truncation level, 1 to %d (default 4)"
-                       % MAX_ORDER)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "machine"),
-                       default="text")
+        if "-N" in flags:
+            p.add_argument("-N", "--order", type=level, default=4,
+                           help="truncation level, 1 to %d (default 4)"
+                           % MAX_ORDER)
+        if "--seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        if "--format" in flags:
+            p.add_argument("--format", choices=("text", "machine"),
+                           default="text")
         for flag in ("--src", "--tgt", "--map") if pair else ():
             p.add_argument(flag, required=True)
         p.set_defaults(fn=fn)
         return p
 
     p = command("verify", cmd_verify, "check a map (and optional inverse)",
-                pair=True)
+                ("-N", "--format"), pair=True)
     p.add_argument("--inv")
 
     p = command("pullback", cmd_pullback, "matrix of the pulled-back coframe",
-                pair=True)
+                ("-N", "--format"), pair=True)
     p.add_argument("--strict", action="store_true",
                    help="a nonzero dt-column is an error")
-    command("factor", cmd_factor, "A = g*S*G factorization", pair=True)
+    command("factor", cmd_factor, "A = g*S*G factorization",
+            ("-N", "--seed", "--format"), pair=True)
 
-    p = command("classify", cmd_classify, "normal form and dynamic class")
+    p = command("classify", cmd_classify, "normal form and dynamic class",
+                ("--seed", "--format"))
     p.add_argument("--sys", required=True)
 
     p = command("structure-check", cmd_structure,
-                "structure equations of the coframes")
+                "structure equations of the coframes", ("-N", "--format"))
     p.add_argument("--sys", required=True)
     p.add_argument("--frame", choices=("contact", "adapted", "both"),
                    default="both")
 
-    p = command("prolong", cmd_prolong, "promote controls to states")
+    p = command("prolong", cmd_prolong, "promote controls to states", ())
     p.add_argument("--sys", required=True)
     p.add_argument("--promote", help="comma-separated control indices; "
                                      "omit to promote all")
 
-    p = command("fixtures", cmd_fixtures, "built-in fixture battery")
+    p = command("fixtures", cmd_fixtures, "built-in fixture battery",
+                ("-N", "--seed", "--format"))
     p.add_argument("--all", action="store_true",
                    help="full seed counts and 1000-case property suites")
 
     p = command("crosscheck", cmd_crosscheck, "numeric trajectory residual",
-                pair=True)
+                ("--seed", "--format"), pair=True)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--steps", type=int, default=1000)

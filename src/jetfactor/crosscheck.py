@@ -183,12 +183,13 @@ def _tuple(names):
     return "(%s)" % "".join(n + ", " for n in names)
 
 
-def _controls(us, shape):
-    """Per u in us, the names p<j>_<i> of its coefficients in the generated
-    code: as many as _u_coeffs gives for controls of the lengths in shape."""
+def _controls(us, lens):
+    """Per u_c^(k) in us, the names p<j>_<i> of its coefficients in the
+    generated code: as many as _u_coeffs gives for controls of the lengths
+    lens.  Each derivative drops one, down to the one _poly_diff keeps."""
     return [["p%d_%d" % (j, i)
-             for i in range(len(_u_coeffs(shape, v)))]
-            for j, v in enumerate(us)]
+             for i in range(max(lens[c - 1] - k, 1) if k else lens[c - 1])]
+            for j, (_, k, c) in enumerate(us)]
 
 
 def _horner(coeffs, t):
@@ -211,7 +212,6 @@ def _loops(m, assumptions, src_us, map_us, lens):
     """The generated rk4, image and residual functions of one crosscheck,
     for controls whose coefficient lists have the lengths lens."""
     src, tgt = m.src, m.tgt
-    shape = [[0.0] * k for k in lens]
     ns = {"range": range, "zip": zip, "islice": islice, "abs": abs,
           "VANISH": _VANISH}
     xs = ["x%d" % (i + 1) for i in range(src.n)]
@@ -219,7 +219,7 @@ def _loops(m, assumptions, src_us, map_us, lens):
     # + and * never raise, so leaving it out drops no exception
     reads = set().union(*(f.vars() for f in src.f))
     staged = [i for i in range(1, src.n + 1) if X(i) in reads]
-    p = _controls(src_us, shape)
+    p = _controls(src_us, lens)
     lines = ["def rk4(T, steps, x0, cf):",
              "    %s = x0" % _tuple(xs),
              "    %s = cf" % _tuple(c for cs in p for c in cs),
@@ -253,7 +253,7 @@ def _loops(m, assumptions, src_us, map_us, lens):
               "    return ts, xs"]
 
     # the image pass: controls and checks point by point, then y, then v
-    p = _controls(map_us, shape)
+    p = _controls(map_us, lens)
     point = ["t"] + xs + ["w%d" % j for j in range(len(map_us))]
     names = _names(src.n, "x", map_us, "w")
     lines += ["def image(ts, xs, cf):",

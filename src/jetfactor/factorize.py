@@ -65,7 +65,7 @@ class NonautStatic:
         if list(mat.row_sizes.items()) != list(mat.col_sizes.items()):
             raise DimensionMismatch("coframe change must be square")
         self.mat = mat
-        lev = [l for l in mat.row_levels if l >= 1]
+        lev = [l for l in mat.row_sizes if l >= 1]
         if lev:
             ref = mat.block(1, 1)
             for l in lev[1:]:
@@ -271,7 +271,7 @@ def factor_JK0(A, seed=0):
     for a strict map.
     """
     J = A.meta.get("J", 0)
-    N = A.meta.get("N", max(A.row_levels))
+    N = A.meta.get("N", max(A.row_sizes))
     n = A.row_sizes[0]
     if A.col_sizes[0] != n:
         raise DimensionMismatch("state counts differ; the shift pattern is square in block 0")
@@ -280,13 +280,13 @@ def factor_JK0(A, seed=0):
     if J != 0:
         what = "a static map" if J < 0 else "an order-%d map" % J
         raise RankMismatch("matrix comes from %s, not a strict one" % what)
-    if N < 2 or max(A.col_levels) < N + 1:
+    if N < 2 or max(A.col_sizes) < N + 1:
         raise TruncationExceeded("need levels 0..N with N >= 2 and columns to N+1")
     if block_rank(A, 0, 1, seed=seed) != 1:
         raise RankMismatch("block (0,1) must have generic rank 1")
     if block_rank(A, 1, 2, seed=seed) != 1:
         raise RankMismatch("block (1,2) must have generic rank 1")
-    colN = max(A.col_levels)
+    colN = max(A.col_sizes)
 
     d = _Driver(A)
     W = d.W
@@ -547,7 +547,7 @@ def _canonicalize(A, S, assumptions, ops=()):
             val = base + c0 * p0 + c1 * p1 + c2 * q
             if not val.is_zero():
                 gmat.set(x, r, val)
-    top = max(A.col_levels)
+    top = max(A.col_sizes)
     edge = ((top - 1, 1), (top, 1))
     try:
         g = NonautStatic(gmat)
@@ -587,7 +587,7 @@ def validate_nonaut_static(ns, frame):
     if mat.get((-1, 1), (-1, 1)) != ONE:
         raise StructureViolation("the time row must stay untouched")
 
-    M = max(mat.row_levels)
+    M = max(mat.row_sizes)
     if frame.N < M:
         raise TruncationExceeded("frame level %d below the change's top level %d"
                                  % (frame.N, M))
@@ -649,7 +649,7 @@ def check_gnice(G):
     mat = G.mat if isinstance(G, NonautStatic) else G
     if mat.row_sizes.get(0) != 3 or mat.row_sizes.get(1) != 2:
         raise DimensionMismatch("pattern is defined for 3 states and 2 controls")
-    M = max(mat.row_levels)
+    M = max(mat.row_sizes)
     p0 = mat.get((0, 2), (0, 1))
     p1 = mat.get((1, 2), (0, 1))
     q = (mat.get((2, 2), (1, 1)) - p1) if M >= 2 else ZERO

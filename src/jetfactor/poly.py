@@ -176,23 +176,36 @@ def p_mul(a, b):
 
 
 def p_pow(a, n):
-    """a^n for n >= 0.  A one-term a = c*m gives c^n*m^n directly, and a
-    zero a gives 0, with no lower powers: sysio leaves powers of a single
-    term unbounded."""
+    """a^n for n >= 0."""
     assert n >= 0
-    if len(a) == 1 and n:
-        (m, c), = a.items()
-        return {tuple(x if i % 2 else x * n for i, x in enumerate(m)): c ** n}
-    if not a and n:
-        return {}
-    return _powers(a, n)[-1]
+    return p_powers(a, {n})[n]
 
 
-def _powers(a, k):
-    """[a^0, a^1, ..., a^k]."""
-    out = [p_const(1)]
-    for _ in range(k):
-        out.append(p_mul(out[-1], a))
+def p_powers(a, es):
+    """{e: a^e} for every e in es, a set of exponents >= 0: every power
+    the kernel takes.  A one-term a = c*m gives each c^e*m^e directly and
+    a zero a gives 0, with no lower power built: sysio leaves powers of a
+    single term unbounded.  A polynomial of several terms is multiplied up
+    by the running product a^e = a^(e-1)*a from a^0 = 1 to max(es), and
+    only that product and the powers in es are held."""
+    if len(a) > 1:
+        out, p = {}, p_const(1)
+        for e in range(max(es) + 1):
+            if e:
+                p = p_mul(p, a)
+            if e in es:
+                out[e] = p
+        return out
+    out = {}
+    for e in es:
+        if not e:
+            out[e] = p_const(1)
+        elif a:
+            (m, c), = a.items()
+            out[e] = {tuple(x if i % 2 else x * e for i, x in enumerate(m)):
+                      c ** e}
+        else:
+            out[e] = {}
     return out
 
 
@@ -508,11 +521,7 @@ def _gcd_prim(a, b):
     # the PRS can end at a nonzero constant-in-v remainder, meaning coprime pps
     if not g or _deg_in(g, v) == 0:
         g = p_const(1)
-    out = _int_clear(p_mul(cg, g))
-    # make deterministic sign: positive leading coeff
-    if p_lead(out)[1] < 0:
-        out = p_neg(out)
-    return out
+    return _primitive(p_mul(cg, g))[1]
 
 
 def _content_wrt(a, v):

@@ -16,7 +16,7 @@ The operators skip the general formula (n1*d2 + n2*d1 over d1*d2, and so
 on) and canonicalization wherever the canonical result is known without
 them.  Elsewhere they take gcds of the factors, not of the product
 (Henrici).  diff is the derivation with the one unit image, and skips
-derivation's image front end.  affine_parts splits a field affine in
+the images' common denominator.  affine_parts splits a field affine in
 some variables in one pass over its numerator's terms.
 Each docstring says why its result is canonical.
 Results are the canonical triples of the general path; only the insertion
@@ -31,8 +31,8 @@ from math import gcd as igcd, lcm
 from .errors import DivisionByZero, SubstitutionPole, DenominatorZero
 from .poly import (_UNIT, _cofactors, _content, _descending, _is_constant,
                    _is_one, _primitive, _scaled_to_int, mono_mul,
-                   p_add, p_const, p_divexact, p_mul, p_neg, p_pow, p_scale,
-                   p_sub, p_text, p_vars)
+                   p_add, p_const, p_divexact, p_mul, p_neg, p_pow, p_powers,
+                   p_scale, p_sub, p_text, p_vars)
 # Bound only for perfbench/tracer.py, which names the kernel's gcd
 # ratfn.poly_gcd and changes only with the benchmark; its patch reaches
 # every module that binds the same object, so it also counts poly's calls.
@@ -378,8 +378,8 @@ def _p_subst(a, binding):
     The terms are added over one denominator.  With N/Q the image of v
     (Q = k*D) and e its largest exponent in a, a term c*v^f*... becomes
     c*N^f*Q^(e-f)*... over the product of the Q^e; the sum is
-    canonicalized once.  Of an N or Q with one term or none, only the
-    powers the terms use are built (_powers_of)."""
+    canonicalized once.  Only the powers the terms use are kept, and of
+    an N or Q with one term or none only they are built (p_powers)."""
     used = {}
     for m in a:
         i = len(m) - 2
@@ -391,10 +391,10 @@ def _p_subst(a, binding):
         r = binding[v] if v in binding else RatFn.var(v)
         q = r._d if r._k == 1 else p_scale(r._d, r._k)
         k = max(es)
-        dens = None if _is_one(q) else _powers_of(q, {k - e for e in es})
+        dens = None if _is_one(q) else p_powers(q, {k - e for e in es})
         if dens:
             den = p_mul(den, dens[k])
-        pows[v] = _powers_of(r._n, es), dens, k
+        pows[v] = p_powers(r._n, es), dens, k
     num = {}
     for m, c in a.items():
         term = p_const(c)
@@ -415,29 +415,12 @@ def _p_subst(a, binding):
     return _ratio(num, den, 1, 1)
 
 
-def _powers_of(a, es):
-    """a^e by e for every e in es, a set of exponents.  For a of several
-    terms the powers are built up by the products a^e = a^(e-1)*a, from
-    a^0 = 1 to max(es), and only those in es are kept.  For one term or
-    none each e in es alone maps to p_pow(a, e), which scales the
-    exponents: what repeated products give, with no lower power built."""
-    if len(a) < 2:
-        return {e: p_pow(a, e) for e in es}
-    out, p = {}, p_const(1)
-    for e in range(max(es) + 1):
-        if e:
-            p = p_mul(p, a)
-        if e in es:
-            out[e] = p
-    return out
-
-
 def rsum(terms):
     """The sum of the RatFns terms in one pass.
 
     Write each nonzero term N_i/(k_i*D_i), K for the lcm of the k_i and
-    L for the lcm of the distinct D_i, built as derivation builds its L.
-    Each N_i is multiplied once by (K/k_i)*(L/D_i), an int polynomial, and
+    L for the lcm of the distinct D_i.  _common_denominator gives K, L and
+    each P_i = N_i*(K/k_i)*(L/D_i), an int polynomial, and the P_i are
     added into one numerator M, so the sum is M/(K*L) with M and L int
     polynomials.  One _ratio canonicalizes it, and the canonical triple is
     unique, so it is the pairwise fold's.  Over L = 1 only the content of M
@@ -449,20 +432,9 @@ def rsum(terms):
     terms = [r for r in terms if r._n]
     if len(terms) < 2:
         return terms[0] if terms else ZERO
-    K, L, dens = 1, _UNIT, []
-    for r in terms:
-        K = lcm(K, r._k)
-        if not _is_one(r._d) and r._d not in dens:
-            dens.append(r._d)
-            L = p_mul(L, _cofactors(L, r._d)[2])
-    cof = [p_divexact(L, d) for d in dens]
+    K, L, P = _common_denominator(terms)
     num = {}
-    for r in terms:
-        q = L if _is_one(r._d) else cof[dens.index(r._d)]
-        if _is_one(q):
-            p = p_scale(r._n, K // r._k)
-        else:
-            p = p_mul(r._n, p_scale(q, K // r._k))
+    for p in P:
         for m, c in p.items():
             c += num.get(m, 0)
             if c:
@@ -476,6 +448,34 @@ def rsum(terms):
     return _ratio(num, L, 1, K)
 
 
+def _common_denominator(rs):
+    """(K, L, P) for the RatFns rs = N_i/(k_i*D_i), a list or a dict's
+    values: K the lcm of the k_i, L the lcm of the distinct D_i and P the
+    list of the int polynomials P_i = N_i*(K/k_i)*(L/D_i), so that
+    r_i = P_i/(K*L).
+
+    L grows by each new D_i's cofactor against it (_cofactors), and is
+    divided once by each distinct D_i.  L/1 is L as p_divexact returns it,
+    in descending graded-lex order: that order reaches the derivative's
+    terms, and so ControlSystem.D's."""
+    K, L, dens = 1, _UNIT, []
+    for r in rs:
+        if r._k != K:
+            K = lcm(K, r._k)
+        if r._d not in dens:
+            dens.append(r._d)
+            if not _is_one(r._d):
+                L = p_mul(L, _cofactors(L, r._d)[2])
+    P = [r._n if r._k == K else p_scale(r._n, K // r._k) for r in rs]
+    if not _is_one(L):
+        quo = [p_divexact(L, d) for d in dens]
+        for i, r in enumerate(rs):
+            q = quo[dens.index(r._d)]
+            if not _is_one(q):
+                P[i] = p_mul(P[i], q)
+    return K, L, P
+
+
 def derivation(r, images):
     """The derivation that sends each variable v to the RatFn images[v],
     applied to r in one pass; a variable without an image goes to 0.
@@ -483,21 +483,12 @@ def derivation(r, images):
     Write images[v] = N_v/(k_v*D_v), K for the lcm of the k_v and L for
     the lcm of the D_v.  K*L times the derivation sends an int polynomial
     p to the int polynomial sum over v of P_v * dp/dv (_p_derive), with
-    P_v = N_v*(K/k_v)*(L/D_v).  This front end forms K, L and the P_v;
-    _henrici applies them.  RatFn.diff calls _henrici directly with
-    P_v = 1 and K = L = 1, the values this front end would give it."""
-    K, L, seen = 1, _UNIT, []
-    for img in images.values():
-        K = lcm(K, img._k)
-        if not _is_one(img._d) and img._d not in seen:
-            seen.append(img._d)
-            L = p_mul(L, _cofactors(L, img._d)[2])
-    pre = {}
-    for v, img in images.items():
-        if img._n:
-            p = img._n if img._k == K else p_scale(img._n, K // img._k)
-            pre[v] = p if _is_one(L) else p_mul(p, p_divexact(L, img._d))
-    return _henrici(r, pre, K, L)
+    P_v = N_v*(K/k_v)*(L/D_v).  _common_denominator forms K, L and the
+    P_v, and _henrici applies them; a zero image has P_v = 0.  RatFn.diff
+    calls _henrici directly with P_v = 1 and K = L = 1, which is what
+    _common_denominator gives for one unit image."""
+    K, L, P = _common_denominator(images.values())
+    return _henrici(r, dict(zip(images, P)), K, L)
 
 
 def _henrici(r, pre, K, L):

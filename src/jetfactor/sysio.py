@@ -724,8 +724,8 @@ def _ser_matrix(m):
         "(%d, %d)" % lm for lm in m.col_sizes.items()))
     for k in sorted(m.meta):
         lines.append("  meta %s = %s" % (k, _meta_text(m.meta[k])))
-    for rl in m.row_levels:
-        for cl in m.col_levels:
+    for rl in m.row_sizes:
+        for cl in m.col_sizes:
             blk = m.block(rl, cl)
             if all(e.is_zero() for row in blk for e in row):
                 lines.append("  block (%d, %d) = zero" % (rl, cl))

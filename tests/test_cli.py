@@ -242,8 +242,25 @@ def test_an_oversized_order_is_a_usage_error(files, capsys):
                         "from 1 to 100\n")
 
 
+# every flag a command does not read, with a value where it takes one:
+# pullback alone reads --strict, and each command takes only those of the
+# shared -N, --seed and --format that its cmd_* reads
+_UNREAD = {
+    "verify": [["--strict"], ["--seed", "1"]],
+    "pullback": [["--seed", "1"]],
+    "factor": [["--strict"]],
+    "crosscheck": [["--strict"], ["-N", "2"]],
+    "classify": [["--strict"], ["-N", "2"]],
+    "structure-check": [["--strict"], ["--seed", "1"]],
+    "prolong": [["--strict"], ["-N", "2"], ["--seed", "1"],
+                ["--format", "machine"]],
+    "fixtures": [["--strict"]],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify"] + PAIR,
+    ["pullback"] + PAIR,
     ["factor"] + PAIR,
     ["crosscheck"] + PAIR,
     ["classify", "--sys", "src"],
@@ -252,9 +269,11 @@ def test_an_oversized_order_is_a_usage_error(files, capsys):
     ["fixtures"],
 ], ids=lambda argv: argv[0])
 def test_only_pullback_takes_strict(files, capsys, argv):
-    code, out, err = run(capsys, *[files.get(a, a) for a in argv], "--strict")
-    assert (code, out) == (2, "")
-    assert err.endswith("error: unrecognized arguments: --strict\n")
+    for flag in _UNREAD[argv[0]]:
+        code, out, err = run(capsys, *[files.get(a, a) for a in argv], *flag)
+        assert (code, out) == (2, ""), flag
+        assert err.endswith("error: unrecognized arguments: %s\n"
+                            % " ".join(flag))
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,10 +730,13 @@ def _every_command_exits_0_1_or_2(doc_dir, docs):
             argv = cmd + ["--sys", paths["src"]]
         else:
             argv = [paths.get(a, a) for a in cmd] + pair
+        if ["-N", "2"] not in _UNREAD[cmd[0]]:
+            argv += ["-N", "2"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv + ["-N", "2"])
+            code = main(argv)
         assert code in (0, 1, 2), (argv, docs, err.getvalue())
+        assert "unrecognized arguments" not in err.getvalue(), argv
 
 
 _VALID = {"src": serialize(PHI.src), "tgt": serialize(PHI.tgt),

