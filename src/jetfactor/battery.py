@@ -36,24 +36,24 @@ def pullback_rows(A):
     return ok, "row (0,1) = (0, x1, -1), dt-column zero"
 
 
-def repeats(mats, seed=0):
+def repeats(mats):
     """mats: (name, pullback) of strict fixtures; raises RepeatViolation."""
     for nm, A in mats:
         check_arepeats(A)
-        if block_rank(A, 0, 1, seed=seed) != 1:
+        if block_rank(A, 0, 1) != 1:
             return False, "%s rank A^0_1 != 1" % nm
-        if block_rank(A, 1, 2, seed=seed) != 1:
+        if block_rank(A, 1, 2) != 1:
             return False, "%s rank A^1_2 != 1" % nm
     return True, "repeats + rank-one blocks on all strict fixtures"
 
 
-def static_pullback(base, transform_seed, N, seed=0):
+def static_pullback(base, transform_seed, N):
     fwd, inv, _ = random_static_transform(base, transform_seed)
     A = pullback_matrix(fwd, N=N)
     rep = check_nonaut_static_pair(A, pullback_matrix(inv, N=N))
     ok = (rep.consistent and rep.fwd_lower
-          and block_rank(A, 0, 1, seed=seed) == 0
-          and block_rank(A, 1, 2, seed=seed) == 0)
+          and block_rank(A, 0, 1) == 0
+          and block_rank(A, 1, 2) == 0)
     return ok, "static pullbacks block-lower with zero high blocks"
 
 
@@ -62,12 +62,12 @@ def shift_orthogonality(n, N):
     return S.matmul(S.transpose()).is_identity(), "S * S^T = Id on the rows"
 
 
-def factors(mats, seed=0):
+def factors(mats):
     """mats: (name, pullback) of strict fixtures.  phi's right factor must
     be the identity; theta's cannot be narrowed (docs/decisions.md)."""
     details = []
     for nm, A in mats:
-        fac = factor_JK0(A, seed=seed)
+        fac = factor_JK0(A)
         if not fac.matches(A):
             return False, "%s: product mismatch" % nm
         if nm == "phi" and not fac.G.mat.is_identity():
@@ -159,11 +159,11 @@ def run(order, seed, full):
         ("pullback rows of the first strict map",
          lambda: pullback_rows(next(strict_mats())[1])),
         ("repeat structure of strict pullbacks",
-         lambda: repeats(strict_mats(), seed)),
+         lambda: repeats(strict_mats())),
         ("static transform pullback",
-         lambda: static_pullback(strict[0].src, seed + 1, order, seed)),
+         lambda: static_pullback(strict[0].src, seed + 1, order)),
         ("shift matrix orthogonality", lambda: shift_orthogonality(3, order)),
-        ("factor strict pullbacks", lambda: factors(strict_mats(), seed)),
+        ("factor strict pullbacks", lambda: factors(strict_mats())),
         ("normal-form classification", lambda: classes(forms, seed)),
         ("classification transform invariance",
          lambda: invariance(forms, moves, seed)),

@@ -118,7 +118,7 @@ def cmd_pullback(a):
 
 def cmd_factor(a):
     A = pullback_matrix(_load_pair(a), N=a.order, strict=True)
-    fac = factor_JK0(A, seed=a.seed)
+    fac = factor_JK0(A)
     if not fac.matches(A):
         raise AssertionError("factor product does not reconstruct the input")
     try:
@@ -301,7 +301,7 @@ def _build_parser():
     p.add_argument("--strict", action="store_true",
                    help="a nonzero dt-column is an error")
     command("factor", cmd_factor, "A = g*S*G factorization",
-            ("-N", "--seed", "--format"), pair=True)
+            ("-N", "--format"), pair=True)
 
     p = command("classify", cmd_classify, "normal form and dynamic class",
                 ("--seed", "--format"))

@@ -10,11 +10,10 @@ source system.
 """
 
 from .poly import T, X, U
-from .ratfn import RatFn, ZERO, ONE
+from .ratfn import RatFn, ZERO, ONE, gauss_jordan
 from .coframes import Coframe, CONTACT, ADAPTED, add_term, frame_sizes
 from .errors import (DimensionMismatch, DtResidue, StructureViolation,
                      RepeatViolation, ScalarContradiction)
-from .jets import generic_rank
 
 
 class EquivMap:
@@ -510,8 +509,11 @@ def check_arepeats(A):
     return ref
 
 
-def block_rank(A, rl, cl, seed=0):
-    return generic_rank(A.block(rl, cl), seed=seed)
+def block_rank(A, rl, cl):
+    """The rank of block (rl, cl) over the rational functions: exact, the
+    pivot count of ratfn.gauss_jordan.  Elimination swells on dense high
+    blocks, so callers take it on level-0 and level-1 blocks."""
+    return len(gauss_jordan(A.block(rl, cl), A.col_sizes[cl]))
 
 
 class StaticPairReport:

@@ -30,7 +30,6 @@ from .errors import (DimensionMismatch, RankMismatch, PivotVanishes,
                      TruncationExceeded)
 from .coframes import exterior_d, frame_sizes
 from .equivalence import BlockMatrix, block_rank
-from .jets import generic_rank
 
 
 def build_S(n, N):
@@ -262,13 +261,14 @@ class _Driver:
                            "permute level-0 rows by %s" % sorted(perm.items()))
 
 
-def factor_JK0(A, seed=0):
+def factor_JK0(A):
     """Factor a strict (J = K = 0) pullback matrix as g * S * G.
 
     Preconditions: two controls on both sides, equal state counts, the
-    blocks A^0_1 and A^1_2 both of generic rank 1.  The matrix must hold
-    levels 0..N with N >= 2 (columns to N+1), as pullback_matrix produces
-    for a strict map.
+    blocks A^0_1 and A^1_2 both of generic rank 1, the rank over the
+    rational functions, which block_rank computes exactly.  The matrix
+    must hold levels 0..N with N >= 2 (columns to N+1), as pullback_matrix
+    produces for a strict map.
     """
     J = A.meta.get("J", 0)
     N = A.meta.get("N", max(A.row_sizes))
@@ -282,9 +282,9 @@ def factor_JK0(A, seed=0):
         raise RankMismatch("matrix comes from %s, not a strict one" % what)
     if N < 2 or max(A.col_sizes) < N + 1:
         raise TruncationExceeded("need levels 0..N with N >= 2 and columns to N+1")
-    if block_rank(A, 0, 1, seed=seed) != 1:
+    if block_rank(A, 0, 1) != 1:
         raise RankMismatch("block (0,1) must have generic rank 1")
-    if block_rank(A, 1, 2, seed=seed) != 1:
+    if block_rank(A, 1, 2) != 1:
         raise RankMismatch("block (1,2) must have generic rank 1")
     colN = max(A.col_sizes)
 
@@ -596,7 +596,7 @@ def validate_nonaut_static(ns, frame):
         s = mat.row_sizes[i + 1]
         span_rows = [[mat.get((i + 1, a), (i + 1, b)) for b in range(1, s + 1)]
                      for a in range(1, s + 1)]
-        span_rank = generic_rank(span_rows)
+        span_rank = len(gauss_jordan(span_rows[:], s))
         for j in range(1, mat.row_sizes[i] + 1):
             obar = frame.from_frame({c: v for (r, c), v in mat.entries.items()
                                      if r == (i, j)})
@@ -615,7 +615,7 @@ def validate_nonaut_static(ns, frame):
                 failures.append(((i, j), sorted(bad)))
                 continue
             if any(not v.is_zero() for v in partner):
-                if generic_rank(span_rows + [partner]) != span_rank:
+                if len(gauss_jordan(span_rows + [partner], s)) != span_rank:
                     failures.append(((i, j), [("partner outside the row span",
                                                [v.to_text() for v in partner])]))
     return NonautReport(ns, failures)

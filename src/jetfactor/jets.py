@@ -242,21 +242,24 @@ def sample_points(exprs, seed=0):
     raise DegenerateSystem("could not find %d valid sample points" % TRIALS)
 
 
-def generic_rank(rows, seed=0):
-    """Max rank of a RatFn matrix over TRIALS random integer points.
+def generic_rank(rows):
+    """Max rank of a RatFn matrix over TRIALS seeded integer points.
 
     The result is a lower bound on the rank over the rational functions,
     exact once it reaches min(rows, cols).  A point reads a lower rank only
     if the cleared numerator of a nonzero minor of full size, of degree d,
     vanishes there; coordinates come from [-99, 99] without 0, so that
     happens with probability at most d/198 (Schwartz 1980; Zippel 1979).
+    Its one caller, ControlSystem's regularity check, asks for full rank
+    s: a rank that reaches s is proven, and a regular system is rejected
+    with at most that probability.  equivalence.block_rank is exact.
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
     width = len(rows[0])
     best = 0
-    for _, vals in sample_points([e for r in rows for e in r], seed):
+    for _, vals in sample_points([e for r in rows for e in r]):
         m = [cleared(vals[i:i + width]) for i in range(0, len(vals), width)]
         best = max(best, len(int_echelon([], m)))
         if best == min(len(rows), width):

@@ -301,13 +301,8 @@ def _univar(a, v):
             i = m.index(v)
             e = m[i + 1]
             rm = (m[0] - e,) + m[1:i] + m[i + 2:] if m[0] > e else ()
-        d = out.setdefault(e, {})
-        s = d.get(rm, 0) + c
-        if s:
-            d[rm] = s
-        elif rm in d:
-            del d[rm]
-    return {e: d for e, d in out.items() if d}
+        out.setdefault(e, {})[rm] = c
+    return out
 
 
 def _deg_in(a, v):
@@ -504,10 +499,7 @@ def _gcd_prim(a, b):
     if v not in va or v not in vb:
         # gcd divides the v-content of the poly that does contain v
         with_v, other = (a, b) if v in va else (b, a)
-        cont = _content_wrt(with_v, v)
-        if not cont:
-            return p_const(1)
-        return poly_gcd(cont, other)
+        return poly_gcd(_content_wrt(with_v, v), other)
     ca, cb = _content_wrt(a, v), _content_wrt(b, v)
     pa, pb = p_divexact(a, ca), p_divexact(b, cb)
     cg = poly_gcd(ca, cb)
@@ -519,7 +511,7 @@ def _gcd_prim(a, b):
         pa, pb = pb, (_primitive_wrt(r, v) if r else {})
     g = _primitive_wrt(pa, v)
     # the PRS can end at a nonzero constant-in-v remainder, meaning coprime pps
-    if not g or _deg_in(g, v) == 0:
+    if _deg_in(g, v) == 0:
         g = p_const(1)
     return _primitive(p_mul(cg, g))[1]
 
@@ -534,10 +526,7 @@ def _content_wrt(a, v):
 
 
 def _primitive_wrt(a, v):
-    if not a:
-        return a
-    c = _content_wrt(a, v)
-    return p_divexact(a, c)
+    return p_divexact(a, _content_wrt(a, v))
 
 
 # ---------------------------------------------------------------------------

@@ -455,9 +455,9 @@ def _common_denominator(rs):
     r_i = P_i/(K*L).
 
     L grows by each new D_i's cofactor against it (_cofactors), and is
-    divided once by each distinct D_i.  L/1 is L as p_divexact returns it,
-    in descending graded-lex order: that order reaches the derivative's
-    terms, and so ControlSystem.D's."""
+    divided once by each distinct D_i other than 1.  L/1 is L in
+    descending graded-lex order, as p_divexact would return it: that order
+    reaches the derivative's terms, and so ControlSystem.D's."""
     K, L, dens = 1, _UNIT, []
     for r in rs:
         if r._k != K:
@@ -468,7 +468,8 @@ def _common_denominator(rs):
                 L = p_mul(L, _cofactors(L, r._d)[2])
     P = [r._n if r._k == K else p_scale(r._n, K // r._k) for r in rs]
     if not _is_one(L):
-        quo = [p_divexact(L, d) for d in dens]
+        quo = [_descending(L) if _is_one(d) else p_divexact(L, d)
+               for d in dens]
         for i, r in enumerate(rs):
             q = quo[dens.index(r._d)]
             if not _is_one(q):

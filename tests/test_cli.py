@@ -248,7 +248,7 @@ def test_an_oversized_order_is_a_usage_error(files, capsys):
 _UNREAD = {
     "verify": [["--strict"], ["--seed", "1"]],
     "pullback": [["--seed", "1"]],
-    "factor": [["--strict"]],
+    "factor": [["--strict"], ["--seed", "1"]],
     "crosscheck": [["--strict"], ["-N", "2"]],
     "classify": [["--strict"], ["-N", "2"]],
     "structure-check": [["--strict"], ["--seed", "1"]],

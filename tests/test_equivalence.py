@@ -9,6 +9,7 @@ from jetfactor import (BlockMatrix, ControlSystem, EquivMap, RatFn, U, X,
                        ZERO, ONE, VerificationReport, block_rank,
                        builtin_fixtures, check_arepeats,
                        check_nonaut_static_pair, compose, elkin_forms_32,
+                       generic_rank,
                        parse_map, parse_system, prolong_map, pullback_matrix,
                        random_nonaut_static_pair, random_static_transform,
                        verify_forward, verify_pair, verify_scalar_theorem)
@@ -33,6 +34,13 @@ u1, u2 = RatFn.var(U(1)), RatFn.var(U(2))
 
 def du(j, k):
     return RatFn.var(U(j, k))
+
+
+# the product of x1^2 - c^2 for c = 1..99: zero at every sample point, since
+# the sampled rank draws each coordinate from [-99, 99] without 0
+VANISHING = ONE
+for _c in range(1, 100):
+    VANISHING = VANISHING * (x1 * x1 - RatFn.const(_c * _c))
 
 
 def is_static(m):
@@ -474,6 +482,40 @@ def test_static_maps_have_rank_zero_there():
     A = pullback_matrix(fwd, N=3)
     assert block_rank(A, 0, 1) == 0
     assert block_rank(A, 1, 2) == 0
+
+
+def test_block_rank_sees_a_rank_that_drops_at_every_sample_point():
+    # over the rational functions the block has rank 2
+    A = BlockMatrix({0: 2}, {0: 2})
+    A.set((0, 1), (0, 1), VANISHING)
+    A.set((0, 2), (0, 2), ONE)
+    assert generic_rank(A.block(0, 0)) == 1
+    assert block_rank(A, 0, 0) == 2
+
+
+def _rank_sweep_matrices():
+    """The fixtures' strict pullbacks at N = 2..8, and both directions of
+    ten seeded moves of the normal forms at N = 3."""
+    for fwd, _ in FIX[:3]:
+        for N in range(2, 9):
+            yield pullback_matrix(fwd, N=N)
+    forms = elkin_forms_32()
+    moves = [(form, make, k) for form in forms
+             for make in (random_static_transform, random_nonaut_static_pair)
+             for k in range(6)]
+    for form, make, k in random.Random(0).sample(moves, 10):
+        for m in make(form, k)[:2]:
+            yield pullback_matrix(m, N=3)
+
+
+def test_block_rank_agrees_with_the_sampled_rank_on_every_block():
+    count = 0
+    for A in _rank_sweep_matrices():
+        for rl in A.row_sizes:
+            for cl in A.col_sizes:
+                assert block_rank(A, rl, cl) == generic_rank(A.block(rl, cl))
+                count += 1
+    assert count > 1500
 
 
 # --- triangularity as a staticness test --------------------------------------

@@ -11,13 +11,14 @@ from jetfactor import (BlockMatrix, Coframe, ControlSystem, EquivMap,
                        build_S, builtin_fixtures, check_gnice, compose,
                        factor_JK0, pullback_matrix, random_static_transform,
                        validate_nonaut_static, verify_forward)
-from jetfactor.errors import (DiagonalDrift, DimensionMismatch,
-                              PatternViolation, StructureViolation)
+from jetfactor.errors import (DiagonalDrift, DimensionMismatch, JetError,
+                              PatternViolation, PivotVanishes, RankMismatch,
+                              StructureViolation)
 from jetfactor import factorize
 from jetfactor.coframes import ADAPTED
 from jetfactor.factorize import _Driver
 from jetfactor.sysio import serialize
-from test_equivalence import full_inverse
+from test_equivalence import VANISHING, full_inverse
 
 FIX = builtin_fixtures()
 PHI = FIX[0][0]
@@ -521,6 +522,80 @@ def test_a_corrupted_carried_factor_fails_the_product_check(monkeypatch, m):
     monkeypatch.setattr(factorize, "_canonicalize", lambda *args: None)
     with pytest.raises(StructureViolation, match="does not reproduce"):
         factor_JK0(pullback_matrix(m, N=4))
+
+
+def _edited(*entries):
+    """phi's strict pullback at N = 3 with the given (row, col, value)
+    entries set."""
+    def build():
+        A = pullback_matrix(PHI, N=3)
+        for r, c, v in entries:
+            A.set(r, c, v)
+        return A
+    return build
+
+
+def _source_side_move():
+    fwd = compose(PHI, random_static_transform(PHI.src, 0)[1])
+    return pullback_matrix(fwd, N=3)
+
+
+def _reshaped(rows=(), cols=()):
+    def build():
+        A = pullback_matrix(PHI, N=3)
+        return BlockMatrix({**A.row_sizes, **dict(rows)},
+                           {**A.col_sizes, **dict(cols)})
+    return build
+
+
+# phi's strict pullback at N = 3 has A^0_1 = [[0, 0], [0, 1], [0, 0]] and
+# A^1_2 = [[0, 0], [0, 1]].  Three raises of factor_JK0 are not here, as no
+# input reaches them: "no level-0 row meets the control columns", "level-0
+# rows are not proportional over the control columns" and "repeat block
+# vanished after normalization".  Exact rank 1 of A^0_1 and A^1_2 rules
+# each of them out (docs/decisions.md, "Exact block ranks").
+_REJECTIONS = [
+    ("state-counts", _reshaped(cols=[(0, 2)]), DimensionMismatch,
+     "state counts differ; the shift pattern is square in block 0"),
+    ("three-controls", _reshaped(rows=[(1, 3)]), DimensionMismatch,
+     "factorization is defined for two controls"),
+    ("zero-A01", _edited(((0, 2), (1, 2), ZERO)), RankMismatch,
+     "block (0,1) must have generic rank 1"),
+    ("rank-2-A12", _edited(((1, 1), (2, 1), ONE)), RankMismatch,
+     "block (1,2) must have generic rank 1"),
+    ("rank-2-A12-off-the-samples", _edited(((1, 1), (2, 1), VANISHING)),
+     RankMismatch, "block (1,2) must have generic rank 1"),
+    ("dt-in-pivot-row", _edited(((0, 2), (-1, 1), ONE)), StructureViolation,
+     "pivot row keeps a dt component"),
+    ("singular-state-block", _edited(((0, 3), (0, 2), x1),
+                                     ((0, 3), (0, 3), -ONE)),
+     RankMismatch, "level-0 state block is singular"),
+    ("repeat-escapes", _edited(((1, 2), (2, 1), ONE), ((1, 2), (2, 2), ZERO)),
+     StructureViolation, "repeat block escapes the normalized column"),
+    ("repeats-disagree", _edited(((2, 2), (3, 2), RatFn.const(2))),
+     StructureViolation, "repeat blocks disagree at level 2"),
+    ("own-level-entry", _edited(((1, 1), (1, 1), ONE)), StructureViolation,
+     "row (1,1) keeps an entry at its own level"),
+    ("pivot-vanishes", _edited(((1, 1), (0, 1), ZERO)), PivotVanishes,
+     "shift pivot of row (1,1) reduces to zero"),
+    ("pivot-drifts", _edited(((2, 1), (1, 1), RatFn.const(2) * u2)),
+     DiagonalDrift, "pivot of row (2,1) is 2, not the level-1 pivot"),
+    ("source-side-move", _source_side_move, DiagonalDrift,
+     "pivot of row (2,1) is (1/3)*x3 - (1/3)*x2 - (1/9)*x1 + 1, "
+     "not the level-1 pivot"),
+    ("stray-entry", _edited(((3, 2), (4, 1), ONE)), StructureViolation,
+     "reduction did not reach the shift pattern; mismatched entries at "
+     "[((3, 2), (4, 1))]"),
+]
+
+
+@pytest.mark.parametrize("build, cls, message",
+                         [case[1:] for case in _REJECTIONS],
+                         ids=[case[0] for case in _REJECTIONS])
+def test_factor_rejections(build, cls, message):
+    with pytest.raises(JetError) as exc:
+        factor_JK0(build())
+    assert (type(exc.value), str(exc.value)) == (cls, message)
 
 
 # SHA-256 of serialize(factor_JK0(pullback_matrix(m, N=N))), recorded with

@@ -7,10 +7,13 @@ read that step as a regression of every workload (CHANGES.md:50).  The
 kernel was split into poly.py and ratfn.py to keep both well below it.
 
 The package's public names are exactly the ones its __init__ imports.
+Equivalence and factorization take exact ranks, so they import nothing
+from jets, whose ranks are sampled.
 """
 
 import ast
 import importlib
+import importlib.util
 import tokenize
 from pathlib import Path
 
@@ -47,3 +50,19 @@ def test_all_lists_exactly_the_imported_names():
         mod = importlib.import_module("." * node.level + node.module, "jetfactor")
         for a in node.names:
             assert getattr(jetfactor, a.asname or a.name) is getattr(mod, a.name)
+
+
+def _package_imports(path):
+    """The package modules that the module at path imports from."""
+    tree = ast.parse(Path(path).read_text())
+    return {importlib.util.resolve_name("." * node.level + (node.module or ""),
+                                        "jetfactor")
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_exact_rank_modules_import_nothing_from_jets():
+    pkg = Path(jetfactor.__file__).parent
+    # the scan must see a module's package imports, or it checks nothing
+    assert "jetfactor.ratfn" in _package_imports(pkg / "equivalence.py")
+    for name in ("equivalence.py", "factorize.py"):
+        assert "jetfactor.jets" not in _package_imports(pkg / name), name
