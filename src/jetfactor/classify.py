@@ -492,8 +492,8 @@ def _random_transform(sys_, seed, timed):
     sub = {X(i + 1): xold[i] for i in range(n)}
     sub.update({U(j + 1): uold[j] for j in range(s)})
     # y' = P f + b
-    fnew = [_lincomb(P[i], [fi.substitute(sub) for fi in sys_.f],
-                     RatFn.const(b[i])) for i in range(n)]
+    fsub = [fi.substitute(sub) for fi in sys_.f]
+    fnew = [_lincomb(P[i], fsub, RatFn.const(b[i])) for i in range(n)]
     kind, mark = ("nonaut", "~t") if timed else ("static", "~")
     name = (sys_.name + "%s%d" % (mark, seed)) if sys_.name else ""
     newsys = ControlSystem(n, s, fnew, name=name)

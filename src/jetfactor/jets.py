@@ -12,7 +12,7 @@ import random
 
 from .poly import T, X, U
 from .ratfn import (RatFn, ZERO, ONE, affine_parts, cleared, derivation,
-                    int_echelon)
+                    gauss_jordan, int_echelon)
 from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
                      DenominatorZero, DegenerateSystem)
 
@@ -20,9 +20,12 @@ from .errors import (NotAffine, DimensionMismatch, EmptyPromotionSet,
 class ControlSystem:
     """n states, s controls, f a tuple of n RatFn in t, x_i, u_j (order 0).
 
-    Construction checks regularity: the generic rank of df/du must equal s
-    (probabilistically, at seeded random integer points).  Pass check=False
-    to skip when deliberately building something degenerate.
+    Construction checks regularity: the rank of df/du over the rational
+    functions must equal s.  The rank sampled at seeded integer points
+    (generic_rank) is tried first, since one that reaches s is a proof; a
+    shortfall, or no valid sample points, is decided exactly by
+    ratfn.gauss_jordan, so only a singular df/du is rejected.  Pass
+    check=False to skip when deliberately building something degenerate.
     """
 
     __slots__ = ("n", "s", "f", "name")
@@ -45,7 +48,12 @@ class ControlSystem:
         self.name = name
         if check and s:
             rows = [[fi.diff(U(j + 1)) for j in range(s)] for fi in f]
-            r = generic_rank(rows)
+            try:
+                r = generic_rank(rows)
+            except DegenerateSystem:
+                r = 0
+            if r != s:
+                r = len(gauss_jordan(rows, s))
             if r != s:
                 raise DegenerateSystem(
                     "rank df/du = %d but the system declares %d controls" % (r, s))
@@ -251,8 +259,9 @@ def generic_rank(rows):
     vanishes there; coordinates come from [-99, 99] without 0, so that
     happens with probability at most d/198 (Schwartz 1980; Zippel 1979).
     Its one caller, ControlSystem's regularity check, asks for full rank
-    s: a rank that reaches s is proven, and a regular system is rejected
-    with at most that probability.  equivalence.block_rank is exact.
+    s: a rank that reaches s is proven, and a shortfall is decided there
+    by ratfn.gauss_jordan, so no regular system is rejected on a sampled
+    rank.  equivalence.block_rank is exact.
     """
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:

@@ -616,8 +616,18 @@ def gauss_jordan(rows, ncols):
     carried along.  A column's pivot is its first nonzero entry at or
     below the current row; zero entries are skipped.  The rank is the
     number of pivots; elimination stops once it equals the row count.
+
+    When every entry is an int the reduction is fraction-free (Bareiss
+    1968): each pivot p replaces every other row by (p*row - f*pivot row)
+    / q, q the previous pivot (1 at first), an exact division.  Each entry
+    is then the one the division by pivots would hold times p, so it is
+    zero where that one is, the pivots and swaps are the same, and one
+    division of every row by the last pivot at the end gives the same
+    values, as int or Fraction.
     """
+    fraction_free = all(type(e) is int for row in rows for e in row)
     pivots = []
+    q = 1
     for c in range(ncols):
         top = len(pivots)
         if top == len(rows):
@@ -627,16 +637,28 @@ def gauss_jordan(rows, ncols):
         if piv is None:
             continue
         rows[top], rows[piv] = rows[piv], rows[top]
-        pv = rows[top][c]
-        if type(pv) is int:
-            pv = Fraction(pv)
-        prow = rows[top] = [e if _is_zero(e) else e / pv for e in rows[top]]
-        for r, row in enumerate(rows):
-            f = row[c]
-            if r != top and not _is_zero(f):
-                rows[r] = [e if _is_zero(g) else e - f * g
-                           for e, g in zip(row, prow)]
+        prow = rows[top]
+        pv = prow[c]
+        if fraction_free:
+            for r, row in enumerate(rows):
+                if r != top:
+                    f = row[c]
+                    rows[r] = [(pv * e - f * g) // q
+                               for e, g in zip(row, prow)]
+            q = pv
+        else:
+            if type(pv) is int:
+                pv = Fraction(pv)
+            prow = rows[top] = [e if _is_zero(e) else e / pv for e in prow]
+            for r, row in enumerate(rows):
+                f = row[c]
+                if r != top and not _is_zero(f):
+                    rows[r] = [e if _is_zero(g) else e - f * g
+                               for e, g in zip(row, prow)]
         pivots.append(c)
+    if q != 1:
+        for r, row in enumerate(rows):
+            rows[r] = [Fraction(e, q) if e else 0 for e in row]
     return pivots
 
 

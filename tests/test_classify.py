@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from jetfactor import (CLASS1, CLASS2, CLASS3, ControlSystem, DynClass,
 from jetfactor import classify as classify_mod
 from jetfactor import jets as jets_mod
 from jetfactor._suites import _rand_poly
+from jetfactor.poly import mono_pairs
 from jetfactor.jets import lie_bracket
 from jetfactor.ratfn import gauss_jordan
 from jetfactor.errors import (DimensionMismatch, OutOfTable,
@@ -448,3 +450,27 @@ def test_random_nonaut_pair_mentions_time():
     assert verify_pair(fwd, back, N=3).ok
     # the shifted system genuinely depends on t
     assert any(T in fi.vars() for fi in moved.f)
+
+
+# SHA-256 of every RatFn of the moves below, recorded before the fields
+# were substituted once per move and gauss_jordan reduced int rows
+# fraction-free: each as (numerator terms in their order, scale,
+# denominator terms), the moves' names beside them
+_MOVES_SHA = (
+    "5933d2958f343b5a1ba24fed9d07c40a2c725c374016d08eb74338c604531c8e")
+
+
+def test_seeded_moves_are_pinned():
+    def terms(p):
+        return [(list(mono_pairs(m)), c) for m, c in p.items()]
+
+    pin = hashlib.sha256()
+    for move in (random_static_transform, random_nonaut_static_pair):
+        for form in elkin_forms_32():
+            for seed in range(64):
+                fwd, inv, moved = move(form, seed)
+                pin.update(repr((fwd.name, inv.name, moved.name)).encode())
+                for e in fwd.y + fwd.v + inv.y + inv.v + moved.f:
+                    pin.update(repr((terms(e._n), e._k,
+                                     terms(e._d))).encode() + b"\n")
+    assert pin.hexdigest() == _MOVES_SHA

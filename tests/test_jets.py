@@ -30,6 +30,15 @@ def bilinear():
     return ControlSystem(3, 2, (u1, u2, x2 * u1), name="sigma")
 
 
+def planted_p():
+    """prod over c = 1..99 of (x1^2 - c^2): zero at every coordinate the
+    sampler draws."""
+    p = ONE
+    for c in range(1, 100):
+        p = p * (x1 * x1 - RatFn.const(c * c))
+    return p
+
+
 def rebuild(form):
     """The rhs tuple f0 + sum u_j fvecs_j of an AffineForm, for round-trip
     checks."""
@@ -55,8 +64,28 @@ class TestConstruction:
 
     def test_degenerate_rank_rejected(self):
         # both rows lean on u1 only, yet s = 2 is declared
-        with pytest.raises(DegenerateSystem):
+        with pytest.raises(DegenerateSystem,
+                           match="rank df/du = 1 but the system declares 2"):
             ControlSystem(2, 2, (u1, x1 * u1))
+
+    def test_degenerate_rank_rejected_without_sample_points(self):
+        # df/du has a pole at every sampled point and rank 1
+        p = planted_p()
+        with pytest.raises(DegenerateSystem,
+                           match="rank df/du = 1 but the system declares 2"):
+            ControlSystem(2, 2, (u1 / p, x1 * u1 / p))
+
+    def test_regular_when_the_rank_drops_at_every_sample_point(self):
+        # p vanishes at every point the sampler draws: the sampled rank
+        # of the first df/du is 1, and the second has no valid points;
+        # both are regular over the rational functions
+        p = planted_p()
+        short = ControlSystem(3, 2, (p * u1, u2, x2))
+        assert generic_rank([[fi.diff(U(j)) for j in (1, 2)]
+                             for fi in short.f]) == 1
+        poles = ControlSystem(2, 1, (u1 / p, x1))
+        with pytest.raises(DegenerateSystem, match="valid sample points"):
+            generic_rank([[fi.diff(U(1))] for fi in poles.f])
 
     def test_check_false_skips_rank(self):
         sys_ = ControlSystem(2, 2, (u1, x1 * u1), check=False)

@@ -1591,6 +1591,59 @@ def test_gauss_jordan_solves_augmented_systems():
     assert min(seen.values()) > 20
 
 
+def fraction_gauss_jordan(rows, ncols):
+    """The pivots and reduced rows of rows over Fraction, dividing each
+    pivot row by its pivot: the pivot search, swaps and stop at the row
+    count of ratfn.gauss_jordan, written out apart from it."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        if top == len(m):
+            break
+        piv = next((r for r in range(top, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[top], m[piv] = m[piv], m[top]
+        m[top] = [e / m[top][c] for e in m[top]]
+        for r in range(len(m)):
+            if r != top:
+                f = m[r][c]
+                m[r] = [e - f * g for e, g in zip(m[r], m[top])]
+        pivots.append(c)
+    return pivots, m
+
+
+def test_gauss_jordan_on_ints_is_the_fraction_reduction():
+    rng = random.Random(36)
+    seen = {"wide": 0, "tall": 0, "singular": 0, "carried": 0,
+            "stopped": 0, "not integral": 0, "past 2^64": 0}
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        ncols = rng.randint(1, cols)
+        bits = rng.choice((2, 2, 2, 70))
+        m = [[rng.randint(-(1 << bits), 1 << bits) * (rng.random() < 0.7)
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:     # a dependent row
+            cs = [rng.randint(-3, 3) for _ in range(rows - 1)]
+            m[-1] = [sum(c * row[j] for c, row in zip(cs, m))
+                     for j in range(cols)]
+            rng.shuffle(m)
+        work = [row[:] for row in m]
+        pivots = gauss_jordan(work, ncols)
+        assert (pivots, work) == fraction_gauss_jordan(m, ncols), m
+        assert all(type(e) in (int, Fraction) for row in work for e in row)
+        seen["wide"] += rows < ncols
+        seen["tall"] += rows > ncols
+        seen["singular"] += len(pivots) < min(rows, ncols)
+        seen["carried"] += ncols < cols
+        seen["stopped"] += len(pivots) == rows and pivots[-1] < ncols - 1
+        seen["not integral"] += any(Fraction(e).denominator > 1
+                                    for row in work for e in row)
+        seen["past 2^64"] += bits > 64
+    assert min(seen.values()) > 100, seen
+
+
 def int_rank(rows):
     """Rank over Q of equal-length rows of ints, fraction-free (Bareiss
     1968): every update p*row - f*pivot_row is divided exactly by the
